@@ -4,8 +4,9 @@
 Two independent sweeps back the bound calculators:
 
 * every fixed polyomino up to area 10, enumerated twice (growth with
-  deduplication, and a frontier counter that never builds cell sets),
-  confirming the minimal perimeter 2*ceil(2*sqrt(A));
+  deduplication, and a frontier walk that never builds cell sets and
+  tracks adjacent cells as it goes), the walk confirming the minimal
+  perimeter 2*ceil(2*sqrt(A));
 * every balanced two-letter word up to length 12, confirming that a
   word achieving integral A has length at least 2*ceil(2*sqrt(|A|)),
   and that the minimum is attained at every achievable A.

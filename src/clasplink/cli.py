@@ -13,9 +13,9 @@ Subcommands:
     oracle polyomino|words [--max-area N | --max-len N] [--cap N]
 
 WORD and FILE may be "-" to read standard input, so ``gen-brn 3`` pipes
-straight into ``mu`` or ``bounds``.  Exit codes: 0 success, 1 oracle
-disagreement, 2 input error, 3 I/O error.  Output is deterministic byte
-for byte.
+straight into ``mu`` or ``bounds``.  Exit codes: 0 success, 1
+disagreement (an oracle row, or the two ``eij`` methods), 2 input error,
+3 I/O error.  Output is deterministic byte for byte.
 """
 
 from __future__ import annotations
@@ -118,9 +118,11 @@ def cmd_eij(args: argparse.Namespace) -> int:
     if args.method in ("integral", "both"):
         by_integral = build_curve(w, args.i, args.j).line_integral_x_dy()
         if args.method == "both" and by_sum != by_integral:
-            raise AssertionError(
-                f"double sum gave {by_sum} but the line integral gave {by_integral}"
+            print(
+                f"error: double sum gave {by_sum} but the line integral gave {by_integral}",
+                file=sys.stderr,
             )
+            return 1
         print(by_integral)
     else:
         print(by_sum)

@@ -38,10 +38,11 @@ class Clasp:
     def __post_init__(self) -> None:
         if not self.id or any(ch.isspace() for ch in self.id):
             raise ValueError(f"clasp id must be a nonempty token without whitespace, got {self.id!r}")
+        # type() rather than isinstance(): bool is an int subclass
         for endpoint in (self.a, self.b):
-            if not isinstance(endpoint, int) or endpoint < 1:
+            if type(endpoint) is not int or endpoint < 1:
                 raise ValueError(f"clasp endpoints must be positive integers, got {endpoint!r}")
-        if self.sign not in (1, -1):
+        if type(self.sign) is not int or self.sign not in (1, -1):
             raise ValueError(f"clasp sign must be +1 or -1, got {self.sign!r}")
         if self.a > self.b:
             lo, hi = self.b, self.a
@@ -179,6 +180,12 @@ def generate_brn(n: int) -> CComplex:
     return CComplex(3, clasps, (order1, order2, order3))
 
 
+def _is_ascii_digits(text: str) -> bool:
+    """True for 0-9 only; str.isdigit() also accepts digits such as '²'
+    that int() rejects."""
+    return text.isascii() and text.isdigit()
+
+
 def parse_complex(text: str) -> CComplex:
     """Parse the line-oriented complex format.
 
@@ -202,7 +209,7 @@ def parse_complex(text: str) -> CComplex:
         if keyword == "components":
             if n is not None:
                 raise fail(line_no, "duplicate components line")
-            if len(fields) != 2 or not fields[1].isdigit():
+            if len(fields) != 2 or not _is_ascii_digits(fields[1]):
                 raise fail(line_no, "expected: components <n>")
             n = int(fields[1])
         elif keyword == "clasp":
@@ -224,7 +231,7 @@ def parse_complex(text: str) -> CComplex:
         elif keyword == "order":
             if n is None:
                 raise fail(line_no, "order line before components line")
-            if len(fields) < 2 or not fields[1].isdigit():
+            if len(fields) < 2 or not _is_ascii_digits(fields[1]):
                 raise fail(line_no, "expected: order <k> <id> ...")
             k = int(fields[1])
             if not 1 <= k <= n:

@@ -2,10 +2,14 @@
 
 Two independent jobs:
 
-* enumerate every fixed polyomino of a given area (translation-distinct,
-  rotations and reflections counted separately) and minimize perimeter,
-  cross-checked by a second counting method that never builds cell sets;
-* sweep every balanced two-letter word up to a length cap and confirm
+* walk every fixed polyomino of a given area (translation-distinct,
+  rotations and reflections counted separately) by Redelmeier's method,
+  counting adjacent cell pairs as each cell is added, so the same pass
+  yields the count and the minimal perimeter 4*A - 2*(adjacent pairs) of
+  every area; a second method that builds and normalizes the cell sets
+  (:func:`enumerate_polyominoes`) cross-checks the counts;
+* search every balanced two-letter word up to a length cap, one length at
+  a time over the distinct states (x, y, integral so far), and confirm
   that word length is at least 2*ceil(2*sqrt(|integral|)) for the curve
   it traces, recording the minimal length for each achieved value.
 
@@ -123,51 +127,72 @@ def enumerate_polyominoes(area: int, cap: int = POLYOMINO_AREA_CAP) -> list[Poly
     return shapes
 
 
-def count_fixed_polyominoes(max_area: int) -> list[int]:
-    """Counts of fixed polyominoes for areas 1..max_area, computed without
-    building or normalizing cell sets.
+def _redelmeier(max_area: int) -> tuple[list[int], list[int]]:
+    """Counts and minimal perimeters of fixed polyominoes, index = area
+    (index 0 unused), by one walk that never builds or normalizes cell sets.
 
     Candidate cells are restricted to the half plane y > 0 or (y = 0,
     x >= 0), pinning the translation class.  Each shape is counted exactly
     once: candidates are tried in order and stay forbidden for the
-    remainder of the branch once their subtree is exhausted.
+    remainder of the branch once their subtree is exhausted.  Adding a
+    candidate adds one adjacent pair per shape cell it touches, and the
+    perimeter is 4*area - 2*(adjacent pairs).
     """
-    if max_area < 1:
-        raise ValueError(f"max_area must be at least 1, got {max_area}")
     counts = [0] * (max_area + 1)
+    min_perimeter = [4 * area for area in range(max_area + 1)]
+    touching: dict[Cell, int] = {(0, 0): 0}  # cell -> shape cells next to it
 
-    def grow(untried: list[Cell], seen: set[Cell], size: int) -> None:
+    def grow(untried: list[Cell], seen: set[Cell], size: int, adjacent: int) -> None:
+        # Each candidate in untried gives one shape of this area.
+        area = size + 1
+        counts[area] += len(untried)
+        perimeter = 4 * area - 2 * (adjacent + max(map(touching.__getitem__, untried)))
+        if perimeter < min_perimeter[area]:
+            min_perimeter[area] = perimeter
+        if area == max_area:
+            return
         while untried:
-            cx, cy = untried.pop()
-            counts[size + 1] += 1
-            if size + 1 == max_area:
-                continue
+            cell = untried.pop()
+            cx, cy = cell
+            neighbors = ((cx + 1, cy), (cx - 1, cy), (cx, cy + 1), (cx, cy - 1))
             added = []
-            for nb in ((cx + 1, cy), (cx - 1, cy), (cx, cy + 1), (cx, cy - 1)):
+            for nb in neighbors:
+                touching[nb] = touching.get(nb, 0) + 1
                 x, y = nb
                 if (y > 0 or (y == 0 and x >= 0)) and nb not in seen:
                     seen.add(nb)
                     added.append(nb)
-            grow(untried + added, seen, size + 1)
+            if untried or added:
+                grow(untried + added, seen, area, adjacent + touching[cell])
+            for nb in neighbors:
+                touching[nb] -= 1
             for nb in added:
                 seen.discard(nb)
 
-    grow([(0, 0)], {(0, 0)}, 0)
-    return counts[1:]
+    grow([(0, 0)], {(0, 0)}, 0, 0)
+    return counts, min_perimeter
+
+
+def count_fixed_polyominoes(max_area: int) -> list[int]:
+    """Counts of fixed polyominoes for areas 1..max_area, by Redelmeier's
+    method (see :func:`_redelmeier`)."""
+    if max_area < 1:
+        raise ValueError(f"max_area must be at least 1, got {max_area}")
+    return _redelmeier(max_area)[0][1:]
 
 
 def verify_min_perimeter(max_area: int, cap: int = POLYOMINO_AREA_CAP) -> list[OracleReport]:
-    """Compare the enumerated minimum perimeter against 2*ceil(2*sqrt(A))
-    for every area 1..max_area."""
+    """Compare the minimal perimeter over every fixed polyomino against
+    2*ceil(2*sqrt(A)) for every area 1..max_area."""
     if max_area < 1:
         raise ValueError(f"max_area must be at least 1, got {max_area}")
     if max_area > cap:
         raise CapExceededError(f"max_area {max_area} exceeds the cap {cap}")
-    reports = []
-    for area in range(1, max_area + 1):
-        observed = min(p.perimeter() for p in enumerate_polyominoes(area, cap))
-        reports.append(OracleReport(area, observed, 2 * ceil_two_sqrt(area)))
-    return reports
+    min_perimeter = _redelmeier(max_area)[1]
+    return [
+        OracleReport(area, min_perimeter[area], 2 * ceil_two_sqrt(area))
+        for area in range(1, max_area + 1)
+    ]
 
 
 def verify_word_length_bound(max_len: int, cap: int = WORD_LENGTH_CAP) -> list[OracleReport]:
@@ -180,10 +205,13 @@ def verify_word_length_bound(max_len: int, cap: int = WORD_LENGTH_CAP) -> list[O
     would be a counterexample.
 
     Sweeping two letter indices loses no generality: the integral only
-    depends on the word restricted to the two indices.  The search walks
-    the 4-ary tree of words directly, pruning branches that cannot return
-    to the origin within the length budget (those contain no balanced
-    continuation, so nothing in scope is skipped).
+    depends on the word restricted to the two indices.  The search runs
+    one length at a time over the set of states (x, y, integral so far)
+    that some word of that length reaches; every word is covered, and
+    words reaching the same state are merged.  States that cannot return
+    to the origin within the length budget are pruned (they have no
+    balanced continuation, so nothing in scope is skipped).  The minimal
+    length for A is the first length at which a state (0, 0, ±A) appears.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be at least 1, got {max_len}")
@@ -191,27 +219,24 @@ def verify_word_length_bound(max_len: int, cap: int = WORD_LENGTH_CAP) -> list[O
         raise CapExceededError(f"max_len {max_len} exceeds the cap {cap}")
 
     min_len: dict[int, int] = {0: 0}
-
-    def walk(x: int, y: int, depth: int, acc: int) -> None:
-        if x == 0 and y == 0 and depth:
-            a = abs(acc)
-            best = min_len.get(a)
-            if best is None or depth < best:
-                min_len[a] = depth
-        budget = max_len - depth - 1
-        if budget < 0:
-            return
-        ax, ay = abs(x), abs(y)
-        if abs(x + 1) + ay <= budget:
-            walk(x + 1, y, depth + 1, acc)
-        if abs(x - 1) + ay <= budget:
-            walk(x - 1, y, depth + 1, acc)
-        if ax + abs(y + 1) <= budget:
-            walk(x, y + 1, depth + 1, acc + x)
-        if ax + abs(y - 1) <= budget:
-            walk(x, y - 1, depth + 1, acc - x)
-
-    walk(0, 0, 0, 0)
+    states = {(0, 0, 0)}
+    for depth in range(1, max_len + 1):
+        budget = max_len - depth
+        grown = set()
+        for x, y, acc in states:
+            ax, ay = abs(x), abs(y)
+            if abs(x + 1) + ay <= budget:
+                grown.add((x + 1, y, acc))
+            if abs(x - 1) + ay <= budget:
+                grown.add((x - 1, y, acc))
+            if ax + abs(y + 1) <= budget:
+                grown.add((x, y + 1, acc + x))
+            if ax + abs(y - 1) <= budget:
+                grown.add((x, y - 1, acc - x))
+        for x, y, acc in grown:
+            if x == 0 and y == 0:
+                min_len.setdefault(abs(acc), depth)
+        states = grown
     return [
         OracleReport(a, min_len[a], 2 * ceil_two_sqrt(a))
         for a in sorted(min_len)

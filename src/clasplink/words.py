@@ -40,9 +40,11 @@ class SignedLetter:
     sign: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.index, int) or self.index < 1:
+        # type() rather than isinstance(): bool is an int subclass, and
+        # True would otherwise pass as index 1 or sign +1
+        if type(self.index) is not int or self.index < 1:
             raise ValueError(f"letter index must be a positive integer, got {self.index!r}")
-        if self.sign not in (1, -1):
+        if type(self.sign) is not int or self.sign not in (1, -1):
             raise ValueError(f"letter sign must be +1 or -1, got {self.sign!r}")
 
     def __str__(self) -> str:

@@ -81,6 +81,15 @@ def test_eij_methods_agree(capsys):
     assert outputs == {"3\n"}
 
 
+def test_eij_methods_disagree(capsys, monkeypatch):
+    from clasplink import cli
+
+    monkeypatch.setattr(cli, "e_ij", lambda w, i, j: 7)
+    code, out, err = run(capsys, "eij", "x1 x2 x1^-1 x2^-1", "1", "2", "--method", "both")
+    assert (code, out) == (1, "")
+    assert err == "error: double sum gave 7 but the line integral gave 1\n"
+
+
 def test_eij_reads_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", __import__("io").StringIO("x1 x2\nx1^-1 x2^-1\n"))
     code, out, _ = run(capsys, "eij", "-", "1", "2")

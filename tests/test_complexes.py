@@ -73,6 +73,9 @@ def test_parse_handles_comments_and_blank_lines():
         ("components 2\norder 1 a\norder 1 b\n", "duplicate order line"),
         ("components 2\nfrobnicate\n", "unknown keyword"),
         ("components\n", "expected: components"),
+        # '²' passes str.isdigit() but int() rejects it
+        ("components \u00b2\n", "line 1: expected: components"),
+        ("components 2\norder \u00b2 a\n", "line 2: expected: order"),
         ("", "missing components"),
     ],
 )
@@ -149,6 +152,10 @@ def test_clasp_constructor():
         Clasp("a", 1, 2, 0)
     with pytest.raises(ValueError):
         Clasp("a", 0, 2, 1)
+    # bool is an int subclass, so True used to pass as endpoint 1 or sign +1
+    for args in (("a", True, 2, 1), ("a", 1, True, 1), ("a", 1, 2, True)):
+        with pytest.raises(ValueError):
+            Clasp(*args)
 
 
 def test_ccomplex_constructor():

@@ -140,6 +140,45 @@ def test_verify_min_perimeter_full_range():
     assert all(r.agree for r in verify_min_perimeter(10))
 
 
+def test_min_perimeter_matches_enumeration():
+    """The walk's minima against the cell sets built by growth."""
+    for r in verify_min_perimeter(10):
+        assert r.observed == min(p.perimeter() for p in enumerate_polyominoes(r.parameter))
+
+
+def tree_walk_word_lengths(max_len):
+    """Reference sweep: walk the 4-ary tree of words letter by letter and
+    record the minimal closing length for each |integral|."""
+    min_len = {0: 0}
+
+    def walk(x, y, depth, acc):
+        if x == 0 and y == 0 and depth:
+            a = abs(acc)
+            if a not in min_len or depth < min_len[a]:
+                min_len[a] = depth
+        budget = max_len - depth - 1
+        if budget < 0:
+            return
+        ax, ay = abs(x), abs(y)
+        if abs(x + 1) + ay <= budget:
+            walk(x + 1, y, depth + 1, acc)
+        if abs(x - 1) + ay <= budget:
+            walk(x - 1, y, depth + 1, acc)
+        if ax + abs(y + 1) <= budget:
+            walk(x, y + 1, depth + 1, acc + x)
+        if ax + abs(y - 1) <= budget:
+            walk(x, y - 1, depth + 1, acc - x)
+
+    walk(0, 0, 0, 0)
+    return [(a, min_len[a]) for a in sorted(min_len)]
+
+
+@pytest.mark.parametrize("max_len", range(1, 13))
+def test_word_search_matches_tree_walk(max_len):
+    rows = [(r.parameter, r.observed) for r in verify_word_length_bound(max_len)]
+    assert rows == tree_walk_word_lengths(max_len)
+
+
 def test_verify_word_length_bound_small():
     reports = verify_word_length_bound(8)
     by_value = {r.parameter: r for r in reports}

@@ -78,6 +78,11 @@ def test_signed_letter_validation():
         SignedLetter(0, 1)
     with pytest.raises(ValueError):
         SignedLetter(1, 2)
+    # bool is an int subclass: SignedLetter(True, 1) used to print as xTrue
+    with pytest.raises(ValueError):
+        SignedLetter(True, 1)
+    with pytest.raises(ValueError):
+        SignedLetter(1, True)
 
 
 def test_round_trip_many_random_words():
