@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import isqrt
 
-from .complexes import CComplex, total_clasps, validate
+from .complexes import CComplex, _require_valid, total_clasps
 from .invariants import pairwise_linking, triple_linking
 
 
@@ -123,9 +123,7 @@ def bound_report(F: CComplex) -> BoundReport:
     lower bounds come from the linking numbers, and for 3 components with
     vanishing pairwise linking from the triple linking number.
     """
-    violations = validate(F)
-    if violations:
-        raise ValueError("invalid complex: " + "; ".join(violations))
+    _require_valid(F)
     if F.n not in (2, 3):
         raise ValueError(f"bound reports cover 2- or 3-component links only, got {F.n}")
 

@@ -13,13 +13,26 @@ File format (line oriented, ``#`` comments, case-sensitive keywords):
 
 The ``order k`` line lists the clasp ids met along component k starting
 from its basepoint; rotating the list is a basepoint change.
+
+A complex is checked once: when :func:`validate` finds no violations it
+remembers that on the (frozen, immutable) instance, and the functions that
+need a well-formed complex skip the check on an instance that passed it.
+A new instance, such as one from ``dataclasses.replace`` or
+:func:`with_rotated_order`, is checked again.  An explicit ``validate(F)``
+call always runs the full check.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, replace
 
 from .words import ClaspWord, SignedLetter
+
+
+# A complex holds one traversal order per component, so a file's component
+# count sets the memory it takes, however short the file is.
+COMPONENT_CAP = 1_000_000
 
 
 class ComplexFormatError(ValueError):
@@ -36,7 +49,8 @@ class Clasp:
     sign: int
 
     def __post_init__(self) -> None:
-        if not self.id or any(ch.isspace() for ch in self.id):
+        # str.split() splits on exactly the characters str.isspace() accepts
+        if not isinstance(self.id, str) or self.id.split() != [self.id]:
             raise ValueError(f"clasp id must be a nonempty token without whitespace, got {self.id!r}")
         # type() rather than isinstance(): bool is an int subclass
         for endpoint in (self.a, self.b):
@@ -49,13 +63,6 @@ class Clasp:
             object.__setattr__(self, "a", lo)
             object.__setattr__(self, "b", hi)
 
-    def other_end(self, k: int) -> int:
-        if k == self.a:
-            return self.b
-        if k == self.b:
-            return self.a
-        raise ValueError(f"clasp {self.id!r} is not incident to component {k}")
-
 
 @dataclass(frozen=True)
 class CComplex:
@@ -66,6 +73,10 @@ class CComplex:
     orders: tuple[tuple[str, ...], ...]
 
     def __post_init__(self) -> None:
+        # Tuples all the way down, so a validation remembered on the
+        # instance cannot go stale through a list mutated afterwards.
+        object.__setattr__(self, "clasps", tuple(self.clasps))
+        object.__setattr__(self, "orders", tuple(tuple(order) for order in self.orders))
         if not isinstance(self.n, int) or self.n < 0:
             raise ValueError(f"component count must be a nonnegative integer, got {self.n!r}")
         if len(self.orders) != self.n:
@@ -75,14 +86,17 @@ class CComplex:
 def validate(F: CComplex) -> list[str]:
     """Check every structural invariant; returns a list of violations.
 
-    An empty list means F is well formed.  Violations are descriptions,
-    not exceptions, so malformed data can be reported in full.
+    An empty list means F is well formed, and F remembers it (see the
+    module docstring).  Violations are descriptions, not exceptions, so
+    malformed data can be reported in full.
     """
     violations: list[str] = []
     if F.n < 1:
         violations.append(f"component count must be at least 1, got {F.n}")
 
     seen: dict[str, Clasp] = {}
+    # incident[k]: ids of the well-formed clasps with an end on component k
+    incident: defaultdict[int, set[str]] = defaultdict(set)
     for c in F.clasps:
         if c.id in seen:
             violations.append(f"duplicate clasp id {c.id!r}")
@@ -93,13 +107,12 @@ def validate(F: CComplex) -> list[str]:
         for endpoint in (c.a, c.b):
             if endpoint > F.n:
                 violations.append(f"clasp {c.id!r} references unknown component {endpoint}")
+        if c.a != c.b and c.b <= F.n:  # a <= b, so both ends are known
+            incident[c.a].add(c.id)
+            incident[c.b].add(c.id)
 
-    well_formed = {
-        c.id: c for c in seen.values()
-        if c.a != c.b and c.a <= F.n and c.b <= F.n
-    }
     for k in range(1, F.n + 1):
-        expected = {cid for cid, c in well_formed.items() if k in (c.a, c.b)}
+        expected = incident.get(k, set())
         listed: set[str] = set()
         for cid in F.orders[k - 1]:
             if cid in listed:
@@ -112,10 +125,16 @@ def validate(F: CComplex) -> list[str]:
                 violations.append(f"order for component {k} lists non-incident clasp {cid!r}")
         for cid in sorted(expected - listed):
             violations.append(f"order for component {k} is incomplete: missing clasp id {cid!r}")
+    if not violations:
+        object.__setattr__(F, "_validated", True)
     return violations
 
 
 def _require_valid(F: CComplex) -> None:
+    """Raise ValueError listing the violations unless F is well formed;
+    free for an instance that has already passed :func:`validate`."""
+    if getattr(F, "_validated", False):
+        return
     violations = validate(F)
     if violations:
         raise ValueError("invalid complex: " + "; ".join(violations))
@@ -128,11 +147,22 @@ def clasp_word(F: CComplex, k: int) -> ClaspWord:
     _require_valid(F)
     if not 1 <= k <= F.n:
         raise ValueError(f"component {k} is not a component of this complex (n={F.n})")
-    by_id = {c.id: c for c in F.clasps}
-    return ClaspWord(tuple(
-        SignedLetter(by_id[cid].other_end(k), by_id[cid].sign)
-        for cid in F.orders[k - 1]
-    ))
+    # At most 2*(n-1) distinct letters: one per (other end, sign), shared
+    # by every clasp id that reads as it.
+    letters: dict[tuple[int, int], SignedLetter] = {}
+    letter_of: dict[str, SignedLetter] = {}
+    for c in F.clasps:
+        if c.a == k:
+            other = c.b
+        elif c.b == k:
+            other = c.a
+        else:
+            continue
+        letter = letters.get((other, c.sign))
+        if letter is None:
+            letter = letters[other, c.sign] = SignedLetter(other, c.sign)
+        letter_of[c.id] = letter
+    return ClaspWord(tuple(letter_of[cid] for cid in F.orders[k - 1]))
 
 
 def total_clasps(F: CComplex) -> int:
@@ -180,10 +210,18 @@ def generate_brn(n: int) -> CComplex:
     return CComplex(3, clasps, (order1, order2, order3))
 
 
-def _is_ascii_digits(text: str) -> bool:
-    """True for 0-9 only; str.isdigit() also accepts digits such as '²'
-    that int() rejects."""
-    return text.isascii() and text.isdigit()
+def _ascii_int(text: str) -> int | None:
+    """The value of a run of ASCII digits 0-9, else None.
+
+    str.isdigit() also accepts digits such as '²' that int() rejects, and
+    int() also reads '1_0' as 10 and non-ASCII digits such as '٣' as 3.
+    """
+    if not (text.isascii() and text.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        return None
 
 
 def parse_complex(text: str) -> CComplex:
@@ -209,19 +247,20 @@ def parse_complex(text: str) -> CComplex:
         if keyword == "components":
             if n is not None:
                 raise fail(line_no, "duplicate components line")
-            if len(fields) != 2 or not _is_ascii_digits(fields[1]):
+            n = _ascii_int(fields[1]) if len(fields) == 2 else None
+            if n is None:
                 raise fail(line_no, "expected: components <n>")
-            n = int(fields[1])
+            if n > COMPONENT_CAP:
+                raise fail(line_no, f"component count {n} exceeds the limit {COMPONENT_CAP}")
         elif keyword == "clasp":
             if n is None:
                 raise fail(line_no, "clasp line before components line")
             if len(fields) != 5:
                 raise fail(line_no, "expected: clasp <id> <a> <b> <+|->")
             cid, a_text, b_text, sign_text = fields[1:]
-            try:
-                a, b = int(a_text), int(b_text)
-            except ValueError:
-                raise fail(line_no, f"clasp endpoints must be integers, got {a_text!r} {b_text!r}") from None
+            a, b = _ascii_int(a_text), _ascii_int(b_text)
+            if a is None or b is None:
+                raise fail(line_no, f"clasp endpoints must be integers, got {a_text!r} {b_text!r}")
             if sign_text not in ("+", "-"):
                 raise fail(line_no, f"clasp sign must be + or -, got {sign_text!r}")
             try:
@@ -231,9 +270,9 @@ def parse_complex(text: str) -> CComplex:
         elif keyword == "order":
             if n is None:
                 raise fail(line_no, "order line before components line")
-            if len(fields) < 2 or not _is_ascii_digits(fields[1]):
+            k = _ascii_int(fields[1]) if len(fields) >= 2 else None
+            if k is None:
                 raise fail(line_no, "expected: order <k> <id> ...")
-            k = int(fields[1])
             if not 1 <= k <= n:
                 raise fail(line_no, f"order refers to component {k}, but there are {n} components")
             if k in orders:

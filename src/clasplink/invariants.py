@@ -39,7 +39,8 @@ def pairwise_linking(F: CComplex, i: int, j: int) -> int:
     for k in (i, j):
         if not 1 <= k <= F.n:
             raise ValueError(f"component {k} is not a component of this complex (n={F.n})")
-    return sum(c.sign for c in F.clasps if {c.a, c.b} == {i, j})
+    lo, hi = (i, j) if i < j else (j, i)  # clasps store a <= b
+    return sum(c.sign for c in F.clasps if c.a == lo and c.b == hi)
 
 
 @dataclass(frozen=True)

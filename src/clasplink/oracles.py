@@ -19,8 +19,10 @@ raised from the CLI.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 from .bounds import ceil_two_sqrt
 
@@ -127,6 +129,9 @@ def enumerate_polyominoes(area: int, cap: int = POLYOMINO_AREA_CAP) -> list[Poly
     return shapes
 
 
+_SPARE_FRAMES = 10  # headroom over the walk's one frame per cell
+
+
 def _redelmeier(max_area: int) -> tuple[list[int], list[int]]:
     """Counts and minimal perimeters of fixed polyominoes, index = area
     (index 0 unused), by one walk that never builds or normalizes cell sets.
@@ -137,7 +142,18 @@ def _redelmeier(max_area: int) -> tuple[list[int], list[int]]:
     remainder of the branch once their subtree is exhausted.  Adding a
     candidate adds one adjacent pair per shape cell it touches, and the
     perimeter is 4*area - 2*(adjacent pairs).
+
+    The walk recurses once per cell, and its first branch is a straight
+    line of max_area cells, so an area deeper than the recursion limit
+    leaves is refused up front with :class:`CapExceededError`.
     """
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    if max_area + depth + _SPARE_FRAMES > sys.getrecursionlimit():
+        raise CapExceededError(
+            f"max_area {max_area} needs a deeper recursion than the limit {sys.getrecursionlimit()} allows"
+        )
     counts = [0] * (max_area + 1)
     min_perimeter = [4 * area for area in range(max_area + 1)]
     touching: dict[Cell, int] = {(0, 0): 0}  # cell -> shape cells next to it
@@ -217,9 +233,23 @@ def verify_word_length_bound(max_len: int, cap: int = WORD_LENGTH_CAP) -> list[O
         raise ValueError(f"max_len must be at least 1, got {max_len}")
     if max_len > cap:
         raise CapExceededError(f"max_len {max_len} exceeds the cap {cap}")
+    min_len: dict[int, int] = {}
+    for length, states in enumerate(_word_states(max_len)):
+        for x, y, acc in states:
+            if x == 0 and y == 0:
+                min_len.setdefault(abs(acc), length)
+    return [
+        OracleReport(a, min_len[a], 2 * ceil_two_sqrt(a))
+        for a in sorted(min_len)
+    ]
 
-    min_len: dict[int, int] = {0: 0}
+
+def _word_states(max_len: int) -> Iterator[set[tuple[int, int, int]]]:
+    """Yield, for each word length 0..max_len in turn, the set of states
+    (x, y, integral so far) that the words of that length reach without
+    leaving the return-to-origin budget."""
     states = {(0, 0, 0)}
+    yield states
     for depth in range(1, max_len + 1):
         budget = max_len - depth
         grown = set()
@@ -233,11 +263,5 @@ def verify_word_length_bound(max_len: int, cap: int = WORD_LENGTH_CAP) -> list[O
                 grown.add((x, y + 1, acc + x))
             if ax + abs(y - 1) <= budget:
                 grown.add((x, y - 1, acc - x))
-        for x, y, acc in grown:
-            if x == 0 and y == 0:
-                min_len.setdefault(abs(acc), depth)
+        yield grown
         states = grown
-    return [
-        OracleReport(a, min_len[a], 2 * ceil_two_sqrt(a))
-        for a in sorted(min_len)
-    ]

@@ -241,6 +241,16 @@ def test_oracle_cap_errors(capsys):
     assert "cap" in err
 
 
+def test_oracle_polyomino_deeper_than_recursion_limit(capsys):
+    # The Redelmeier walk recurses once per cell; an area past the
+    # recursion limit is refused before the walk starts.
+    code, out, err = run(capsys, "oracle", "polyomino", "--max-area", "2000", "--cap", "2000")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: max_area 2000 needs a deeper recursion")
+    assert "Traceback" not in err
+
+
 def test_cli_outputs_are_deterministic(capsys, tmp_path):
     invocations = [
         ("mu", BORROMEAN, "1", "2", "3"),

@@ -76,6 +76,15 @@ def test_parse_handles_comments_and_blank_lines():
         # '²' passes str.isdigit() but int() rejects it
         ("components \u00b2\n", "line 1: expected: components"),
         ("components 2\norder \u00b2 a\n", "line 2: expected: order"),
+        # int() reads '1_0' as 10 and the Arabic-Indic digit three as 3
+        ("components 12\nclasp a 1_0 2 +\n", "line 2: clasp endpoints must be integers"),
+        ("components 3\nclasp a 1 \u0663 +\n", "line 2: clasp endpoints must be integers"),
+        ("components 1000001\n", "line 1: component count 1000001 exceeds the limit"),
+        # more digits than int() converts
+        pytest.param("components " + "1" * 5000 + "\n", "line 1: expected: components",
+                     id="components-5000-digits"),
+        pytest.param("components 2\nclasp a 1 " + "2" * 5000 + " +\n", "line 2: clasp endpoints must be integers",
+                     id="endpoint-5000-digits"),
         ("", "missing components"),
     ],
 )
@@ -156,6 +165,12 @@ def test_clasp_constructor():
     for args in (("a", True, 2, 1), ("a", 1, True, 1), ("a", 1, 2, True)):
         with pytest.raises(ValueError):
             Clasp(*args)
+
+
+@pytest.mark.parametrize("cid", [" a", "a\n", "a\u00a0b", "\u2003", b"a", ("a",), 7])
+def test_clasp_id_is_one_string_token(cid):
+    with pytest.raises(ValueError, match="clasp id must be"):
+        Clasp(cid, 1, 2, 1)
 
 
 def test_ccomplex_constructor():

@@ -1,10 +1,17 @@
-"""Diff the oracle subcommands against golden stdout and exit codes.
+"""Diff CLI subcommands against golden stdout, stderr and exit codes.
 
-The files in tests/golden/ were captured from the tree-walk word sweep and
-the cell-set polyomino enumeration that the current oracles replaced, so
-any change in a row, the table layout or the exit code shows here.
+The oracle files in tests/golden/ were captured from the tree-walk word
+sweep and the cell-set polyomino enumeration that the current oracles
+replaced, so any change in a row, the table layout or the exit code shows
+here.
+
+The files in tests/golden/complex/ were captured from the complex
+subcommands before a complex was validated once and remembered: bounds,
+words, lk, mu and validate on data/*.cc and on two invalid complexes kept
+next to the outputs, and gen-brn N piped into bounds and mu for N = 1..6.
 """
 
+import io
 import json
 from pathlib import Path
 
@@ -37,3 +44,55 @@ def test_oracle_matches_golden(capsys, name):
     assert code == EXIT_CODES[name]
     assert captured.out == (GOLDEN / name).read_text()
     assert captured.err == ""
+
+
+DATA = GOLDEN.parents[1] / "data"
+COMPLEX = GOLDEN / "complex"
+COMPLEX_EXIT_CODES = json.loads((COMPLEX / "exit_codes.json").read_text())
+SUBCOMMANDS = {
+    "bounds": [],
+    "words": [],
+    "lk": ["1", "2"],
+    "mu": ["1", "2", "3"],
+    "validate": [],
+}
+
+
+def complex_cases():
+    """name -> (argv, gen-brn size piped to stdin or None)."""
+    cases = {}
+    for path in sorted(DATA.glob("*.cc")) + sorted(COMPLEX.glob("invalid-*.cc")):
+        three = "components 3" in path.read_text()
+        for command, extra in SUBCOMMANDS.items():
+            # mu on the shipped files is captured for 3-component ones only;
+            # the invalid complexes go through all five subcommands
+            if command == "mu" and not three:
+                continue
+            cases[f"{command}-{path.stem}"] = ([command, str(path), *extra], None)
+    for n in range(1, 7):
+        cases[f"gen-brn-{n}-bounds"] = (["bounds", "-"], n)
+        cases[f"gen-brn-{n}-mu"] = (["mu", "-", "1", "2", "3"], n)
+    return cases
+
+
+CASES = complex_cases()
+
+
+def test_complex_golden_set_is_complete():
+    assert set(CASES) == set(COMPLEX_EXIT_CODES)
+    assert {p.stem for p in COMPLEX.glob("*.out")} == set(CASES)
+    assert {p.stem for p in COMPLEX.glob("*.err")} == set(CASES)
+    assert len(CASES) == 31
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_complex_subcommand_matches_golden(capsys, monkeypatch, name):
+    argv, brn = CASES[name]
+    if brn is not None:
+        assert main(["gen-brn", str(brn)]) == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == COMPLEX_EXIT_CODES[name]
+    assert captured.out == (COMPLEX / f"{name}.out").read_text()
+    assert captured.err == (COMPLEX / f"{name}.err").read_text()

@@ -2,6 +2,7 @@ import pytest
 
 from clasplink.oracles import (
     CapExceededError,
+    _word_states,
     OracleReport,
     Polyomino,
     count_fixed_polyominoes,
@@ -177,6 +178,40 @@ def tree_walk_word_lengths(max_len):
 def test_word_search_matches_tree_walk(max_len):
     rows = [(r.parameter, r.observed) for r in verify_word_length_bound(max_len)]
     assert rows == tree_walk_word_lengths(max_len)
+
+
+def tree_walk_states(max_len):
+    """Reference sweep: per word length 0..max_len, the states (x, y,
+    integral) of the words of that length inside the return-to-origin
+    budget, word by word through the 4-ary tree."""
+    states = [set() for _ in range(max_len + 1)]
+
+    def walk(x, y, depth, acc):
+        states[depth].add((x, y, acc))
+        budget = max_len - depth - 1
+        if budget < 0:
+            return
+        ax, ay = abs(x), abs(y)
+        if abs(x + 1) + ay <= budget:
+            walk(x + 1, y, depth + 1, acc)
+        if abs(x - 1) + ay <= budget:
+            walk(x - 1, y, depth + 1, acc)
+        if ax + abs(y + 1) <= budget:
+            walk(x, y + 1, depth + 1, acc + x)
+        if ax + abs(y - 1) <= budget:
+            walk(x, y - 1, depth + 1, acc - x)
+
+    walk(0, 0, 0, 0)
+    return states
+
+
+@pytest.mark.parametrize("max_len", range(1, 13))
+def test_word_search_visits_every_state(max_len):
+    """Every state of every length, not just the minima or the closed
+    integrals: a closed word keeps its integral under rotation, so a
+    search that drops the last steps of some words can still reach every
+    closed integral."""
+    assert list(_word_states(max_len)) == tree_walk_states(max_len)
 
 
 def test_verify_word_length_bound_small():
