@@ -59,11 +59,9 @@ def render_curve_svg(curve: LatticeCurve, grid: bool = False, scale: int = SVG_S
     width = (max_x - min_x + 2) * scale
     height = (max_y - min_y + 2) * scale
 
-    def px(x: int) -> int:
-        return (x - min_x + 1) * scale
-
-    def py(y: int) -> int:
-        return (max_y + 1 - y) * scale
+    # each coordinate in the box (and its one-unit margin) is formatted once
+    px = {x: str((x - min_x + 1) * scale) for x in range(min_x - 1, max_x + 2)}
+    py = {y: str((max_y + 1 - y) * scale) for y in range(min_y - 1, max_y + 2)}
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -73,20 +71,20 @@ def render_curve_svg(curve: LatticeCurve, grid: bool = False, scale: int = SVG_S
     if grid:
         for gx in range(min_x - 1, max_x + 2):
             lines.append(
-                f'  <line x1="{px(gx)}" y1="0" x2="{px(gx)}" y2="{height}" '
+                f'  <line x1="{px[gx]}" y1="0" x2="{px[gx]}" y2="{height}" '
                 'stroke="#cccccc" stroke-width="1"/>'
             )
         for gy in range(min_y - 1, max_y + 2):
             lines.append(
-                f'  <line x1="0" y1="{py(gy)}" x2="{width}" y2="{py(gy)}" '
+                f'  <line x1="0" y1="{py[gy]}" x2="{width}" y2="{py[gy]}" '
                 'stroke="#cccccc" stroke-width="1"/>'
             )
     if len(curve.vertices) > 1:
-        points = " ".join(f"{px(x)},{py(y)}" for x, y in curve.vertices)
+        points = " ".join([f"{px[x]},{py[y]}" for x, y in curve.vertices])
         lines.append(
             f'  <polyline points="{points}" fill="none" stroke="#000000" stroke-width="2"/>'
         )
-    lines.append(f'  <circle cx="{px(0)}" cy="{py(0)}" r="{scale // 8}" fill="#cc0000"/>')
+    lines.append(f'  <circle cx="{px[0]}" cy="{py[0]}" r="{scale // 8}" fill="#cc0000"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 

@@ -13,7 +13,15 @@ Text grammar (word files may also contain ``#`` comment lines):
     INT  := [1-9][0-9]*
 
 ``x3^-2`` expands at parse time to two copies of ``x3^-1``; the in-memory
-form is always the fully expanded letter sequence.
+form is always the fully expanded letter sequence.  A parsed word holds one
+shared :class:`SignedLetter` per ``(index, sign)``: each distinct term is
+read once and its run of letters reused wherever the term recurs.
+
+A parsed word may hold at most ``WORD_LETTER_CAP`` letters.  An exponent
+writes many letters in a few characters (``x1^1000000000``), so the cap is
+checked before a term is expanded; the term that would cross it raises
+:class:`WordSyntaxError` with its line and column, instead of the parse
+running out of memory.
 """
 
 from __future__ import annotations
@@ -91,6 +99,8 @@ class ClaspWord:
         return ClaspWord(self.letters[k:] + self.letters[:k])
 
 
+WORD_LETTER_CAP = 10_000_000  # letters in one parsed word
+
 _TERM_RE = re.compile(r"x([1-9][0-9]*)(?:\^(-?[1-9][0-9]*))?\Z")
 _TOKEN_RE = re.compile(r"[^\s.]+")
 
@@ -110,23 +120,58 @@ def _term_error(token: str) -> str:
     return f"malformed term {token!r} (expected x<INT> or x<INT>^<SIGNEDINT>)"
 
 
+def _stop_column(line: str, runs: dict[str, tuple[SignedLetter, ...]], before: int) -> int:
+    """1-based column of the token the parse stopped at on ``line``.
+
+    Every token before it is a known good term that kept the word, which
+    held ``before`` letters at the start of the line, within the cap.  So it
+    is the first token that is not a known term or whose run crosses the cap.
+    """
+    total = before
+    for match in _TOKEN_RE.finditer(line):
+        run = runs.get(match.group())
+        if run is None or total + len(run) > WORD_LETTER_CAP:
+            return match.start() + 1
+        total += len(run)
+    raise AssertionError(f"no token on {line!r} stops the parse")
+
+
 def parse_word(text: str) -> ClaspWord:
     """Parse word text into a fully expanded :class:`ClaspWord`.
 
     Raises :class:`WordSyntaxError` (with line and column) on malformed
-    input.  Lines starting with ``#`` are ignored.
+    input or on a word longer than ``WORD_LETTER_CAP`` letters.  Lines
+    starting with ``#`` are ignored.
     """
     letters: list[SignedLetter] = []
+    runs: dict[str, tuple[SignedLetter, ...]] = {}  # term text -> its letters
+    shared: dict[tuple[int, int], SignedLetter] = {}
     for line_no, line in enumerate(text.splitlines() or [""], start=1):
         if line.lstrip().startswith("#"):
             continue
-        for match in _TOKEN_RE.finditer(line):
-            token = match.group()
-            term = _TERM_RE.match(token)
-            if term is None:
-                raise WordSyntaxError(_term_error(token), line_no, match.start() + 1)
-            index = int(term.group(1))
-            exponent = int(term.group(2)) if term.group(2) else 1
-            letter = SignedLetter(index, 1 if exponent > 0 else -1)
-            letters.extend([letter] * abs(exponent))
+        line_start = len(letters)
+        for token in _TOKEN_RE.findall(line):
+            run = runs.get(token)
+            if run is None:
+                term = _TERM_RE.match(token)
+                if term is None:
+                    column = _stop_column(line, runs, line_start)
+                    raise WordSyntaxError(_term_error(token), line_no, column)
+                exponent = int(term.group(2)) if term.group(2) else 1
+                count = abs(exponent)
+            else:
+                count = len(run)
+            # checked before the run is built: x1^999999999999 never expands
+            if len(letters) + count > WORD_LETTER_CAP:
+                column = _stop_column(line, runs, line_start)
+                raise WordSyntaxError(
+                    f"term {token} takes the word past {WORD_LETTER_CAP} letters", line_no, column
+                )
+            if run is None:
+                key = (int(term.group(1)), 1 if exponent > 0 else -1)
+                letter = shared.get(key)
+                if letter is None:
+                    letter = shared[key] = SignedLetter(*key)
+                run = runs[token] = (letter,) * count
+            letters.extend(run)
     return ClaspWord(tuple(letters))

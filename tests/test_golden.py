@@ -9,6 +9,14 @@ The files in tests/golden/complex/ were captured from the complex
 subcommands before a complex was validated once and remembered: bounds,
 words, lk, mu and validate on data/*.cc and on two invalid complexes kept
 next to the outputs, and gen-brn N piped into bounds and mu for N = 1..6.
+
+The files in tests/golden/words/ were captured from eij (all three
+methods) and curve (with and without --grid) before parse_word read each
+distinct term once and the SVG render formatted each coordinate once:
+stdout, stderr, exit code and the SVG bytes, on data/staircase.word,
+three seeded words of 1e3 to 1e4 letters and one malformed word per
+kind of bad term, all kept next to the outputs.  cases.json gives each
+case's stdin, argv ("OUT" stands for the SVG path) and exit code.
 """
 
 import io
@@ -96,3 +104,40 @@ def test_complex_subcommand_matches_golden(capsys, monkeypatch, name):
     assert code == COMPLEX_EXIT_CODES[name]
     assert captured.out == (COMPLEX / f"{name}.out").read_text()
     assert captured.err == (COMPLEX / f"{name}.err").read_text()
+
+
+WORDS = GOLDEN / "words"
+WORD_CASES = json.loads((WORDS / "cases.json").read_text())
+
+
+def test_word_golden_set_is_complete():
+    inputs = {Path(case["stdin"]).stem for case in WORD_CASES.values()}
+    assert inputs == {"staircase"} | {p.stem for p in WORDS.glob("*.word")}
+    assert len(inputs) == 11
+    assert {p.stem for p in WORDS.glob("*.out")} == set(WORD_CASES)
+    assert {p.stem for p in WORDS.glob("*.err")} == set(WORD_CASES)
+    assert {p.stem for p in WORDS.glob("*.svg")} == {
+        name for name, case in WORD_CASES.items() if case["argv"][0] == "curve" and case["exit"] == 0
+    }
+    for name, case in WORD_CASES.items():
+        assert name.removeprefix(Path(case["stdin"]).stem + "-") in (
+            "eij-sum", "eij-integral", "eij-both", "curve", "curve-grid"
+        )
+
+
+@pytest.mark.parametrize("name", sorted(WORD_CASES))
+def test_word_subcommand_matches_golden(capsys, monkeypatch, tmp_path, name):
+    case = WORD_CASES[name]
+    svg = tmp_path / "curve.svg"
+    text = (GOLDEN.parents[1] / case["stdin"]).read_text(encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code = main([str(svg) if arg == "OUT" else arg for arg in case["argv"]])
+    captured = capsys.readouterr()
+    assert code == case["exit"]
+    assert captured.out == (WORDS / f"{name}.out").read_text()
+    assert captured.err == (WORDS / f"{name}.err").read_text()
+    expected_svg = WORDS / f"{name}.svg"
+    if expected_svg.exists():
+        assert svg.read_bytes() == expected_svg.read_bytes()
+    else:
+        assert not svg.exists()

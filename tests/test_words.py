@@ -1,9 +1,15 @@
 import random
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from clasplink.words import ClaspWord, SignedLetter, WordSyntaxError, parse_word
+from clasplink import words as words_module
+from clasplink.cli import main
+from clasplink.words import WORD_LETTER_CAP, ClaspWord, SignedLetter, WordSyntaxError, parse_word
+
+GOLDEN_WORDS = Path(__file__).resolve().parent / "golden" / "words"
 
 letters = st.builds(
     SignedLetter,
@@ -153,3 +159,69 @@ def test_rotation_preserves_signed_count(w, k, i):
 @given(words, st.integers(-20, 20))
 def test_rotation_preserves_length(w, k):
     assert len(w.rotate(k)) == len(w)
+
+
+def test_parse_shares_one_letter_per_index_and_sign():
+    texts = [path.read_text() for path in sorted(GOLDEN_WORDS.glob("[!b]*.word"))]
+    texts.append("x3 x3^1 x3^2 x3^-1 x3^-4 x1.x1^3 x3 x3^-1 x2^7")
+    for text in texts:
+        w = parse_word(text)
+        assert len(w) > 1
+        kinds = {(letter.index, letter.sign) for letter in w}
+        assert len({id(letter) for letter in w}) == len(kinds)
+
+
+def test_letter_cap_is_fixed():
+    assert WORD_LETTER_CAP == 10_000_000
+
+
+@pytest.mark.parametrize(
+    "text,column",
+    [
+        ("x1^1000000000 x2", 1),
+        ("x1 x2 x1^999999999999999999999999999999", 7),
+        ("x2 x1^-10000001", 4),
+    ],
+)
+def test_huge_exponent_is_refused_before_it_expands(text, column):
+    tracemalloc.start()
+    try:
+        with pytest.raises(WordSyntaxError) as excinfo:
+            parse_word(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert (excinfo.value.line, excinfo.value.column) == (1, column)
+    assert f"past {WORD_LETTER_CAP} letters" in str(excinfo.value)
+
+
+def test_cap_counts_repeated_terms_across_lines(monkeypatch):
+    # a small cap stands in for the real one, so no test builds 1e7 letters
+    monkeypatch.setattr(words_module, "WORD_LETTER_CAP", 10)
+    assert len(parse_word("x1^4 x2^3\nx1^-3")) == 10
+    with pytest.raises(WordSyntaxError) as excinfo:
+        parse_word("x1^4 x1^4 x1^4 x1^4")
+    assert (excinfo.value.line, excinfo.value.column) == (1, 11)
+    assert str(excinfo.value) == "line 1, column 11: term x1^4 takes the word past 10 letters"
+    with pytest.raises(WordSyntaxError) as excinfo:
+        parse_word("# x1^9\nx1^4.x2^4\n\n  x1^4 x2")
+    assert (excinfo.value.line, excinfo.value.column) == (4, 3)
+    # a bad term after the crossing one is not reached
+    with pytest.raises(WordSyntaxError, match="column 6: term x2"):
+        parse_word("x1^9 x2^2 y1")
+    # a bad term before it is
+    with pytest.raises(WordSyntaxError, match="column 6: malformed"):
+        parse_word("x1^9 y1 x2^2")
+
+
+def test_cli_refuses_a_word_past_the_cap(capsys):
+    assert main(["eij", "x1^1000000000 x2", "1", "2"]) == 2
+    assert main(["eij", "x1 x2 x1^999999999999999999999999999999", "1", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: line 1, column 1: term x1^1000000000 takes the word past {WORD_LETTER_CAP} letters\n"
+        "error: line 1, column 7: term x1^999999999999999999999999999999 takes the word past "
+        f"{WORD_LETTER_CAP} letters\n"
+    )
