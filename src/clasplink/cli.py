@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import islice
+from operator import itemgetter
 
 from .bounds import bound_report
 from .complexes import (
@@ -45,17 +47,20 @@ from .oracles import (
 from .words import WordSyntaxError, parse_word
 
 SVG_SCALE = 40  # pixels per lattice unit
+_POINTS_CHUNK = 4096  # polyline vertices formatted per joined piece
 
 
 def render_curve_svg(curve: LatticeCurve, grid: bool = False, scale: int = SVG_SCALE) -> str:
     """Render the curve as an SVG polyline with a start-point marker.
 
     One unit of margin surrounds the bounding box; the y axis is flipped
-    so upward steps render upward.
+    so upward steps render upward.  The polyline's points are formatted a
+    chunk of vertices at a time, so the only whole-curve text built is the
+    returned SVG and the pieces it is joined from.
     """
-    xs = [x for x, _ in curve.vertices]
-    ys = [y for _, y in curve.vertices]
-    min_x, max_x, min_y, max_y = min(xs), max(xs), min(ys), max(ys)
+    vertices = curve.vertices
+    min_x, max_x = min(map(itemgetter(0), vertices)), max(map(itemgetter(0), vertices))
+    min_y, max_y = min(map(itemgetter(1), vertices)), max(map(itemgetter(1), vertices))
     width = (max_x - min_x + 2) * scale
     height = (max_y - min_y + 2) * scale
 
@@ -63,30 +68,33 @@ def render_curve_svg(curve: LatticeCurve, grid: bool = False, scale: int = SVG_S
     px = {x: str((x - min_x + 1) * scale) for x in range(min_x - 1, max_x + 2)}
     py = {y: str((max_y + 1 - y) * scale) for y in range(min_y - 1, max_y + 2)}
 
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>\n',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
+        f'viewBox="0 0 {width} {height}">\n',
     ]
     if grid:
         for gx in range(min_x - 1, max_x + 2):
-            lines.append(
+            parts.append(
                 f'  <line x1="{px[gx]}" y1="0" x2="{px[gx]}" y2="{height}" '
-                'stroke="#cccccc" stroke-width="1"/>'
+                'stroke="#cccccc" stroke-width="1"/>\n'
             )
         for gy in range(min_y - 1, max_y + 2):
-            lines.append(
+            parts.append(
                 f'  <line x1="0" y1="{py[gy]}" x2="{width}" y2="{py[gy]}" '
-                'stroke="#cccccc" stroke-width="1"/>'
+                'stroke="#cccccc" stroke-width="1"/>\n'
             )
-    if len(curve.vertices) > 1:
-        points = " ".join([f"{px[x]},{py[y]}" for x, y in curve.vertices])
-        lines.append(
-            f'  <polyline points="{points}" fill="none" stroke="#000000" stroke-width="2"/>'
-        )
-    lines.append(f'  <circle cx="{px[0]}" cy="{py[0]}" r="{scale // 8}" fill="#cc0000"/>')
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    if len(vertices) > 1:
+        points = iter(vertices)
+        prefix = '  <polyline points="'
+        for _ in range(0, len(vertices), _POINTS_CHUNK):
+            chunk = " ".join([f"{px[x]},{py[y]}" for x, y in islice(points, _POINTS_CHUNK)])
+            parts.append(prefix + chunk)
+            prefix = " "
+        parts.append('" fill="none" stroke="#000000" stroke-width="2"/>\n')
+    parts.append(f'  <circle cx="{px[0]}" cy="{py[0]}" r="{scale // 8}" fill="#cc0000"/>\n')
+    parts.append("</svg>\n")
+    return "".join(parts)
 
 
 def _read_text(source: str) -> str:
@@ -128,11 +136,10 @@ def cmd_eij(args: argparse.Namespace) -> int:
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
-    w = parse_word(_read_text(args.word))
-    curve = build_curve(w, args.i, args.j)
-    svg = render_curve_svg(curve, grid=args.grid)
+    # neither the word nor the SVG text is bound: each is freed once used
+    curve = build_curve(parse_word(_read_text(args.word)), args.i, args.j)
     with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(svg)
+        handle.write(render_curve_svg(curve, grid=args.grid))
     area = curve.line_integral_x_dy()
     if curve.is_closed():
         shape = "simple" if curve.is_simple() else "nonsimple"

@@ -33,6 +33,8 @@ from .words import ClaspWord, SignedLetter
 # A complex holds one traversal order per component, so a file's component
 # count sets the memory it takes, however short the file is.
 COMPONENT_CAP = 1_000_000
+# generate_brn(n) builds 4n clasps; n = 100_000 takes about 170 MiB.
+BRN_CAP = 100_000
 
 
 class ComplexFormatError(ValueError):
@@ -190,10 +192,13 @@ def generate_brn(n: int) -> CComplex:
     Component 1 meets n negative then n positive clasps with component 3
     and n positive then n negative clasps with component 2, interleaved so
     its word is x3^-n x2^n x3^n x2^-n; components 2 and 3 read x1^n x1^-n
-    and (x1 x1^-1)^n respectively.
+    and (x1 x1^-1)^n respectively.  ``n`` may be at most ``BRN_CAP``, and a
+    larger one is refused before anything is built.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
+    if n > BRN_CAP:
+        raise ValueError(f"n may be at most {BRN_CAP}, got {n}")
     p = [f"p{m}" for m in range(1, n + 1)]  # 1-2 positive
     q = [f"q{m}" for m in range(1, n + 1)]  # 1-2 negative
     r = [f"r{m}" for m in range(1, n + 1)]  # 1-3 positive

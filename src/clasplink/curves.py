@@ -8,6 +8,7 @@ other letters are skipped.  Everything here is exact integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .words import ClaspWord
 
@@ -16,7 +17,11 @@ Point = tuple[int, int]
 
 @dataclass(frozen=True)
 class LatticeCurve:
-    """A path of grid points starting at (0, 0) with unit cardinal steps."""
+    """A path of grid points starting at (0, 0) with unit cardinal steps.
+
+    The step check, ``is_simple`` and ``line_integral_x_dy`` walk
+    ``vertices`` in place rather than through slice copies of it.
+    """
 
     vertices: tuple[Point, ...]
 
@@ -25,9 +30,17 @@ class LatticeCurve:
             raise ValueError("a curve needs at least its start vertex")
         if self.vertices[0] != (0, 0):
             raise ValueError(f"curve must start at (0, 0), got {self.vertices[0]}")
-        for (x0, y0), (x1, y1) in zip(self.vertices, self.vertices[1:]):
+        for (x0, y0), (x1, y1) in zip(self.vertices, islice(self.vertices, 1, None)):
             if abs(x1 - x0) + abs(y1 - y0) != 1:
                 raise ValueError(f"step from ({x0}, {y0}) to ({x1}, {y1}) is not a unit cardinal step")
+
+    @classmethod
+    def _unchecked(cls, vertices: tuple[Point, ...]) -> "LatticeCurve":
+        """A curve on vertices its caller built from (0, 0) by unit steps,
+        without walking them again in ``__post_init__``."""
+        curve = object.__new__(cls)
+        object.__setattr__(curve, "vertices", vertices)
+        return curve
 
     @property
     def length(self) -> int:
@@ -44,8 +57,8 @@ class LatticeCurve:
         """
         if not self.is_closed():
             raise ValueError("simplicity is only defined for closed curves")
-        interior = self.vertices[:-1]
-        return len(set(interior)) == len(interior)
+        interior = len(self.vertices) - 1
+        return len(set(islice(self.vertices, interior))) == interior
 
     def line_integral_x_dy(self) -> int:
         """Exact value of the line integral of x dy along the path.
@@ -54,7 +67,7 @@ class LatticeCurve:
         horizontal steps contribute nothing.
         """
         total = 0
-        for (x0, y0), (_, y1) in zip(self.vertices, self.vertices[1:]):
+        for (x0, y0), (_, y1) in zip(self.vertices, islice(self.vertices, 1, None)):
             total += x0 * (y1 - y0)
         return total
 
@@ -86,4 +99,4 @@ def build_curve(w: ClaspWord, i: int, j: int) -> LatticeCurve:
         else:
             continue
         vertices.append((x, y))
-    return LatticeCurve(tuple(vertices))
+    return LatticeCurve._unchecked(tuple(vertices))

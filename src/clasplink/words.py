@@ -9,8 +9,9 @@ Text grammar (word files may also contain ``#`` comment lines):
 
     word := [ term { sep term } ]
     sep  := whitespace+ | "."
-    term := "x" INT [ "^" SIGNEDINT ]
-    INT  := [1-9][0-9]*
+    term := "x" INDEX [ "^" SIGNEDINT ]
+    INDEX := [1-9][0-9]*      at most WORD_INDEX_DIGITS digits
+    SIGNEDINT := [ "-" ] [1-9][0-9]*
 
 ``x3^-2`` expands at parse time to two copies of ``x3^-1``; the in-memory
 form is always the fully expanded letter sequence.  A parsed word holds one
@@ -21,7 +22,8 @@ A parsed word may hold at most ``WORD_LETTER_CAP`` letters.  An exponent
 writes many letters in a few characters (``x1^1000000000``), so the cap is
 checked before a term is expanded; the term that would cross it raises
 :class:`WordSyntaxError` with its line and column, instead of the parse
-running out of memory.
+running out of memory.  An exponent too long to convert is such a term, and
+an index longer than ``WORD_INDEX_DIGITS`` digits is a malformed one.
 """
 
 from __future__ import annotations
@@ -100,21 +102,30 @@ class ClaspWord:
 
 
 WORD_LETTER_CAP = 10_000_000  # letters in one parsed word
+# Digits in a component index: far more than any complex has components,
+# and fewer than the least limit int() can be set to convert (640).
+WORD_INDEX_DIGITS = 100
+# An exponent with more digits than the letter cap writes more letters than
+# the cap allows, whatever the digits are, so it is never converted.
+_CAP_DIGITS = len(str(WORD_LETTER_CAP))
 
-_TERM_RE = re.compile(r"x([1-9][0-9]*)(?:\^(-?[1-9][0-9]*))?\Z")
+_TERM_RE = re.compile(rf"x([1-9][0-9]{{0,{WORD_INDEX_DIGITS - 1}}})(?:\^(-?[1-9][0-9]*))?\Z")
 _TOKEN_RE = re.compile(r"[^\s.]+")
 
 
 def _term_error(token: str) -> str:
+    # digits are compared as text: int() refuses very long digit strings
     m = re.match(r"x(-?[0-9]+)(?:\^(-?[0-9]+))?\Z", token)
     if m:
         index_text, exp_text = m.group(1), m.group(2)
-        if int(index_text) < 1:
+        if index_text.startswith("-") or not index_text.strip("0"):
             return f"component index must be at least 1, got {index_text}"
-        if index_text != str(int(index_text)):
+        if index_text.startswith("0"):
             return f"component index may not have a leading zero: {index_text}"
+        if len(index_text) > WORD_INDEX_DIGITS:
+            return f"component index has more than {WORD_INDEX_DIGITS} digits"
         if exp_text is not None:
-            if int(exp_text) == 0:
+            if not exp_text.lstrip("-").strip("0"):
                 return "exponent must be nonzero"
             return f"exponent may not have a leading zero: {exp_text}"
     return f"malformed term {token!r} (expected x<INT> or x<INT>^<SIGNEDINT>)"
@@ -157,8 +168,9 @@ def parse_word(text: str) -> ClaspWord:
                 if term is None:
                     column = _stop_column(line, runs, line_start)
                     raise WordSyntaxError(_term_error(token), line_no, column)
-                exponent = int(term.group(2)) if term.group(2) else 1
-                count = abs(exponent)
+                exponent = term.group(2) or "1"
+                digits = exponent.lstrip("-")
+                count = int(digits) if len(digits) <= _CAP_DIGITS else WORD_LETTER_CAP + 1
             else:
                 count = len(run)
             # checked before the run is built: x1^999999999999 never expands
@@ -168,7 +180,7 @@ def parse_word(text: str) -> ClaspWord:
                     f"term {token} takes the word past {WORD_LETTER_CAP} letters", line_no, column
                 )
             if run is None:
-                key = (int(term.group(1)), 1 if exponent > 0 else -1)
+                key = (int(term.group(1)), -1 if exponent[0] == "-" else 1)
                 letter = shared.get(key)
                 if letter is None:
                     letter = shared[key] = SignedLetter(*key)

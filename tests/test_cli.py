@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from clasplink.cli import main, render_curve_svg
+from clasplink.complexes import BRN_CAP
 from clasplink.curves import build_curve
 from clasplink.words import parse_word
 
@@ -158,6 +159,11 @@ def test_gen_brn_rejects_zero(capsys):
     code, _, err = run(capsys, "gen-brn", "0")
     assert code == 2
     assert "at least 1" in err
+
+
+@pytest.mark.parametrize("n", [BRN_CAP + 1, 100_000_000])
+def test_gen_brn_refuses_n_past_the_cap(capsys, n):
+    assert run(capsys, "gen-brn", str(n)) == (2, "", f"error: n may be at most {BRN_CAP}, got {n}\n")
 
 
 def test_curve_svg(capsys, tmp_path):

@@ -1,9 +1,11 @@
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from clasplink.complexes import (
+    BRN_CAP,
     CComplex,
     Clasp,
     ComplexFormatError,
@@ -277,6 +279,17 @@ def test_generate_brn_rejects_bad_n():
         generate_brn(0)
     with pytest.raises(ValueError):
         generate_brn(-2)
+
+
+def test_generate_brn_refuses_n_past_the_cap_before_building():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"at most {BRN_CAP}, got {BRN_CAP + 1}"):
+            generate_brn(BRN_CAP + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_with_rotated_order():

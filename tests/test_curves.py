@@ -121,6 +121,18 @@ def test_curve_validation():
         LatticeCurve(((0, 0), (2, 0)))
 
 
+def test_build_curve_output_passes_the_public_check():
+    # build_curve skips the step walk; the public constructor still makes it
+    rng = random.Random(11)
+    for _ in range(500):
+        w = ClaspWord.from_pairs(
+            (rng.randint(1, 3), rng.choice((1, -1)))
+            for _ in range(rng.randint(0, 30))
+        )
+        curve = build_curve(w, 1, 2)
+        assert LatticeCurve(curve.vertices) == curve
+
+
 def test_is_closed():
     assert build_curve(parse_word("x1 x2 x1^-1 x2^-1"), 1, 2).is_closed()
     assert not build_curve(parse_word("x1 x2"), 1, 2).is_closed()

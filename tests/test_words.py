@@ -7,7 +7,14 @@ from hypothesis import given, strategies as st
 
 from clasplink import words as words_module
 from clasplink.cli import main
-from clasplink.words import WORD_LETTER_CAP, ClaspWord, SignedLetter, WordSyntaxError, parse_word
+from clasplink.words import (
+    WORD_INDEX_DIGITS,
+    WORD_LETTER_CAP,
+    ClaspWord,
+    SignedLetter,
+    WordSyntaxError,
+    parse_word,
+)
 
 GOLDEN_WORDS = Path(__file__).resolve().parent / "golden" / "words"
 
@@ -61,12 +68,19 @@ def test_parse_comment_lines_are_skipped():
         ("y1", "malformed term"),
         ("x1^", "malformed term"),
         ("x", "malformed term"),
+        ("x" + "1" * (WORD_INDEX_DIGITS + 1), f"more than {WORD_INDEX_DIGITS} digits"),
+        ("x" + "1" * (WORD_INDEX_DIGITS + 1) + "^2", f"more than {WORD_INDEX_DIGITS} digits"),
     ],
 )
 def test_parse_rejects_bad_terms(text, fragment):
     with pytest.raises(WordSyntaxError) as excinfo:
         parse_word(text)
     assert fragment in str(excinfo.value)
+
+
+def test_parse_accepts_an_index_of_the_longest_length():
+    index = int("9" * WORD_INDEX_DIGITS)
+    assert parse_word(f"x{index}^-2") == ClaspWord.from_pairs([(index, -1)] * 2)
 
 
 def test_parse_error_reports_position():
@@ -225,3 +239,24 @@ def test_cli_refuses_a_word_past_the_cap(capsys):
         "error: line 1, column 7: term x1^999999999999999999999999999999 takes the word past "
         f"{WORD_LETTER_CAP} letters\n"
     )
+
+
+# digit runs past the 4300 that int() converts by default
+LONG = "7" * 5000
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (f"x1\n  x{LONG} x2", f"component index has more than {WORD_INDEX_DIGITS} digits"),
+        (f"x1\n  x2^{LONG}", f"term x2^{LONG} takes the word past {WORD_LETTER_CAP} letters"),
+        (f"x1\n  x0{LONG}", f"component index may not have a leading zero: 0{LONG}"),
+    ],
+)
+def test_overlong_digit_runs_are_located(capsys, text, message):
+    with pytest.raises(WordSyntaxError) as excinfo:
+        parse_word(text)
+    assert (excinfo.value.line, excinfo.value.column) == (2, 3)
+    assert str(excinfo.value) == f"line 2, column 3: {message}"
+    assert main(["eij", text, "1", "2"]) == 2
+    assert capsys.readouterr() == ("", f"error: line 2, column 3: {message}\n")
