@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import sys
 from itertools import islice
-from operator import itemgetter
 
 from .bounds import bound_report
 from .complexes import (
@@ -58,9 +57,9 @@ def render_curve_svg(curve: LatticeCurve, grid: bool = False, scale: int = SVG_S
     chunk of vertices at a time, so the only whole-curve text built is the
     returned SVG and the pieces it is joined from.
     """
-    vertices = curve.vertices
-    min_x, max_x = min(map(itemgetter(0), vertices)), max(map(itemgetter(0), vertices))
-    min_y, max_y = min(map(itemgetter(1), vertices)), max(map(itemgetter(1), vertices))
+    xs, ys = curve.xs, curve.ys
+    min_x, max_x = min(xs), max(xs)
+    min_y, max_y = min(ys), max(ys)
     width = (max_x - min_x + 2) * scale
     height = (max_y - min_y + 2) * scale
 
@@ -84,10 +83,10 @@ def render_curve_svg(curve: LatticeCurve, grid: bool = False, scale: int = SVG_S
                 f'  <line x1="0" y1="{py[gy]}" x2="{width}" y2="{py[gy]}" '
                 'stroke="#cccccc" stroke-width="1"/>\n'
             )
-    if len(vertices) > 1:
-        points = iter(vertices)
+    if len(xs) > 1:
+        points = zip(xs, ys)
         prefix = '  <polyline points="'
-        for _ in range(0, len(vertices), _POINTS_CHUNK):
+        for _ in range(0, len(xs), _POINTS_CHUNK):
             chunk = " ".join([f"{px[x]},{py[y]}" for x, y in islice(points, _POINTS_CHUNK)])
             parts.append(prefix + chunk)
             prefix = " "

@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, replace
 
-from .words import ClaspWord, SignedLetter
+from .words import ClaspWord, SignedLetter, clip
 
 
 # A complex holds one traversal order per component, so a file's component
@@ -265,9 +265,9 @@ def parse_complex(text: str) -> CComplex:
             cid, a_text, b_text, sign_text = fields[1:]
             a, b = _ascii_int(a_text), _ascii_int(b_text)
             if a is None or b is None:
-                raise fail(line_no, f"clasp endpoints must be integers, got {a_text!r} {b_text!r}")
+                raise fail(line_no, f"clasp endpoints must be integers, got {clip(a_text)!r} {clip(b_text)!r}")
             if sign_text not in ("+", "-"):
-                raise fail(line_no, f"clasp sign must be + or -, got {sign_text!r}")
+                raise fail(line_no, f"clasp sign must be + or -, got {clip(sign_text)!r}")
             try:
                 clasps.append(Clasp(cid, a, b, 1 if sign_text == "+" else -1))
             except ValueError as exc:
@@ -284,7 +284,7 @@ def parse_complex(text: str) -> CComplex:
                 raise fail(line_no, f"duplicate order line for component {k}")
             orders[k] = tuple(fields[2:])
         else:
-            raise fail(line_no, f"unknown keyword {keyword!r}")
+            raise fail(line_no, f"unknown keyword {clip(keyword)!r}")
 
     if n is None:
         raise ComplexFormatError("missing components line")

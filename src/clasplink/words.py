@@ -23,7 +23,8 @@ writes many letters in a few characters (``x1^1000000000``), so the cap is
 checked before a term is expanded; the term that would cross it raises
 :class:`WordSyntaxError` with its line and column, instead of the parse
 running out of memory.  An exponent too long to convert is such a term, and
-an index longer than ``WORD_INDEX_DIGITS`` digits is a malformed one.
+an index longer than ``WORD_INDEX_DIGITS`` digits is a malformed one.  An
+error message quotes at most ``QUOTE_CHARS`` characters of the bad term.
 """
 
 from __future__ import annotations
@@ -113,22 +114,33 @@ _TERM_RE = re.compile(rf"x([1-9][0-9]{{0,{WORD_INDEX_DIGITS - 1}}})(?:\^(-?[1-9]
 _TOKEN_RE = re.compile(r"[^\s.]+")
 
 
+# Characters of input that an error message quotes: a longer piece is cut
+# there and marked with "...", so no error line grows with its input.
+QUOTE_CHARS = 40
+
+
+def clip(text: str) -> str:
+    """``text`` as an error message quotes it: its first ``QUOTE_CHARS``
+    characters, then ``...`` if it was longer."""
+    return text if len(text) <= QUOTE_CHARS else text[:QUOTE_CHARS] + "..."
+
+
 def _term_error(token: str) -> str:
     # digits are compared as text: int() refuses very long digit strings
     m = re.match(r"x(-?[0-9]+)(?:\^(-?[0-9]+))?\Z", token)
     if m:
         index_text, exp_text = m.group(1), m.group(2)
         if index_text.startswith("-") or not index_text.strip("0"):
-            return f"component index must be at least 1, got {index_text}"
+            return f"component index must be at least 1, got {clip(index_text)}"
         if index_text.startswith("0"):
-            return f"component index may not have a leading zero: {index_text}"
+            return f"component index may not have a leading zero: {clip(index_text)}"
         if len(index_text) > WORD_INDEX_DIGITS:
             return f"component index has more than {WORD_INDEX_DIGITS} digits"
         if exp_text is not None:
             if not exp_text.lstrip("-").strip("0"):
                 return "exponent must be nonzero"
-            return f"exponent may not have a leading zero: {exp_text}"
-    return f"malformed term {token!r} (expected x<INT> or x<INT>^<SIGNEDINT>)"
+            return f"exponent may not have a leading zero: {clip(exp_text)}"
+    return f"malformed term {clip(token)!r} (expected x<INT> or x<INT>^<SIGNEDINT>)"
 
 
 def _stop_column(line: str, runs: dict[str, tuple[SignedLetter, ...]], before: int) -> int:
@@ -177,7 +189,7 @@ def parse_word(text: str) -> ClaspWord:
             if len(letters) + count > WORD_LETTER_CAP:
                 column = _stop_column(line, runs, line_start)
                 raise WordSyntaxError(
-                    f"term {token} takes the word past {WORD_LETTER_CAP} letters", line_no, column
+                    f"term {clip(token)} takes the word past {WORD_LETTER_CAP} letters", line_no, column
                 )
             if run is None:
                 key = (int(term.group(1)), -1 if exponent[0] == "-" else 1)

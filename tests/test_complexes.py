@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from clasplink.cli import main
 from clasplink.complexes import (
     BRN_CAP,
     CComplex,
@@ -18,7 +19,7 @@ from clasplink.complexes import (
     with_rotated_order,
 )
 from clasplink.invariants import pairwise_linking
-from clasplink.words import ClaspWord, parse_word
+from clasplink.words import QUOTE_CHARS, ClaspWord, parse_word
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -100,6 +101,26 @@ def test_parse_error_carries_line_number():
     with pytest.raises(ComplexFormatError) as excinfo:
         parse_complex("components 2\n# ok\nclasp a 1 2 ?\n")
     assert str(excinfo.value).startswith("line 3:")
+
+
+LONG_FIELD = "q" * 3000
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        (LONG_FIELD, f"unknown keyword '{LONG_FIELD[:QUOTE_CHARS]}...'"),
+        (f"clasp a {LONG_FIELD} 2 +", f"clasp endpoints must be integers, got '{LONG_FIELD[:QUOTE_CHARS]}...' '2'"),
+        (f"clasp a 1 2 {LONG_FIELD}", f"clasp sign must be + or -, got '{LONG_FIELD[:QUOTE_CHARS]}...'"),
+    ],
+    ids=["keyword", "endpoint", "sign"],
+)
+def test_error_line_quotes_a_bounded_prefix_of_a_long_field(tmp_path, capsys, line, message):
+    # the whole field once made the error line about as long as the field
+    path = tmp_path / "long.cx"
+    path.write_text(f"components 2\n{line}\n", encoding="utf-8")
+    assert main(["bounds", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: line 2: {message}\n")
 
 
 def test_validate_self_clasp():

@@ -1,7 +1,14 @@
+import copy
 import itertools
+import pickle
 import random
+import tracemalloc
+from dataclasses import dataclass
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clasplink.bounds import ceil_two_sqrt
 from clasplink.curves import LatticeCurve, build_curve
@@ -256,3 +263,217 @@ def test_closed_curve_length_bound_exhaustive():
         if curve.is_closed():
             bound = 2 * ceil_two_sqrt(abs(curve.line_integral_x_dy()))
             assert curve.length >= bound
+
+
+# --- the column-stored curve against the tuple-stored one it replaced --------
+
+
+@dataclass(frozen=True)
+class ReferenceLatticeCurve:
+    """The curve as it was kept before its coordinate columns: a tuple of
+    ``(x, y)`` points, with the same checks and methods."""
+
+    vertices: tuple[tuple[int, int], ...]
+
+    def __post_init__(self) -> None:
+        if not self.vertices:
+            raise ValueError("a curve needs at least its start vertex")
+        if self.vertices[0] != (0, 0):
+            raise ValueError(f"curve must start at (0, 0), got {self.vertices[0]}")
+        for (x0, y0), (x1, y1) in zip(self.vertices, islice(self.vertices, 1, None)):
+            if abs(x1 - x0) + abs(y1 - y0) != 1:
+                raise ValueError(f"step from ({x0}, {y0}) to ({x1}, {y1}) is not a unit cardinal step")
+
+    @property
+    def length(self) -> int:
+        return len(self.vertices) - 1
+
+    def is_closed(self) -> bool:
+        return self.vertices[-1] == (0, 0)
+
+    def is_simple(self) -> bool:
+        if not self.is_closed():
+            raise ValueError("simplicity is only defined for closed curves")
+        interior = len(self.vertices) - 1
+        return len(set(islice(self.vertices, interior))) == interior
+
+    def line_integral_x_dy(self) -> int:
+        total = 0
+        for (x0, y0), (_, y1) in zip(self.vertices, islice(self.vertices, 1, None)):
+            total += x0 * (y1 - y0)
+        return total
+
+    def reversed(self) -> "ReferenceLatticeCurve":
+        xe, ye = self.vertices[-1]
+        return ReferenceLatticeCurve(tuple((x - xe, y - ye) for x, y in reversed(self.vertices)))
+
+    def to_text(self) -> str:
+        return "\n".join(f"{x} {y}" for x, y in self.vertices) + "\n"
+
+
+STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+def walk(steps):
+    x = y = 0
+    vertices = [(0, 0)]
+    for dx, dy in steps:
+        x += dx
+        y += dy
+        vertices.append((x, y))
+    return tuple(vertices)
+
+
+def rebased(loop, k):
+    """A closed loop's vertices started at its k-th vertex, moved to (0, 0)."""
+    k %= len(loop) - 1
+    x0, y0 = loop[k]
+    cycle = loop[k:-1] + loop[:k + 1]
+    return tuple((x - x0, y - y0) for x, y in cycle)
+
+
+def figure_eight(a, c, d, e, k):
+    """A closed curve whose interior meets one point, (a, 0), twice: a
+    c-by-d loop hangs below it and an a-by-e loop closes above it."""
+    steps = ([(1, 0)] * a + [(0, -1)] * d + [(1, 0)] * c + [(0, 1)] * d + [(-1, 0)] * c
+             + [(0, 1)] * e + [(-1, 0)] * a + [(0, -1)] * e)
+    return rebased(walk(steps), k)
+
+
+def rectangle(a, b, k):
+    steps = [(1, 0)] * a + [(0, 1)] * b + [(-1, 0)] * a + [(0, -1)] * b
+    return rebased(walk(steps), k)
+
+
+open_walks = st.lists(st.sampled_from(STEPS), max_size=40).map(walk)
+# out and back the same way: closed, and non-simple unless empty
+retraced = st.lists(st.sampled_from(STEPS), max_size=20).map(
+    lambda steps: walk(steps + [(-dx, -dy) for dx, dy in reversed(steps)])
+)
+sides = st.integers(1, 5)
+rectangles = st.builds(rectangle, sides, sides, st.integers(0, 40))
+figure_eights = st.builds(figure_eight, sides, sides, sides, sides, st.integers(0, 80))
+curve_vertices = st.one_of(st.just(((0, 0),)), open_walks, retraced, rectangles, figure_eights)
+
+
+def test_figure_eights_revisit_exactly_one_interior_vertex():
+    for a, c, d, e in itertools.product((1, 2, 3), repeat=4):
+        for k in range(0, 40, 7):
+            vertices = figure_eight(a, c, d, e, k)
+            assert vertices[0] == vertices[-1] == (0, 0)
+            interior = vertices[:-1]
+            assert len(interior) - len(set(interior)) == 1
+
+
+def simplicity(curve):
+    try:
+        return curve.is_simple()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(curve_vertices)
+def test_columns_agree_with_the_tuple_curve(vertices):
+    curve, reference = LatticeCurve(vertices), ReferenceLatticeCurve(vertices)
+    assert curve.vertices == reference.vertices
+    assert curve.length == reference.length
+    assert curve.is_closed() == reference.is_closed()
+    assert simplicity(curve) == simplicity(reference)
+    assert curve.line_integral_x_dy() == reference.line_integral_x_dy()
+    assert curve.reversed().vertices == reference.reversed().vertices
+    assert curve.to_text() == reference.to_text()
+    assert curve == LatticeCurve(reference.vertices)
+    assert hash(curve) == hash(LatticeCurve(reference.vertices))
+    assert curve.reversed().reversed() == curve
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [rectangle(40_000, 1, 0), rectangle(1, 40_000, 3), figure_eight(30_000, 3, 2, 1, 29_999),
+     figure_eight(2, 1, 30_000, 3, 5)],
+    ids=["wide", "tall", "wide-eight", "tall-eight"],
+)
+def test_long_thin_curves_agree_with_the_tuple_curve(vertices):
+    # x * span + y here passes 2**30, past the one-digit ints sort fastest;
+    # the tall eight meets its repeated point only past is_simple's probe
+    curve, reference = LatticeCurve(vertices), ReferenceLatticeCurve(vertices)
+    assert curve.is_simple() == reference.is_simple()
+    assert curve.line_integral_x_dy() == reference.line_integral_x_dy()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(curve_vertices, curve_vertices)
+def test_columns_compare_and_hash_as_the_tuple_curve(first, second):
+    curves = LatticeCurve(first), LatticeCurve(second)
+    references = ReferenceLatticeCurve(first), ReferenceLatticeCurve(second)
+    assert (curves[0] == curves[1]) == (references[0] == references[1])
+    assert (curves[0] != curves[1]) == (references[0] != references[1])
+    if curves[0] == curves[1]:
+        assert hash(curves[0]) == hash(curves[1])
+    assert len(set(curves)) == len(set(references))
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [(), ((1, 0), (0, 0)), ((0, 0), (1, 1)), ((0, 0), (2, 0)), ((0, 0), (0, -1), (0, -3)), [[0, 0]]],
+)
+def test_columns_refuse_what_the_tuple_curve_refuses(vertices):
+    with pytest.raises(ValueError) as expected:
+        ReferenceLatticeCurve(vertices)
+    with pytest.raises(ValueError) as got:
+        LatticeCurve(vertices)
+    assert str(got.value) == str(expected.value)
+
+
+def test_curve_is_immutable_and_not_equal_to_other_types():
+    curve = build_curve(parse_word("x1 x2"), 1, 2)
+    with pytest.raises(AttributeError):
+        curve.xs = curve.ys
+    assert curve != curve.vertices
+    assert repr(curve) == "LatticeCurve(vertices=((0, 0), (1, 0), (1, 1)))"
+    assert copy.deepcopy(curve) == pickle.loads(pickle.dumps(curve)) == curve
+
+
+# --- memory -----------------------------------------------------------------
+
+
+def comb_word(teeth: int, height: int) -> ClaspWord:
+    """A closed simple comb read with (i, j) = (1, 2): teeth up and down
+    along x, closed by a base line one step below."""
+    runs = []
+    for _ in range(teeth):
+        runs += [(2, 1)] * height + [(1, 1)] + [(2, -1)] * height + [(1, 1)]
+    runs += [(2, -1)] + [(1, -1)] * (2 * teeth) + [(2, 1)]
+    return ClaspWord.from_pairs(runs)
+
+
+COMB = comb_word(teeth=250, height=200)  # about 1e5 vertices, coordinates past 256
+
+
+def test_curve_holds_its_columns_only():
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        curve = build_curve(COMB, 1, 2)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert curve.is_closed() and curve.length > 100_000
+    # two 8-byte columns and their growth slack; a tuple of points held
+    # over 60 bytes a vertex
+    assert held <= 24 * len(curve.xs)
+
+
+def test_is_simple_peak_stays_near_its_sorted_codes():
+    curve = build_curve(COMB, 1, 2)
+    tracemalloc.start()
+    try:
+        simple = curve.is_simple()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert simple
+    # one int and one list slot per interior vertex, plus the sort's merge
+    # space; a set of the points peaked over 60 bytes a vertex
+    assert peak <= 50 * len(curve.xs)

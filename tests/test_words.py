@@ -8,11 +8,13 @@ from hypothesis import given, strategies as st
 from clasplink import words as words_module
 from clasplink.cli import main
 from clasplink.words import (
+    QUOTE_CHARS,
     WORD_INDEX_DIGITS,
     WORD_LETTER_CAP,
     ClaspWord,
     SignedLetter,
     WordSyntaxError,
+    clip,
     parse_word,
 )
 
@@ -249,8 +251,8 @@ LONG = "7" * 5000
     "text,message",
     [
         (f"x1\n  x{LONG} x2", f"component index has more than {WORD_INDEX_DIGITS} digits"),
-        (f"x1\n  x2^{LONG}", f"term x2^{LONG} takes the word past {WORD_LETTER_CAP} letters"),
-        (f"x1\n  x0{LONG}", f"component index may not have a leading zero: 0{LONG}"),
+        (f"x1\n  x2^{LONG}", f"term x2^{LONG[:37]}... takes the word past {WORD_LETTER_CAP} letters"),
+        (f"x1\n  x0{LONG}", f"component index may not have a leading zero: 0{LONG[:39]}..."),
     ],
 )
 def test_overlong_digit_runs_are_located(capsys, text, message):
@@ -260,3 +262,29 @@ def test_overlong_digit_runs_are_located(capsys, text, message):
     assert str(excinfo.value) == f"line 2, column 3: {message}"
     assert main(["eij", text, "1", "2"]) == 2
     assert capsys.readouterr() == ("", f"error: line 2, column 3: {message}\n")
+
+
+def test_clip_cuts_only_past_the_quote_limit():
+    assert clip("") == ""
+    assert clip("y" * QUOTE_CHARS) == "y" * QUOTE_CHARS
+    assert clip("y" * (QUOTE_CHARS + 1)) == "y" * QUOTE_CHARS + "..."
+
+
+@pytest.mark.parametrize(
+    "term,message",
+    [
+        (f"x2^{LONG}", f"term x2^{LONG[:37]}... takes the word past {WORD_LETTER_CAP} letters"),
+        (f"y{LONG}", f"malformed term 'y{LONG[:39]}...' (expected x<INT> or x<INT>^<SIGNEDINT>)"),
+        (f"x1^{LONG}y", f"malformed term 'x1^{LONG[:37]}...' (expected x<INT> or x<INT>^<SIGNEDINT>)"),
+        (f"x-{LONG}", f"component index must be at least 1, got -{LONG[:39]}..."),
+        (f"x0{LONG}", f"component index may not have a leading zero: 0{LONG[:39]}..."),
+        (f"x1^-0{LONG}", f"exponent may not have a leading zero: -0{LONG[:38]}..."),
+    ],
+    ids=["past-the-cap", "unknown-letter", "malformed", "index-below-1", "index-leading-zero",
+         "exponent-leading-zero"],
+)
+def test_error_line_quotes_a_bounded_prefix_of_a_long_term(capsys, term, message):
+    # the whole term once made the error line about as long as the term
+    assert main(["eij", f"x1 {term}", "1", "2"]) == 2
+    assert capsys.readouterr() == ("", f"error: line 1, column 4: {message}\n")
+    assert len(message) < 2 * QUOTE_CHARS + 60
