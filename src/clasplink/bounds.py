@@ -13,11 +13,13 @@ Ceilings of square roots are computed through integer inequalities only
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import isqrt
+from typing import TYPE_CHECKING
 
-from .complexes import CComplex, _require_valid, total_clasps
-from .invariants import pairwise_linking, triple_linking
+from ._record import FrozenRecord
+
+if TYPE_CHECKING:
+    from .complexes import CComplex
 
 
 def _smallest_root_at_least(target: int, coeff: int) -> int:
@@ -64,25 +66,40 @@ def three_component_lower_bound(mu: int) -> int:
     return 2 * _smallest_root_at_least(4 * abs(mu), 3)
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Bounds on C(L) and B(L) with a provenance tag per bound."""
+class BoundReport(FrozenRecord):
+    """Bounds on C(L) and B(L) with a provenance tag per bound.
 
+    ``provenance`` defaults to a new empty dict for each report.
+    """
+
+    __slots__ = _fields = ("n", "lower_C", "upper_C", "lower_B", "upper_B", "exact_C", "provenance")
     n: int
     lower_C: int
     upper_C: int
     lower_B: int
     upper_B: int
-    exact_C: int | frozenset[int] | None = None
-    provenance: dict[str, str] = field(default_factory=dict)
+    exact_C: int | frozenset[int] | None
+    provenance: dict[str, str]
 
-    def __post_init__(self) -> None:
-        if self.lower_C > self.upper_C:
-            raise ValueError(f"lower_C={self.lower_C} exceeds upper_C={self.upper_C}")
-        if self.lower_B > self.upper_B:
-            raise ValueError(f"lower_B={self.lower_B} exceeds upper_B={self.upper_B}")
-        if self.upper_B > self.upper_C:
-            raise ValueError(f"upper_B={self.upper_B} exceeds upper_C={self.upper_C}")
+    def __init__(
+        self,
+        n: int,
+        lower_C: int,
+        upper_C: int,
+        lower_B: int,
+        upper_B: int,
+        exact_C: int | frozenset[int] | None = None,
+        provenance: dict[str, str] | None = None,
+    ) -> None:
+        if lower_C > upper_C:
+            raise ValueError(f"lower_C={lower_C} exceeds upper_C={upper_C}")
+        if lower_B > upper_B:
+            raise ValueError(f"lower_B={lower_B} exceeds upper_B={upper_B}")
+        if upper_B > upper_C:
+            raise ValueError(f"upper_B={upper_B} exceeds upper_C={upper_C}")
+        if provenance is None:
+            provenance = {}
+        self._set_fields(n, lower_C, upper_C, lower_B, upper_B, exact_C, provenance)
 
     def summary(self) -> str:
         if isinstance(self.exact_C, frozenset):
@@ -123,6 +140,10 @@ def bound_report(F: CComplex) -> BoundReport:
     lower bounds come from the linking numbers, and for 3 components with
     vanishing pairwise linking from the triple linking number.
     """
+    # imported here, so the oracles' use of ceil_two_sqrt loads no complexes
+    from .complexes import _require_valid, total_clasps
+    from .invariants import pairwise_linking, triple_linking
+
     _require_valid(F)
     if F.n not in (2, 3):
         raise ValueError(f"bound reports cover 2- or 3-component links only, got {F.n}")

@@ -16,34 +16,21 @@ WORD and FILE may be "-" to read standard input, so ``gen-brn 3`` pipes
 straight into ``mu`` or ``bounds``.  Exit codes: 0 success, 1
 disagreement (an oracle row, or the two ``eij`` methods), 2 input error,
 3 I/O error.  Output is deterministic byte for byte.
+
+A subcommand imports only the modules it runs, when it runs: ``oracle``
+loads no complex or curve code, ``eij`` and ``curve`` no bounds or
+oracles, and the complex subcommands no curves or oracles.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from itertools import islice
+from typing import TYPE_CHECKING
 
-from .bounds import bound_report
-from .complexes import (
-    ComplexFormatError,
-    clasp_word,
-    generate_brn,
-    parse_complex,
-    print_complex,
-    validate,
-)
-from .curves import LatticeCurve, build_curve
-from .invariants import e_ij, pairwise_linking, triple_linking
-from .oracles import (
-    CapExceededError,
-    POLYOMINO_AREA_CAP,
-    WORD_LENGTH_CAP,
-    format_reports,
-    verify_min_perimeter,
-    verify_word_length_bound,
-)
-from .words import WordSyntaxError, parse_word
+if TYPE_CHECKING:
+    from .complexes import CComplex
+    from .curves import LatticeCurve
 
 SVG_SCALE = 40  # pixels per lattice unit
 _POINTS_CHUNK = 4096  # polyline vertices formatted per joined piece
@@ -57,6 +44,8 @@ def render_curve_svg(curve: LatticeCurve, grid: bool = False, scale: int = SVG_S
     chunk of vertices at a time, so the only whole-curve text built is the
     returned SVG and the pieces it is joined from.
     """
+    from itertools import islice
+
     xs, ys = curve.xs, curve.ys
     min_x, max_x = min(xs), max(xs)
     min_y, max_y = min(ys), max(ys)
@@ -107,7 +96,9 @@ def _read_file(path: str) -> str:
         return handle.read()
 
 
-def _load_valid_complex(path: str):
+def _load_valid_complex(path: str) -> CComplex | None:
+    from .complexes import parse_complex, validate
+
     F = parse_complex(_read_file(path))
     violations = validate(F)
     if violations:
@@ -118,6 +109,10 @@ def _load_valid_complex(path: str):
 
 
 def cmd_eij(args: argparse.Namespace) -> int:
+    from .curves import build_curve
+    from .invariants import e_ij
+    from .words import parse_word
+
     w = parse_word(_read_text(args.word))
     by_sum = e_ij(w, args.i, args.j)
     if args.method in ("integral", "both"):
@@ -135,6 +130,9 @@ def cmd_eij(args: argparse.Namespace) -> int:
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
+    from .curves import build_curve
+    from .words import parse_word
+
     # neither the word nor the SVG text is bound: each is freed once used
     curve = build_curve(parse_word(_read_text(args.word)), args.i, args.j)
     with open(args.out, "w", encoding="utf-8") as handle:
@@ -149,6 +147,8 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 
 def cmd_mu(args: argparse.Namespace) -> int:
+    from .invariants import triple_linking
+
     F = _load_valid_complex(args.file)
     if F is None:
         return 2
@@ -163,6 +163,8 @@ def cmd_mu(args: argparse.Namespace) -> int:
 
 
 def cmd_lk(args: argparse.Namespace) -> int:
+    from .invariants import pairwise_linking
+
     F = _load_valid_complex(args.file)
     if F is None:
         return 2
@@ -171,6 +173,8 @@ def cmd_lk(args: argparse.Namespace) -> int:
 
 
 def cmd_words(args: argparse.Namespace) -> int:
+    from .complexes import clasp_word
+
     F = _load_valid_complex(args.file)
     if F is None:
         return 2
@@ -180,6 +184,8 @@ def cmd_words(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
+    from .bounds import bound_report
+
     F = _load_valid_complex(args.file)
     if F is None:
         return 2
@@ -188,6 +194,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from .complexes import parse_complex, validate
+
     F = parse_complex(_read_file(args.file))
     violations = validate(F)
     if not violations:
@@ -199,18 +207,24 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_brn(args: argparse.Namespace) -> int:
+    from .complexes import generate_brn, print_complex
+
     sys.stdout.write(print_complex(generate_brn(args.n)))
     return 0
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    from . import oracles
+
     if args.kind == "polyomino":
-        cap = args.cap if args.cap is not None else POLYOMINO_AREA_CAP
-        reports = verify_min_perimeter(args.max_area, cap)
+        cap = args.cap if args.cap is not None else oracles.POLYOMINO_AREA_CAP
+        max_area = args.max_area if args.max_area is not None else oracles.POLYOMINO_AREA_CAP
+        reports = oracles.verify_min_perimeter(max_area, cap)
     else:
-        cap = args.cap if args.cap is not None else WORD_LENGTH_CAP
-        reports = verify_word_length_bound(args.max_len, cap)
-    sys.stdout.write(format_reports(reports))
+        cap = args.cap if args.cap is not None else oracles.WORD_LENGTH_CAP
+        max_len = args.max_len if args.max_len is not None else oracles.WORD_LENGTH_CAP
+        reports = oracles.verify_word_length_bound(max_len, cap)
+    sys.stdout.write(oracles.format_reports(reports))
     return 0 if all(r.agree for r in reports) else 1
 
 
@@ -267,8 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="run a brute-force verification sweep")
     p.add_argument("kind", choices=("polyomino", "words"))
-    p.add_argument("--max-area", type=int, default=POLYOMINO_AREA_CAP)
-    p.add_argument("--max-len", type=int, default=WORD_LENGTH_CAP)
+    # --max-area, --max-len and --cap default to the oracle's caps
+    p.add_argument("--max-area", type=int, default=None)
+    p.add_argument("--max-len", type=int, default=None)
     p.add_argument("--cap", type=int, default=None, help="raise the runtime guard")
     p.set_defaults(func=cmd_oracle)
 
@@ -279,7 +294,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (WordSyntaxError, ComplexFormatError, CapExceededError, ValueError) as exc:
+    # WordSyntaxError, ComplexFormatError and CapExceededError are ValueErrors
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -17,16 +17,23 @@ from its basepoint; rotating the list is a basepoint change.
 A complex is checked once: when :func:`validate` finds no violations it
 remembers that on the (frozen, immutable) instance, and the functions that
 need a well-formed complex skip the check on an instance that passed it.
-A new instance, such as one from ``dataclasses.replace`` or
-:func:`with_rotated_order`, is checked again.  An explicit ``validate(F)``
-call always runs the full check.
+A new instance, whether built with ``CComplex(...)``, by
+:func:`with_rotated_order` or by a copy, is checked again.  An explicit
+``validate(F)`` call always runs the full check.
+
+A clasp is checked once too.  The public ``Clasp(...)`` checks every field;
+:func:`parse_complex` and :func:`generate_brn` make their clasps from
+fields they already know to be a token and integers, so only the
+endpoints' lower bound is checked again.  Error messages quote an id or a
+bad field through :func:`~clasplink.words.clip`, so no line grows with its
+input.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, replace
 
+from ._record import FrozenRecord
 from .words import ClaspWord, SignedLetter, clip
 
 
@@ -41,48 +48,83 @@ class ComplexFormatError(ValueError):
     """Raised when a complex file cannot be parsed."""
 
 
-@dataclass(frozen=True)
-class Clasp:
+def _quote(value: object) -> str:
+    """``value`` as an error message quotes it: a string's repr of at most
+    ``QUOTE_CHARS`` of its characters, else at most that much of its repr."""
+    return repr(clip(value)) if isinstance(value, str) else clip(repr(value))
+
+
+def _endpoint_error(endpoint: object) -> ValueError:
+    return ValueError(f"clasp endpoints must be positive integers, got {_quote(endpoint)}")
+
+
+class Clasp(FrozenRecord):
     """A signed clasp joining components a and b, stored with a <= b."""
 
+    __slots__ = _fields = ("id", "a", "b", "sign")
     id: str
     a: int
     b: int
     sign: int
 
-    def __post_init__(self) -> None:
+    def __init__(self, id: str, a: int, b: int, sign: int) -> None:
         # str.split() splits on exactly the characters str.isspace() accepts
-        if not isinstance(self.id, str) or self.id.split() != [self.id]:
-            raise ValueError(f"clasp id must be a nonempty token without whitespace, got {self.id!r}")
+        if not isinstance(id, str) or id.split() != [id]:
+            raise ValueError(f"clasp id must be a nonempty token without whitespace, got {_quote(id)}")
         # type() rather than isinstance(): bool is an int subclass
-        for endpoint in (self.a, self.b):
+        for endpoint in (a, b):
             if type(endpoint) is not int or endpoint < 1:
-                raise ValueError(f"clasp endpoints must be positive integers, got {endpoint!r}")
-        if type(self.sign) is not int or self.sign not in (1, -1):
-            raise ValueError(f"clasp sign must be +1 or -1, got {self.sign!r}")
-        if self.a > self.b:
-            lo, hi = self.b, self.a
-            object.__setattr__(self, "a", lo)
-            object.__setattr__(self, "b", hi)
+                raise _endpoint_error(endpoint)
+        if type(sign) is not int or sign not in (1, -1):
+            raise ValueError(f"clasp sign must be +1 or -1, got {_quote(sign)}")
+        _fill_clasp(self, id, a, b, sign)
+
+    @classmethod
+    def _from_fields(cls, id: str, a: int, b: int, sign: int) -> "Clasp":
+        """A clasp from a whitespace-free token, two ints and a sign of
+        +1 or -1: only the endpoints' lower bound is checked."""
+        if a < 1:
+            raise _endpoint_error(a)
+        if b < 1:
+            raise _endpoint_error(b)
+        clasp = object.__new__(cls)
+        _fill_clasp(clasp, id, a, b, sign)
+        return clasp
 
 
-@dataclass(frozen=True)
-class CComplex:
+def _fill_clasp(clasp: Clasp, id: str, a: int, b: int, sign: int) -> None:
+    """Store a clasp's fields, ends in order.  Parsing builds one clasp
+    per line, so the stores are spelled out, not looped over ``_fields``."""
+    if a > b:
+        a, b = b, a
+    store = object.__setattr__
+    store(clasp, "id", id)
+    store(clasp, "a", a)
+    store(clasp, "b", b)
+    store(clasp, "sign", sign)
+
+
+class CComplex(FrozenRecord):
     """n components, a tuple of clasps, and one traversal order per component."""
 
+    # _validated: set by validate() once the instance is known well formed
+    __slots__ = ("n", "clasps", "orders", "_validated")
+    _fields = ("n", "clasps", "orders")
     n: int
     clasps: tuple[Clasp, ...]
     orders: tuple[tuple[str, ...], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, clasps: tuple[Clasp, ...], orders: tuple[tuple[str, ...], ...]) -> None:
         # Tuples all the way down, so a validation remembered on the
         # instance cannot go stale through a list mutated afterwards.
-        object.__setattr__(self, "clasps", tuple(self.clasps))
-        object.__setattr__(self, "orders", tuple(tuple(order) for order in self.orders))
-        if not isinstance(self.n, int) or self.n < 0:
-            raise ValueError(f"component count must be a nonnegative integer, got {self.n!r}")
-        if len(self.orders) != self.n:
-            raise ValueError(f"expected {self.n} traversal orders, got {len(self.orders)}")
+        clasps = tuple(clasps)
+        orders = tuple(tuple(order) for order in orders)
+        if not isinstance(n, int) or n < 0:
+            raise ValueError(f"component count must be a nonnegative integer, got {n!r}")
+        if len(orders) != n:
+            raise ValueError(f"expected {n} traversal orders, got {len(orders)}")
+        self._set_fields(n, clasps, orders)
+        object.__setattr__(self, "_validated", False)
 
 
 def validate(F: CComplex) -> list[str]:
@@ -101,14 +143,14 @@ def validate(F: CComplex) -> list[str]:
     incident: defaultdict[int, set[str]] = defaultdict(set)
     for c in F.clasps:
         if c.id in seen:
-            violations.append(f"duplicate clasp id {c.id!r}")
+            violations.append(f"duplicate clasp id {_quote(c.id)}")
             continue
         seen[c.id] = c
         if c.a == c.b:
-            violations.append(f"clasp {c.id!r} is a self-clasp (both ends on component {c.a})")
+            violations.append(f"clasp {_quote(c.id)} is a self-clasp (both ends on component {c.a})")
         for endpoint in (c.a, c.b):
             if endpoint > F.n:
-                violations.append(f"clasp {c.id!r} references unknown component {endpoint}")
+                violations.append(f"clasp {_quote(c.id)} references unknown component {clip(str(endpoint))}")
         if c.a != c.b and c.b <= F.n:  # a <= b, so both ends are known
             incident[c.a].add(c.id)
             incident[c.b].add(c.id)
@@ -118,15 +160,15 @@ def validate(F: CComplex) -> list[str]:
         listed: set[str] = set()
         for cid in F.orders[k - 1]:
             if cid in listed:
-                violations.append(f"order for component {k} repeats clasp id {cid!r}")
+                violations.append(f"order for component {k} repeats clasp id {_quote(cid)}")
                 continue
             listed.add(cid)
             if cid not in seen:
-                violations.append(f"order for component {k} references unknown clasp id {cid!r}")
+                violations.append(f"order for component {k} references unknown clasp id {_quote(cid)}")
             elif cid not in expected:
-                violations.append(f"order for component {k} lists non-incident clasp {cid!r}")
+                violations.append(f"order for component {k} lists non-incident clasp {_quote(cid)}")
         for cid in sorted(expected - listed):
-            violations.append(f"order for component {k} is incomplete: missing clasp id {cid!r}")
+            violations.append(f"order for component {k} is incomplete: missing clasp id {_quote(cid)}")
     if not violations:
         object.__setattr__(F, "_validated", True)
     return violations
@@ -135,7 +177,7 @@ def validate(F: CComplex) -> list[str]:
 def _require_valid(F: CComplex) -> None:
     """Raise ValueError listing the violations unless F is well formed;
     free for an instance that has already passed :func:`validate`."""
-    if getattr(F, "_validated", False):
+    if F._validated:
         return
     violations = validate(F)
     if violations:
@@ -182,7 +224,7 @@ def with_rotated_order(F: CComplex, k: int, r: int) -> CComplex:
         r %= len(order)
         order = order[r:] + order[:r]
     orders = F.orders[: k - 1] + (order,) + F.orders[k:]
-    return replace(F, orders=orders)
+    return CComplex(F.n, F.clasps, orders)
 
 
 def generate_brn(n: int) -> CComplex:
@@ -203,11 +245,12 @@ def generate_brn(n: int) -> CComplex:
     q = [f"q{m}" for m in range(1, n + 1)]  # 1-2 negative
     r = [f"r{m}" for m in range(1, n + 1)]  # 1-3 positive
     s = [f"s{m}" for m in range(1, n + 1)]  # 1-3 negative
+    make = Clasp._from_fields
     clasps = tuple(
-        [Clasp(cid, 1, 2, 1) for cid in p]
-        + [Clasp(cid, 1, 2, -1) for cid in q]
-        + [Clasp(cid, 1, 3, 1) for cid in r]
-        + [Clasp(cid, 1, 3, -1) for cid in s]
+        [make(cid, 1, 2, 1) for cid in p]
+        + [make(cid, 1, 2, -1) for cid in q]
+        + [make(cid, 1, 3, 1) for cid in r]
+        + [make(cid, 1, 3, -1) for cid in s]
     )
     order1 = tuple(s + p + r + q)
     order2 = tuple(p + q)
@@ -239,6 +282,7 @@ def parse_complex(text: str) -> CComplex:
     n: int | None = None
     clasps: list[Clasp] = []
     orders: dict[int, tuple[str, ...]] = {}
+    make_clasp = Clasp._from_fields  # cid is a split() token, a and b ints
 
     def fail(line_no: int, message: str) -> ComplexFormatError:
         return ComplexFormatError(f"line {line_no}: {message}")
@@ -256,7 +300,7 @@ def parse_complex(text: str) -> CComplex:
             if n is None:
                 raise fail(line_no, "expected: components <n>")
             if n > COMPONENT_CAP:
-                raise fail(line_no, f"component count {n} exceeds the limit {COMPONENT_CAP}")
+                raise fail(line_no, f"component count {clip(str(n))} exceeds the limit {COMPONENT_CAP}")
         elif keyword == "clasp":
             if n is None:
                 raise fail(line_no, "clasp line before components line")
@@ -269,7 +313,7 @@ def parse_complex(text: str) -> CComplex:
             if sign_text not in ("+", "-"):
                 raise fail(line_no, f"clasp sign must be + or -, got {clip(sign_text)!r}")
             try:
-                clasps.append(Clasp(cid, a, b, 1 if sign_text == "+" else -1))
+                clasps.append(make_clasp(cid, a, b, 1 if sign_text == "+" else -1))
             except ValueError as exc:
                 raise fail(line_no, str(exc)) from None
         elif keyword == "order":
@@ -279,7 +323,7 @@ def parse_complex(text: str) -> CComplex:
             if k is None:
                 raise fail(line_no, "expected: order <k> <id> ...")
             if not 1 <= k <= n:
-                raise fail(line_no, f"order refers to component {k}, but there are {n} components")
+                raise fail(line_no, f"order refers to component {clip(str(k))}, but there are {n} components")
             if k in orders:
                 raise fail(line_no, f"duplicate order line for component {k}")
             orders[k] = tuple(fields[2:])

@@ -8,8 +8,7 @@ just the signed clasp count between two components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import FrozenRecord
 from .complexes import CComplex, clasp_word
 from .words import ClaspWord
 
@@ -43,8 +42,7 @@ def pairwise_linking(F: CComplex, i: int, j: int) -> int:
     return sum(c.sign for c in F.clasps if c.a == lo and c.b == hi)
 
 
-@dataclass(frozen=True)
-class TripleLinkingResult:
+class TripleLinkingResult(FrozenRecord):
     """Value and breakdown of a triple linking number computation.
 
     ``contributions`` holds (e_ij(w_k), e_jk(w_i), e_ki(w_j)); the value is
@@ -53,13 +51,15 @@ class TripleLinkingResult:
     under which the value is an invariant of the link.
     """
 
+    __slots__ = _fields = ("value", "contributions", "well_defined")
     value: int
     contributions: tuple[int, int, int]
     well_defined: bool
 
-    def __post_init__(self) -> None:
-        if self.value != sum(self.contributions):
+    def __init__(self, value: int, contributions: tuple[int, int, int], well_defined: bool) -> None:
+        if value != sum(contributions):
             raise ValueError("value must equal the sum of the contributions")
+        self._set_fields(value, contributions, well_defined)
 
 
 def triple_linking(F: CComplex, i: int, j: int, k: int) -> TripleLinkingResult:

@@ -20,10 +20,10 @@ raised from the CLI.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
+from ._record import FrozenRecord
 from .bounds import ceil_two_sqrt
 
 POLYOMINO_AREA_CAP = 10
@@ -36,17 +36,18 @@ class CapExceededError(ValueError):
     """Raised when an oracle sweep is asked to exceed its runtime cap."""
 
 
-@dataclass(frozen=True)
-class Polyomino:
+class Polyomino(FrozenRecord):
     """A nonempty, translation-normalized set of unit grid cells."""
 
+    __slots__ = _fields = ("cells",)
     cells: frozenset[Cell]
 
-    def __post_init__(self) -> None:
-        if not self.cells:
+    def __init__(self, cells: frozenset[Cell]) -> None:
+        if not cells:
             raise ValueError("a polyomino has at least one cell")
-        if min(x for x, _ in self.cells) != 0 or min(y for _, y in self.cells) != 0:
+        if min(x for x, _ in cells) != 0 or min(y for _, y in cells) != 0:
             raise ValueError("polyomino cells must be normalized to min x = min y = 0")
+        self._set_fields(cells)
 
     @property
     def area(self) -> int:
@@ -73,14 +74,17 @@ class Polyomino:
         return len(seen) == len(self.cells)
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(FrozenRecord):
     """One row of an oracle sweep: swept parameter, observed extremum,
     closed-form prediction."""
 
+    __slots__ = _fields = ("parameter", "observed", "predicted")
     parameter: int
     observed: int
     predicted: int
+
+    def __init__(self, parameter: int, observed: int, predicted: int) -> None:
+        self._set_fields(parameter, observed, predicted)
 
     @property
     def agree(self) -> bool:

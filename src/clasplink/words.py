@@ -30,8 +30,9 @@ error message quotes at most ``QUOTE_CHARS`` characters of the bad term.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator
+
+from ._record import FrozenRecord
 
 
 class WordSyntaxError(ValueError):
@@ -43,30 +44,34 @@ class WordSyntaxError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class SignedLetter:
+class SignedLetter(FrozenRecord):
     """A single letter x_i or x_i^-1."""
 
+    __slots__ = _fields = ("index", "sign")
     index: int
     sign: int
 
-    def __post_init__(self) -> None:
+    def __init__(self, index: int, sign: int) -> None:
         # type() rather than isinstance(): bool is an int subclass, and
         # True would otherwise pass as index 1 or sign +1
-        if type(self.index) is not int or self.index < 1:
-            raise ValueError(f"letter index must be a positive integer, got {self.index!r}")
-        if type(self.sign) is not int or self.sign not in (1, -1):
-            raise ValueError(f"letter sign must be +1 or -1, got {self.sign!r}")
+        if type(index) is not int or index < 1:
+            raise ValueError(f"letter index must be a positive integer, got {index!r}")
+        if type(sign) is not int or sign not in (1, -1):
+            raise ValueError(f"letter sign must be +1 or -1, got {sign!r}")
+        self._set_fields(index, sign)
 
     def __str__(self) -> str:
         return f"x{self.index}" if self.sign == 1 else f"x{self.index}^-1"
 
 
-@dataclass(frozen=True)
-class ClaspWord:
+class ClaspWord(FrozenRecord):
     """An immutable sequence of signed letters."""
 
-    letters: tuple[SignedLetter, ...] = ()
+    __slots__ = _fields = ("letters",)
+    letters: tuple[SignedLetter, ...]
+
+    def __init__(self, letters: tuple[SignedLetter, ...] = ()) -> None:
+        self._set_fields(letters)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "ClaspWord":

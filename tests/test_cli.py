@@ -83,9 +83,9 @@ def test_eij_methods_agree(capsys):
 
 
 def test_eij_methods_disagree(capsys, monkeypatch):
-    from clasplink import cli
+    from clasplink import invariants
 
-    monkeypatch.setattr(cli, "e_ij", lambda w, i, j: 7)
+    monkeypatch.setattr(invariants, "e_ij", lambda w, i, j: 7)
     code, out, err = run(capsys, "eij", "x1 x2 x1^-1 x2^-1", "1", "2", "--method", "both")
     assert (code, out) == (1, "")
     assert err == "error: double sum gave 7 but the line integral gave 1\n"
@@ -228,11 +228,11 @@ def test_oracle_words(capsys):
 
 
 def test_oracle_disagreement_exit_code(capsys, monkeypatch):
-    from clasplink import cli
+    from clasplink import oracles
     from clasplink.oracles import OracleReport
 
     monkeypatch.setattr(
-        cli, "verify_min_perimeter", lambda max_area, cap: [OracleReport(1, 4, 6)]
+        oracles, "verify_min_perimeter", lambda max_area, cap: [OracleReport(1, 4, 6)]
     )
     code, out, _ = run(capsys, "oracle", "polyomino", "--max-area", "1")
     assert code == 1

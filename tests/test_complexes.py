@@ -123,6 +123,80 @@ def test_error_line_quotes_a_bounded_prefix_of_a_long_field(tmp_path, capsys, li
     assert capsys.readouterr() == ("", f"error: line 2: {message}\n")
 
 
+LONG_ID = "a" * 3000
+QUOTED_ID = f"'{LONG_ID[:QUOTE_CHARS]}...'"
+
+
+@pytest.mark.parametrize("command", ["bounds", "validate"])
+def test_violation_quotes_a_bounded_prefix_of_a_long_id(tmp_path, capsys, command):
+    # the whole id once made a 3,063-byte bounds line and a 3,056-byte validate line
+    path = tmp_path / "long-id.cc"
+    path.write_text(f"components 2\nclasp {LONG_ID} 1 2 +\norder 1 {LONG_ID}\norder 2\n", encoding="utf-8")
+    assert main([command, str(path)]) == 2
+    line = f"order for component 2 is incomplete: missing clasp id {QUOTED_ID}\n"
+    if command == "bounds":
+        assert capsys.readouterr() == ("", "error: " + line)
+    else:
+        assert capsys.readouterr() == (line, "")
+
+
+def test_every_violation_quotes_a_bounded_prefix():
+    big = "9" * 3000
+    F = CComplex(
+        3,
+        (
+            Clasp(LONG_ID, 1, 1, 1),
+            Clasp(LONG_ID, 1, 2, 1),
+            Clasp("b" + LONG_ID, 1, int(big), 1),
+            Clasp("c" + LONG_ID, 2, 3, 1),
+        ),
+        (("z" + LONG_ID, "z" + LONG_ID), ("c" + LONG_ID,), ("b" + LONG_ID,)),
+    )
+    assert validate(F) == [
+        f"clasp {QUOTED_ID} is a self-clasp (both ends on component 1)",
+        f"duplicate clasp id {QUOTED_ID}",
+        f"clasp 'b{LONG_ID[:QUOTE_CHARS - 1]}...' references unknown component {big[:QUOTE_CHARS]}...",
+        f"order for component 1 references unknown clasp id 'z{LONG_ID[:QUOTE_CHARS - 1]}...'",
+        f"order for component 1 repeats clasp id 'z{LONG_ID[:QUOTE_CHARS - 1]}...'",
+        f"order for component 3 lists non-incident clasp 'b{LONG_ID[:QUOTE_CHARS - 1]}...'",
+        f"order for component 3 is incomplete: missing clasp id 'c{LONG_ID[:QUOTE_CHARS - 1]}...'",
+    ]
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        ((LONG_ID + " ", 1, 2, 1), f"clasp id must be a nonempty token without whitespace, got '{LONG_ID[:QUOTE_CHARS]}...'"),
+        (("a", LONG_ID, 2, 1), f"clasp endpoints must be positive integers, got {QUOTED_ID}"),
+        (("a", 1, 2, LONG_ID), f"clasp sign must be +1 or -1, got {QUOTED_ID}"),
+        (("a", 1, 2, (1,) * 3000), f"clasp sign must be +1 or -1, got {repr((1,) * 3000)[:QUOTE_CHARS]}..."),
+        (("a b", 1, 2, 1), "clasp id must be a nonempty token without whitespace, got 'a b'"),
+        (("a", -3, 2, 1), "clasp endpoints must be positive integers, got -3"),
+        (("a", 1, 2, "+"), "clasp sign must be +1 or -1, got '+'"),
+    ],
+    ids=["id", "endpoint", "sign", "sign-tuple", "short-id", "short-endpoint", "short-sign"],
+)
+def test_clasp_errors_quote_a_bounded_prefix(args, message):
+    with pytest.raises(ValueError) as excinfo:
+        Clasp(*args)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("components 1" + "0" * 3000, f"line 1: component count 1{'0' * (QUOTE_CHARS - 1)}... exceeds the limit 1000000"),
+        (f"components 2\norder 1{'0' * 3000}", f"line 2: order refers to component 1{'0' * (QUOTE_CHARS - 1)}..., but there are 2 components"),
+        ("components 2\nclasp a 0 2 +", "line 2: clasp endpoints must be positive integers, got 0"),
+    ],
+    ids=["components", "order", "zero-endpoint"],
+)
+def test_parse_errors_quote_a_bounded_prefix_of_a_long_number(line, message):
+    with pytest.raises(ComplexFormatError) as excinfo:
+        parse_complex(line + "\n")
+    assert str(excinfo.value) == message
+
+
 def test_validate_self_clasp():
     F = CComplex(2, (Clasp("a", 1, 1, 1),), (("a",), ()))
     assert any("self-clasp" in v for v in validate(F))
