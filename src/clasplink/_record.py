@@ -7,9 +7,22 @@ copies and pickles a record by its fields in order, and refuses assignment
 and deletion.  The text of ``repr`` is ``Name(field=value, ...)``.  This is
 what ``@dataclass(frozen=True)`` gives, without importing :mod:`dataclasses`
 (and with it :mod:`inspect`) on every start of the command line.
+
+An error message quotes input through :func:`clip`, so that no error line
+grows with its input.
 """
 
 from __future__ import annotations
+
+# Characters of input that an error message quotes: a longer piece is cut
+# there and marked with "...", so no error line grows with its input.
+QUOTE_CHARS = 40
+
+
+def clip(text: str) -> str:
+    """``text`` as an error message quotes it: its first ``QUOTE_CHARS``
+    characters, then ``...`` if it was longer."""
+    return text if len(text) <= QUOTE_CHARS else text[:QUOTE_CHARS] + "..."
 
 
 class FrozenRecord:

@@ -18,8 +18,10 @@ disagreement (an oracle row, or the two ``eij`` methods), 2 input error,
 3 I/O error.  Output is deterministic byte for byte.
 
 A subcommand imports only the modules it runs, when it runs: ``oracle``
-loads no complex or curve code, ``eij`` and ``curve`` no bounds or
-oracles, and the complex subcommands no curves or oracles.
+loads no complex or curve code, ``eij`` and ``curve`` no complexes, bounds
+or oracles (``eij --method sum`` no curves either), and the complex
+subcommands no curves or oracles.  An error line quotes at most
+``QUOTE_CHARS`` characters of an argument, however long it is.
 """
 
 from __future__ import annotations
@@ -33,28 +35,33 @@ if TYPE_CHECKING:
     from .curves import LatticeCurve
 
 SVG_SCALE = 40  # pixels per lattice unit
-_POINTS_CHUNK = 4096  # polyline vertices formatted per joined piece
+_PIECE_SEGMENTS = 1024  # polyline segments joined per piece
 
 
 def render_curve_svg(curve: LatticeCurve, grid: bool = False, scale: int = SVG_SCALE) -> str:
     """Render the curve as an SVG polyline with a start-point marker.
 
     One unit of margin surrounds the bounding box; the y axis is flipped
-    so upward steps render upward.  The polyline's points are formatted a
-    chunk of vertices at a time, so the only whole-curve text built is the
-    returned SVG and the pieces it is joined from.
+    so upward steps render upward.  Each coordinate in the box is formatted
+    once.  The polyline is written a straight segment at a time: the points
+    of a horizontal segment are one ``str.join`` over a slice of the column
+    strings, and those of a vertical one over a slice of the row strings,
+    read from a reversed list for a segment that runs left or down.  The
+    segments are joined ``_PIECE_SEGMENTS`` at a time, so the only
+    whole-curve text built is the returned SVG and the pieces it is joined
+    from.
     """
-    from itertools import islice
+    from .curves import LEFT, RIGHT, UP
 
-    xs, ys = curve.xs, curve.ys
-    min_x, max_x = min(xs), max(xs)
-    min_y, max_y = min(ys), max(ys)
+    min_x, max_x, min_y, max_y = curve.bounding_box()
     width = (max_x - min_x + 2) * scale
     height = (max_y - min_y + 2) * scale
 
-    # each coordinate in the box (and its one-unit margin) is formatted once
-    px = {x: str((x - min_x + 1) * scale) for x in range(min_x - 1, max_x + 2)}
-    py = {y: str((max_y + 1 - y) * scale) for y in range(min_y - 1, max_y + 2)}
+    # px[x - min_x + 1] and py[y - min_y + 1] are the pixel strings of
+    # column x and row y, for the box and its one-unit margin
+    px = [str(k * scale) for k in range(max_x - min_x + 3)]
+    py = [str(k * scale) for k in range(max_y - min_y + 2, -1, -1)]
+    x0, y0 = 1 - min_x, 1 - min_y  # the start vertex
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>\n',
@@ -62,25 +69,48 @@ def render_curve_svg(curve: LatticeCurve, grid: bool = False, scale: int = SVG_S
         f'viewBox="0 0 {width} {height}">\n',
     ]
     if grid:
-        for gx in range(min_x - 1, max_x + 2):
-            parts.append(
-                f'  <line x1="{px[gx]}" y1="0" x2="{px[gx]}" y2="{height}" '
-                'stroke="#cccccc" stroke-width="1"/>\n'
-            )
-        for gy in range(min_y - 1, max_y + 2):
-            parts.append(
-                f'  <line x1="0" y1="{py[gy]}" x2="{width}" y2="{py[gy]}" '
-                'stroke="#cccccc" stroke-width="1"/>\n'
-            )
-    if len(xs) > 1:
-        points = zip(xs, ys)
-        prefix = '  <polyline points="'
-        for _ in range(0, len(xs), _POINTS_CHUNK):
-            chunk = " ".join([f"{px[x]},{py[y]}" for x, y in islice(points, _POINTS_CHUNK)])
-            parts.append(prefix + chunk)
-            prefix = " "
+        for sx in px:
+            parts.append(f'  <line x1="{sx}" y1="0" x2="{sx}" y2="{height}" stroke="#cccccc" stroke-width="1"/>\n')
+        for sy in py:
+            parts.append(f'  <line x1="0" y1="{sy}" x2="{width}" y2="{sy}" stroke="#cccccc" stroke-width="1"/>\n')
+    if curve.length:
+        # A point is " X,Y".  A horizontal segment on row y joins its " X"
+        # with rows[y] and ends with it; a vertical one on column x starts
+        # with cols[x] and joins its "Y" with it.  A left or down segment
+        # slices the reversed list, where index k is index last - k.
+        rows = ["," + sy for sy in py]
+        cols = [" " + sx + "," for sx in px]
+        xs_up = [" " + sx for sx in px]
+        xs_down, ys_down = xs_up[::-1], py[::-1]
+        last_x, last_y = len(px) - 1, len(py) - 1
+        x, y = x0, y0
+        parts.append(f'  <polyline points="{px[x]},{py[y]}')
+        piece: list[str] = []
+        add = piece.append
+        for run in curve.segments():
+            code = run[0]
+            if code == RIGHT:
+                end = x + len(run)
+                add(rows[y].join(xs_up[x + 1 : end + 1]) + rows[y])
+                x = end
+            elif code == LEFT:
+                end = x - len(run)
+                add(rows[y].join(xs_down[last_x - x + 1 : last_x - end + 1]) + rows[y])
+                x = end
+            elif code == UP:
+                end = y + len(run)
+                add(cols[x] + cols[x].join(py[y + 1 : end + 1]))
+                y = end
+            else:
+                end = y - len(run)
+                add(cols[x] + cols[x].join(ys_down[last_y - y + 1 : last_y - end + 1]))
+                y = end
+            if len(piece) == _PIECE_SEGMENTS:
+                parts.append("".join(piece))
+                piece.clear()
+        parts.append("".join(piece))
         parts.append('" fill="none" stroke="#000000" stroke-width="2"/>\n')
-    parts.append(f'  <circle cx="{px[0]}" cy="{py[0]}" r="{scale // 8}" fill="#cc0000"/>\n')
+    parts.append(f'  <circle cx="{px[x0]}" cy="{py[y0]}" r="{scale // 8}" fill="#cc0000"/>\n')
     parts.append("</svg>\n")
     return "".join(parts)
 
@@ -109,13 +139,14 @@ def _load_valid_complex(path: str) -> CComplex | None:
 
 
 def cmd_eij(args: argparse.Namespace) -> int:
-    from .curves import build_curve
     from .invariants import e_ij
     from .words import parse_word
 
     w = parse_word(_read_text(args.word))
     by_sum = e_ij(w, args.i, args.j)
     if args.method in ("integral", "both"):
+        from .curves import build_curve
+
         by_integral = build_curve(w, args.i, args.j).line_integral_x_dy()
         if args.method == "both" and by_sum != by_integral:
             print(
@@ -228,64 +259,52 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return 0 if all(r.agree for r in reports) else 1
 
 
+def _integer(text: str) -> int:
+    """An integer argument: argparse's own ``int`` error repeats the whole
+    argument, this one quotes at most ``QUOTE_CHARS`` characters of it."""
+    try:
+        return int(text)
+    except ValueError:
+        from ._record import clip
+
+        raise argparse.ArgumentTypeError(f"invalid int value: {clip(text)!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clasplink",
         description="Link invariants and clasp-number bounds from clasp data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    sources = {"word": 'word text, or "-" for stdin', "file": 'complex file, or "-" for stdin'}
 
-    p = sub.add_parser("eij", help="signed x_i-before-x_j count of a word")
-    p.add_argument("word", help='word text, or "-" for stdin')
-    p.add_argument("i", type=int)
-    p.add_argument("j", type=int)
+    def command(name: str, summary: str, func, source: str | None = None, integers: str = "") -> argparse.ArgumentParser:
+        """A subcommand with its input source and one-letter integer arguments."""
+        p = sub.add_parser(name, help=summary)
+        if source:
+            p.add_argument(source, help=sources[source])
+        for integer in integers:
+            p.add_argument(integer, type=_integer)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("eij", "signed x_i-before-x_j count of a word", cmd_eij, "word", "ij")
     p.add_argument("--method", choices=("sum", "integral", "both"), default="both")
-    p.set_defaults(func=cmd_eij)
-
-    p = sub.add_parser("curve", help="render a word's lattice curve to SVG")
-    p.add_argument("word", help='word text, or "-" for stdin')
-    p.add_argument("i", type=int)
-    p.add_argument("j", type=int)
+    p = command("curve", "render a word's lattice curve to SVG", cmd_curve, "word", "ij")
     p.add_argument("--out", required=True, help="output SVG path")
     p.add_argument("--grid", action="store_true", help="draw grid lines")
-    p.set_defaults(func=cmd_curve)
-
-    p = sub.add_parser("mu", help="triple linking number of a complex")
-    p.add_argument("file", help='complex file, or "-" for stdin')
-    p.add_argument("i", type=int)
-    p.add_argument("j", type=int)
-    p.add_argument("k", type=int)
-    p.set_defaults(func=cmd_mu)
-
-    p = sub.add_parser("lk", help="pairwise linking number of a complex")
-    p.add_argument("file", help='complex file, or "-" for stdin')
-    p.add_argument("i", type=int)
-    p.add_argument("j", type=int)
-    p.set_defaults(func=cmd_lk)
-
-    p = sub.add_parser("words", help="clasp word of every component")
-    p.add_argument("file", help='complex file, or "-" for stdin')
-    p.set_defaults(func=cmd_words)
-
-    p = sub.add_parser("bounds", help="clasp-number bound report for a complex")
-    p.add_argument("file", help='complex file, or "-" for stdin')
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("validate", help="check a complex file's invariants")
-    p.add_argument("file", help='complex file, or "-" for stdin')
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("gen-brn", help="emit the n-fold generalized Borromean complex")
-    p.add_argument("n", type=int)
-    p.set_defaults(func=cmd_gen_brn)
-
-    p = sub.add_parser("oracle", help="run a brute-force verification sweep")
+    command("mu", "triple linking number of a complex", cmd_mu, "file", "ijk")
+    command("lk", "pairwise linking number of a complex", cmd_lk, "file", "ij")
+    command("words", "clasp word of every component", cmd_words, "file")
+    command("bounds", "clasp-number bound report for a complex", cmd_bounds, "file")
+    command("validate", "check a complex file's invariants", cmd_validate, "file")
+    command("gen-brn", "emit the n-fold generalized Borromean complex", cmd_gen_brn, integers="n")
+    p = command("oracle", "run a brute-force verification sweep", cmd_oracle)
     p.add_argument("kind", choices=("polyomino", "words"))
     # --max-area, --max-len and --cap default to the oracle's caps
-    p.add_argument("--max-area", type=int, default=None)
-    p.add_argument("--max-len", type=int, default=None)
-    p.add_argument("--cap", type=int, default=None, help="raise the runtime guard")
-    p.set_defaults(func=cmd_oracle)
+    p.add_argument("--max-area", type=_integer, default=None)
+    p.add_argument("--max-len", type=_integer, default=None)
+    p.add_argument("--cap", type=_integer, default=None, help="raise the runtime guard")
 
     return parser
 

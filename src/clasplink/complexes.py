@@ -25,16 +25,16 @@ A clasp is checked once too.  The public ``Clasp(...)`` checks every field;
 :func:`parse_complex` and :func:`generate_brn` make their clasps from
 fields they already know to be a token and integers, so only the
 endpoints' lower bound is checked again.  Error messages quote an id or a
-bad field through :func:`~clasplink.words.clip`, so no line grows with its
-input.
+bad field, or an integer argument, through :func:`~clasplink._record.clip`,
+so no line grows with its input.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 
-from ._record import FrozenRecord
-from .words import ClaspWord, SignedLetter, clip
+from ._record import FrozenRecord, clip
+from .words import ClaspWord, SignedLetter
 
 
 # A complex holds one traversal order per component, so a file's component
@@ -190,7 +190,7 @@ def clasp_word(F: CComplex, k: int) -> ClaspWord:
     clasp's sign."""
     _require_valid(F)
     if not 1 <= k <= F.n:
-        raise ValueError(f"component {k} is not a component of this complex (n={F.n})")
+        raise ValueError(f"component {clip(str(k))} is not a component of this complex (n={F.n})")
     # At most 2*(n-1) distinct letters: one per (other end, sign), shared
     # by every clasp id that reads as it.
     letters: dict[tuple[int, int], SignedLetter] = {}
@@ -218,7 +218,7 @@ def total_clasps(F: CComplex) -> int:
 def with_rotated_order(F: CComplex, k: int, r: int) -> CComplex:
     """Move component k's basepoint: rotate its traversal order left by r."""
     if not 1 <= k <= F.n:
-        raise ValueError(f"component {k} is not a component of this complex (n={F.n})")
+        raise ValueError(f"component {clip(str(k))} is not a component of this complex (n={F.n})")
     order = F.orders[k - 1]
     if order:
         r %= len(order)
@@ -238,9 +238,9 @@ def generate_brn(n: int) -> CComplex:
     larger one is refused before anything is built.
     """
     if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+        raise ValueError(f"n must be at least 1, got {clip(str(n))}")
     if n > BRN_CAP:
-        raise ValueError(f"n may be at most {BRN_CAP}, got {n}")
+        raise ValueError(f"n may be at most {BRN_CAP}, got {clip(str(n))}")
     p = [f"p{m}" for m in range(1, n + 1)]  # 1-2 positive
     q = [f"q{m}" for m in range(1, n + 1)]  # 1-2 negative
     r = [f"r{m}" for m in range(1, n + 1)]  # 1-3 positive

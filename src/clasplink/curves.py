@@ -4,20 +4,24 @@ Reading a word with a fixed pair of indices (i, j) draws a path on the
 integer grid: x_i steps right, x_i^-1 left, x_j up, x_j^-1 down, and all
 other letters are skipped.  Everything here is exact integer arithmetic.
 
-A curve keeps its vertices as two ``array('q')`` columns of machine
-integers, 16 bytes a vertex.  ``is_simple``, ``line_integral_x_dy`` and
-``reversed`` make each pass over the columns at C level (``map``,
-``operator``, ``islice``).  No coordinate can overflow: a curve of n steps
-from (0, 0) stays within n of it, and a word holds at most
-``WORD_LETTER_CAP`` letters.
+A curve keeps only its steps from (0, 0), one byte a step: ``RIGHT`` (0)
+for +x, ``LEFT`` (1) for -x, ``UP`` (2) for +y and ``DOWN`` (3) for -y.
+The coordinates are built when asked for (``xs``, ``ys``, ``vertices``).
+``length``, ``is_closed``, ``reversed``, ``==`` and ``hash`` work on the
+bytes at C level.  The line integral and the bounding box walk the curve's
+straight segments, one step of Python per segment and none per vertex.
+``is_simple`` sorts one integer code per vertex, accumulated from per-step
+deltas.  No coordinate can overflow: a curve of n steps from (0, 0) stays
+within n of it.
 """
 
 from __future__ import annotations
 
+import re
 from array import array
-from itertools import islice, repeat
-from operator import add, eq, mul, sub
-from typing import Sequence
+from itertools import accumulate, islice
+from operator import eq
+from typing import Iterator, Sequence
 
 from .words import ClaspWord
 
@@ -25,36 +29,47 @@ Point = tuple[int, int]
 
 _PROBE = 4096  # interior vertices is_simple checks before it sorts them all
 
+RIGHT, LEFT, UP, DOWN = range(4)  # the step codes
+# x and y change of each step code, in lists: map() calls a list's
+# __getitem__ faster than a tuple's
+_DX = [1, -1, 0, 0]
+_DY = [0, 0, 1, -1]
+_CODE = {step: code for code, step in enumerate(zip(_DX, _DY))}
+_FLIP = bytes.maketrans(bytes([RIGHT, LEFT, UP, DOWN]), bytes([LEFT, RIGHT, DOWN, UP]))
+_SEGMENT = re.compile(rb"\x00+|\x01+|\x02+|\x03+")  # a maximal straight run
+_WINDOW = 4096  # steps searched for straight runs at a time
+
 
 class LatticeCurve:
     """A path of grid points starting at (0, 0) with unit cardinal steps.
 
-    ``xs`` and ``ys`` are the vertices' coordinate columns; treat them as
-    read-only.  ``vertices`` builds the tuple of ``(x, y)`` points on
-    demand.  Curves compare and hash by their vertices.
+    ``steps`` holds one code byte per step (see the module docstring); treat
+    it as read-only.  ``xs``, ``ys`` and ``vertices`` build the coordinates
+    on each access.  Curves compare and hash by their steps, which fix their
+    vertices.
     """
 
-    __slots__ = ("xs", "ys")
+    __slots__ = ("steps",)
 
     def __init__(self, vertices: Sequence[Point]) -> None:
         if not vertices:
             raise ValueError("a curve needs at least its start vertex")
         if vertices[0] != (0, 0):
             raise ValueError(f"curve must start at (0, 0), got {vertices[0]}")
+        steps = bytearray()
         for (x0, y0), (x1, y1) in zip(vertices, islice(vertices, 1, None)):
-            if abs(x1 - x0) + abs(y1 - y0) != 1:
+            code = _CODE.get((x1 - x0, y1 - y0))
+            if code is None:
                 raise ValueError(f"step from ({x0}, {y0}) to ({x1}, {y1}) is not a unit cardinal step")
-        xs, ys = zip(*vertices)
-        object.__setattr__(self, "xs", array("q", xs))
-        object.__setattr__(self, "ys", array("q", ys))
+            steps.append(code)
+        object.__setattr__(self, "steps", bytes(steps))
 
     @classmethod
-    def _unchecked(cls, xs: array, ys: array) -> "LatticeCurve":
-        """A curve on columns its caller built from (0, 0) by unit steps,
-        without walking them again in ``__init__``."""
+    def _unchecked(cls, steps: bytes) -> "LatticeCurve":
+        """A curve on step codes its caller built, without the vertex walk
+        of ``__init__``."""
         curve = object.__new__(cls)
-        object.__setattr__(curve, "xs", xs)
-        object.__setattr__(curve, "ys", ys)
+        object.__setattr__(curve, "steps", steps)
         return curve
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -63,10 +78,10 @@ class LatticeCurve:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.xs == other.xs and self.ys == other.ys
+        return self.steps == other.steps
 
     def __hash__(self) -> int:
-        return hash((self.xs.tobytes(), self.ys.tobytes()))
+        return hash(self.steps)
 
     def __repr__(self) -> str:
         return f"LatticeCurve(vertices={self.vertices!r})"
@@ -75,18 +90,44 @@ class LatticeCurve:
         # copy and pickle rebuild through __init__, past __setattr__
         return self.__class__, (self.vertices,)
 
+    def _coordinates(self, delta: list[int]) -> Iterator[int]:
+        return accumulate(map(delta.__getitem__, self.steps), initial=0)
+
+    def _points(self) -> Iterator[Point]:
+        return zip(self._coordinates(_DX), self._coordinates(_DY))
+
+    @property
+    def xs(self) -> array:
+        """The vertices' x coordinates, built anew on each access."""
+        return array("q", self._coordinates(_DX))
+
+    @property
+    def ys(self) -> array:
+        """The vertices' y coordinates, built anew on each access."""
+        return array("q", self._coordinates(_DY))
+
     @property
     def vertices(self) -> tuple[Point, ...]:
         """The path's grid points, built anew on each access."""
-        return tuple(zip(self.xs, self.ys))
+        return tuple(self._points())
 
     @property
     def length(self) -> int:
         """Number of unit steps."""
-        return len(self.xs) - 1
+        return len(self.steps)
+
+    def segments(self) -> Iterator[bytes]:
+        """The curve's straight runs of steps in order, each one step code
+        repeated.  They are found ``_WINDOW`` steps at a time, so no list of
+        every run is built, and a straight segment that crosses a window's
+        edge comes as two runs."""
+        steps = self.steps
+        for start in range(0, len(steps), _WINDOW):
+            yield from _SEGMENT.findall(steps, start, start + _WINDOW)
 
     def is_closed(self) -> bool:
-        return self.xs[-1] == 0 and self.ys[-1] == 0
+        count = self.steps.count
+        return count(RIGHT) == count(LEFT) and count(UP) == count(DOWN)
 
     def is_simple(self) -> bool:
         """True iff no grid point is revisited, apart from start = end.
@@ -95,19 +136,18 @@ class LatticeCurve:
         ``x * span + y``, and a repeat shows as equal sorted neighbours.
         The code is one integer per point: n vertices from (0, 0) by unit
         steps keep every y within n - 1 of 0, so fewer than ``span``
-        values apart.  Taking ``span`` from n spares two passes for the
-        ys' bounds.  A walk that revisits a point mostly does so soon
-        after it starts, so the first ``_PROBE`` vertices are checked
-        before all of them are sorted.
+        values apart.  The codes are the running sum of each step's change
+        of code (``span`` along x, 1 along y).  A walk that revisits a
+        point mostly does so soon after it starts, so the first ``_PROBE``
+        vertices are checked before all of them are sorted.
         """
         if not self.is_closed():
             raise ValueError("simplicity is only defined for closed curves")
-        xs, ys = self.xs, self.ys
-        span = 2 * len(ys) - 1
-        interior = len(xs) - 1
+        span = 2 * len(self.steps) + 1
+        interior = len(self.steps)
 
         def repeats(count: int) -> bool:
-            codes = sorted(map(add, map(mul, islice(xs, count), repeat(span)), ys))
+            codes = sorted(islice(self._coordinates([span, -span, 1, -1]), count))
             return any(map(eq, codes, islice(codes, 1, None)))
 
         return not (repeats(min(interior, _PROBE)) or repeats(interior))
@@ -116,22 +156,53 @@ class LatticeCurve:
         """Exact value of the line integral of x dy along the path.
 
         Each upward step at column x contributes +x, each downward step -x,
-        horizontal steps contribute nothing.
+        horizontal steps contribute nothing; so a vertical segment of n
+        steps contributes n times its column.
         """
-        ys = self.ys
-        return sum(map(mul, self.xs, map(sub, islice(ys, 1, None), ys)))
+        x = total = 0
+        for run in self.segments():
+            code = run[0]
+            if code == RIGHT:
+                x += len(run)
+            elif code == LEFT:
+                x -= len(run)
+            elif code == UP:
+                total += x * len(run)
+            else:
+                total -= x * len(run)
+        return total
+
+    def bounding_box(self) -> tuple[int, int, int, int]:
+        """``(min_x, max_x, min_y, max_y)`` over the vertices.  An extreme
+        is met at the end of a segment, so only segment ends are visited."""
+        x = y = min_x = max_x = min_y = max_y = 0
+        for run in self.segments():
+            code = run[0]
+            if code == RIGHT:
+                x += len(run)
+                if x > max_x:
+                    max_x = x
+            elif code == LEFT:
+                x -= len(run)
+                if x < min_x:
+                    min_x = x
+            elif code == UP:
+                y += len(run)
+                if y > max_y:
+                    max_y = y
+            else:
+                y -= len(run)
+                if y < min_y:
+                    min_y = y
+        return min_x, max_x, min_y, max_y
 
     def reversed(self) -> "LatticeCurve":
         """The same path traversed backwards, translated to start at (0, 0)."""
-        xs, ys = self.xs, self.ys
-        return LatticeCurve._unchecked(
-            array("q", map(sub, reversed(xs), repeat(xs[-1]))),
-            array("q", map(sub, reversed(ys), repeat(ys[-1]))),
-        )
+        return LatticeCurve._unchecked(self.steps[::-1].translate(_FLIP))
 
     def to_text(self) -> str:
         """Plain-text export: one "x y" pair per line."""
-        return "\n".join(f"{x} {y}" for x, y in zip(self.xs, self.ys)) + "\n"
+        return "\n".join(f"{x} {y}" for x, y in self._points()) + "\n"
 
 
 def build_curve(w: ClaspWord, i: int, j: int) -> LatticeCurve:
@@ -142,16 +213,11 @@ def build_curve(w: ClaspWord, i: int, j: int) -> LatticeCurve:
     """
     if i == j:
         raise ValueError("curve construction requires two distinct indices")
-    x, y = 0, 0
-    xs, ys = array("q", [0]), array("q", [0])
-    x_append, y_append = xs.append, ys.append
+    steps = bytearray()
+    append = steps.append
     for letter in w:
         if letter.index == i:
-            x += letter.sign
+            append(RIGHT if letter.sign == 1 else LEFT)
         elif letter.index == j:
-            y += letter.sign
-        else:
-            continue
-        x_append(x)
-        y_append(y)
-    return LatticeCurve._unchecked(xs, ys)
+            append(UP if letter.sign == 1 else DOWN)
+    return LatticeCurve._unchecked(bytes(steps))

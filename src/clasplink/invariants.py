@@ -8,9 +8,13 @@ just the signed clasp count between two components.
 
 from __future__ import annotations
 
-from ._record import FrozenRecord
-from .complexes import CComplex, clasp_word
-from .words import ClaspWord
+from typing import TYPE_CHECKING
+
+from ._record import FrozenRecord, clip
+
+if TYPE_CHECKING:
+    from .complexes import CComplex
+    from .words import ClaspWord
 
 
 def e_ij(w: ClaspWord, i: int, j: int) -> int:
@@ -37,7 +41,7 @@ def pairwise_linking(F: CComplex, i: int, j: int) -> int:
         raise ValueError("pairwise linking requires two distinct components")
     for k in (i, j):
         if not 1 <= k <= F.n:
-            raise ValueError(f"component {k} is not a component of this complex (n={F.n})")
+            raise ValueError(f"component {clip(str(k))} is not a component of this complex (n={F.n})")
     lo, hi = (i, j) if i < j else (j, i)  # clasps store a <= b
     return sum(c.sign for c in F.clasps if c.a == lo and c.b == hi)
 
@@ -69,6 +73,8 @@ def triple_linking(F: CComplex, i: int, j: int, k: int) -> TripleLinkingResult:
     orders.  The value is reported even when the pairwise linking numbers
     do not vanish; ``well_defined`` records whether they do.
     """
+    from .complexes import clasp_word  # here, so that e_ij alone loads no complex code
+
     if len({i, j, k}) != 3:
         raise ValueError("triple linking requires three distinct components")
     w_i, w_j, w_k = (clasp_word(F, c) for c in (i, j, k))

@@ -23,7 +23,7 @@ import sys
 from functools import lru_cache
 from typing import Iterator
 
-from ._record import FrozenRecord
+from ._record import FrozenRecord, clip
 from .bounds import ceil_two_sqrt
 
 POLYOMINO_AREA_CAP = 10
@@ -125,9 +125,9 @@ def _fixed_shapes(area: int) -> frozenset[frozenset[Cell]]:
 def enumerate_polyominoes(area: int, cap: int = POLYOMINO_AREA_CAP) -> list[Polyomino]:
     """All fixed polyominoes of the given area, sorted canonically."""
     if area < 1:
-        raise ValueError(f"area must be at least 1, got {area}")
+        raise ValueError(f"area must be at least 1, got {clip(str(area))}")
     if area > cap:
-        raise CapExceededError(f"area {area} exceeds the cap {cap}")
+        raise CapExceededError(f"area {clip(str(area))} exceeds the cap {clip(str(cap))}")
     shapes = [Polyomino(cells) for cells in _fixed_shapes(area)]
     shapes.sort(key=lambda p: tuple(sorted(p.cells)))
     return shapes
@@ -156,7 +156,7 @@ def _redelmeier(max_area: int) -> tuple[list[int], list[int]]:
         depth, frame = depth + 1, frame.f_back
     if max_area + depth + _SPARE_FRAMES > sys.getrecursionlimit():
         raise CapExceededError(
-            f"max_area {max_area} needs a deeper recursion than the limit {sys.getrecursionlimit()} allows"
+            f"max_area {clip(str(max_area))} needs a deeper recursion than the limit {sys.getrecursionlimit()} allows"
         )
     counts = [0] * (max_area + 1)
     min_perimeter = [4 * area for area in range(max_area + 1)]
@@ -197,7 +197,7 @@ def count_fixed_polyominoes(max_area: int) -> list[int]:
     """Counts of fixed polyominoes for areas 1..max_area, by Redelmeier's
     method (see :func:`_redelmeier`)."""
     if max_area < 1:
-        raise ValueError(f"max_area must be at least 1, got {max_area}")
+        raise ValueError(f"max_area must be at least 1, got {clip(str(max_area))}")
     return _redelmeier(max_area)[0][1:]
 
 
@@ -205,9 +205,9 @@ def verify_min_perimeter(max_area: int, cap: int = POLYOMINO_AREA_CAP) -> list[O
     """Compare the minimal perimeter over every fixed polyomino against
     2*ceil(2*sqrt(A)) for every area 1..max_area."""
     if max_area < 1:
-        raise ValueError(f"max_area must be at least 1, got {max_area}")
+        raise ValueError(f"max_area must be at least 1, got {clip(str(max_area))}")
     if max_area > cap:
-        raise CapExceededError(f"max_area {max_area} exceeds the cap {cap}")
+        raise CapExceededError(f"max_area {clip(str(max_area))} exceeds the cap {clip(str(cap))}")
     min_perimeter = _redelmeier(max_area)[1]
     return [
         OracleReport(area, min_perimeter[area], 2 * ceil_two_sqrt(area))
@@ -234,9 +234,9 @@ def verify_word_length_bound(max_len: int, cap: int = WORD_LENGTH_CAP) -> list[O
     length for A is the first length at which a state (0, 0, ±A) appears.
     """
     if max_len < 1:
-        raise ValueError(f"max_len must be at least 1, got {max_len}")
+        raise ValueError(f"max_len must be at least 1, got {clip(str(max_len))}")
     if max_len > cap:
-        raise CapExceededError(f"max_len {max_len} exceeds the cap {cap}")
+        raise CapExceededError(f"max_len {clip(str(max_len))} exceeds the cap {clip(str(cap))}")
     min_len: dict[int, int] = {}
     for length, states in enumerate(_word_states(max_len)):
         for x, y, acc in states:

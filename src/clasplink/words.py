@@ -32,7 +32,9 @@ from __future__ import annotations
 import re
 from typing import Iterable, Iterator
 
-from ._record import FrozenRecord
+# clip and QUOTE_CHARS live in _record, which the oracle loads without this
+# module; both stay importable from here.
+from ._record import QUOTE_CHARS, FrozenRecord, clip  # noqa: F401
 
 
 class WordSyntaxError(ValueError):
@@ -117,17 +119,6 @@ _CAP_DIGITS = len(str(WORD_LETTER_CAP))
 
 _TERM_RE = re.compile(rf"x([1-9][0-9]{{0,{WORD_INDEX_DIGITS - 1}}})(?:\^(-?[1-9][0-9]*))?\Z")
 _TOKEN_RE = re.compile(r"[^\s.]+")
-
-
-# Characters of input that an error message quotes: a longer piece is cut
-# there and marked with "...", so no error line grows with its input.
-QUOTE_CHARS = 40
-
-
-def clip(text: str) -> str:
-    """``text`` as an error message quotes it: its first ``QUOTE_CHARS``
-    characters, then ``...`` if it was longer."""
-    return text if len(text) <= QUOTE_CHARS else text[:QUOTE_CHARS] + "..."
 
 
 def _term_error(token: str) -> str:

@@ -1,3 +1,4 @@
+import argparse
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 from clasplink.cli import main, render_curve_svg
 from clasplink.complexes import BRN_CAP
 from clasplink.curves import build_curve
-from clasplink.words import parse_word
+from clasplink.words import QUOTE_CHARS, parse_word
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 BORROMEAN = str(DATA / "borromean.cc")
@@ -255,6 +256,78 @@ def test_oracle_polyomino_deeper_than_recursion_limit(capsys):
     assert out == ""
     assert err.startswith("error: max_area 2000 needs a deeper recursion")
     assert "Traceback" not in err
+
+
+# --- error lines that quote a command-line integer -----------------------------
+
+HUGE = "9" * 3000  # converts: int() refuses only past 4300 digits
+CLIPPED = "9" * QUOTE_CHARS + "..."
+
+
+def usage_error(capsys, *argv) -> str:
+    """The last stderr line of an argparse usage error (exit 2)."""
+    with pytest.raises(SystemExit) as stopped:
+        main(list(argv))
+    assert stopped.value.code == 2
+    return capsys.readouterr().err.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("eij", "x1", "1", "9" * 5000), "j"),
+        (("curve", "x1", "1" + "x" * 3000, "2", "--out", "c.svg"), "i"),
+        (("lk", BORROMEAN, "1", "2" * 3000 + "z"), "j"),
+        (("mu", BORROMEAN, "1", "2", "3" * 5000), "k"),
+        (("gen-brn", "1" * 5000), "n"),
+        (("oracle", "words", "--max-len", "4" * 5000), "--max-len"),
+        (("oracle", "polyomino", "--max-area", "3", "--cap", "12" * 3000), "--cap"),
+    ],
+)
+def test_invalid_int_argument_is_clipped(capsys, argv, name):
+    bad = next(arg for arg in argv if len(arg) > 1000)
+    line = usage_error(capsys, *argv)
+    assert line.endswith(f"error: argument {name}: invalid int value: {bad[:QUOTE_CHARS] + '...'!r}")
+    assert len(line) < 150
+
+
+@pytest.mark.parametrize("value", ["abc", "", "1.5", "1e3", "x" * QUOTE_CHARS, "'\"\\"])
+def test_invalid_int_argument_quotes_short_values_as_argparse_does(capsys, value):
+    plain = argparse.ArgumentParser(prog="clasplink eij")
+    plain.add_argument("word")
+    plain.add_argument("i", type=int)
+    plain.add_argument("j", type=int)
+    with pytest.raises(SystemExit):
+        plain.parse_args(["x1", "1", value])
+    expected = capsys.readouterr().err.splitlines()[-1]
+    assert usage_error(capsys, "eij", "x1", "1", value) == expected
+
+
+@pytest.mark.parametrize("argv", [("lk", BORROMEAN, "1", HUGE), ("mu", BORROMEAN, HUGE, "2", "3")])
+def test_component_past_the_complex_is_clipped(capsys, argv):
+    assert run(capsys, *argv) == (2, "", f"error: component {CLIPPED} is not a component of this complex (n=3)\n")
+    assert run(capsys, "lk", BORROMEAN, "1", "4") == (2, "", "error: component 4 is not a component of this complex (n=3)\n")
+
+
+def test_gen_brn_past_the_cap_is_clipped(capsys):
+    assert run(capsys, "gen-brn", HUGE) == (2, "", f"error: n may be at most {BRN_CAP}, got {CLIPPED}\n")
+    assert run(capsys, "gen-brn", "-" + HUGE) == (2, "", f"error: n must be at least 1, got -{CLIPPED[:-4]}...\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("oracle", "words", "--max-len", HUGE), f"max_len {CLIPPED} exceeds the cap 12"),
+        (("oracle", "words", "--max-len", HUGE, "--cap", HUGE[:-1]), f"max_len {CLIPPED} exceeds the cap {CLIPPED}"),
+        (("oracle", "polyomino", "--max-area", HUGE), f"max_area {CLIPPED} exceeds the cap 10"),
+        (("oracle", "polyomino", "--max-area", "-" + HUGE), f"max_area must be at least 1, got -{CLIPPED[:-4]}..."),
+        (("oracle", "polyomino", "--max-area", HUGE, "--cap", HUGE),
+         f"max_area {CLIPPED} needs a deeper recursion than the limit {sys.getrecursionlimit()} allows"),
+        (("oracle", "words", "--max-len", "13"), "max_len 13 exceeds the cap 12"),
+    ],
+)
+def test_oracle_cap_messages_are_clipped(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_cli_outputs_are_deterministic(capsys, tmp_path):

@@ -89,8 +89,14 @@ def test_word_subcommands_load_no_bounds_or_oracles(tmp_path):
     assert codes == [0, 0, 0, 2]
     assert "dataclasses" not in loaded
     modules = clasplink_modules(loaded)
-    assert not modules & {"bounds", "oracles"}
+    assert not modules & {"bounds", "oracles", "complexes"}
     assert {"cli", "words", "curves", "invariants"} <= modules
+
+
+def test_eij_by_the_sum_alone_loads_no_curves():
+    codes, loaded = loaded_by(["eij", "x1 x2 x1^-1 x2^-1", "1", "2", "--method", "sum"])
+    assert codes == [0]
+    assert clasplink_modules(loaded) == {"cli", "_record", "words", "invariants"}
 
 
 def test_importing_the_package_loads_no_submodule():

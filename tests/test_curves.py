@@ -265,13 +265,13 @@ def test_closed_curve_length_bound_exhaustive():
             assert curve.length >= bound
 
 
-# --- the column-stored curve against the tuple-stored one it replaced --------
+# --- the step-coded curve against the tuple-stored one it replaced ----------
 
 
 @dataclass(frozen=True)
 class ReferenceLatticeCurve:
-    """The curve as it was kept before its coordinate columns: a tuple of
-    ``(x, y)`` points, with the same checks and methods."""
+    """The curve as it was kept before its coordinate columns and its step
+    codes: a tuple of ``(x, y)`` points, with the same checks and methods."""
 
     vertices: tuple[tuple[int, int], ...]
 
@@ -386,6 +386,10 @@ def test_columns_agree_with_the_tuple_curve(vertices):
     assert curve == LatticeCurve(reference.vertices)
     assert hash(curve) == hash(LatticeCurve(reference.vertices))
     assert curve.reversed().reversed() == curve
+    assert list(curve.xs) == [x for x, _ in reference.vertices]
+    assert list(curve.ys) == [y for _, y in reference.vertices]
+    xs, ys = zip(*reference.vertices)
+    assert curve.bounding_box() == (min(xs), max(xs), min(ys), max(ys))
 
 
 @pytest.mark.parametrize(
@@ -460,9 +464,22 @@ def test_curve_holds_its_columns_only():
     finally:
         tracemalloc.stop()
     assert curve.is_closed() and curve.length > 100_000
-    # two 8-byte columns and their growth slack; a tuple of points held
-    # over 60 bytes a vertex
+    # two 8-byte columns and their growth slack held 24 bytes a vertex; a
+    # tuple of points held over 60
     assert held <= 24 * len(curve.xs)
+
+
+def test_curve_holds_one_byte_a_step():
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        curve = build_curve(COMB, 1, 2)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert curve.length > 100_000
+    # one code byte a step, and the bytes and curve objects' headers
+    assert held <= 2 * curve.length
 
 
 def test_is_simple_peak_stays_near_its_sorted_codes():

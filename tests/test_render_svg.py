@@ -2,9 +2,10 @@
 
 ``reference_render_curve_svg`` builds every point string, the whole
 polyline and then the whole document before it joins them.
-``render_curve_svg`` formats the points a chunk of vertices at a time and
-joins the document once.  On every curve, with and without grid lines, the
-two must give the same text.
+``render_curve_svg`` writes the points a straight segment at a time, from
+runs found a window of ``_WINDOW`` steps at a time, and joins
+``_PIECE_SEGMENTS`` segments per piece.  On every curve, with and without
+grid lines, the two must give the same text.
 """
 
 import random
@@ -15,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clasplink.cli import _POINTS_CHUNK, SVG_SCALE, render_curve_svg
-from clasplink.curves import LatticeCurve
+from clasplink.cli import SVG_SCALE, render_curve_svg
+from clasplink.curves import _WINDOW, LatticeCurve
 
 STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
@@ -72,28 +73,74 @@ def random_walk(vertex_count: int, seed: int) -> LatticeCurve:
     return walk(rng.choice(STEPS) for _ in range(vertex_count - 1))
 
 
+def straight(*runs) -> LatticeCurve:
+    """The walk of each ``(step, count)`` run in turn."""
+    return walk(step for step, count in runs for _ in range(count))
+
+
+RIGHT, LEFT, UP, DOWN = STEPS
+
+
 @pytest.mark.parametrize(
     "vertex_count",
-    [1, 2, _POINTS_CHUNK - 1, _POINTS_CHUNK, _POINTS_CHUNK + 1, 3 * _POINTS_CHUNK + 17],
+    [1, 2, _WINDOW - 1, _WINDOW, _WINDOW + 1, 3 * _WINDOW + 17],
 )
 @pytest.mark.parametrize("grid", [False, True])
 def test_render_matches_the_reference_at_chunk_edges(vertex_count, grid):
+    # the segment search's window edges: a run that crosses one is split
     curve = random_walk(vertex_count, seed=vertex_count)
     assert len(curve.vertices) == vertex_count
     assert render_curve_svg(curve, grid=grid) == reference_render_curve_svg(curve, grid=grid)
 
 
+SEGMENT_CASES = {
+    "single-vertex": straight(),
+    "unit-segments": straight((RIGHT, 1), (UP, 1), (LEFT, 1), (UP, 1), (RIGHT, 1), (DOWN, 1), (LEFT, 1), (DOWN, 1)),
+    "zigzag": straight(*[(RIGHT, 1), (UP, 1)] * 40 + [(LEFT, 1), (DOWN, 1)] * 40),
+    "long-right": straight((RIGHT, 3 * _WINDOW + 5)),
+    "long-left": straight((LEFT, 3 * _WINDOW + 5)),
+    "long-up": straight((UP, 3 * _WINDOW + 5)),
+    "long-down": straight((DOWN, 3 * _WINDOW + 5)),
+    "long-square": straight((RIGHT, 700), (UP, 700), (LEFT, 700), (DOWN, 700)),
+    "long-square-backwards": straight((DOWN, 700), (LEFT, 700), (UP, 700), (RIGHT, 700)),
+    # every side of the box is reached away from the origin
+    "touches-every-side": straight(
+        (LEFT, 3), (UP, 5), (RIGHT, 9), (DOWN, 2), (LEFT, 2), (DOWN, 7), (RIGHT, 4), (UP, 3), (LEFT, 11), (DOWN, 1)
+    ),
+    "reversals": straight((RIGHT, 5), (LEFT, 9), (RIGHT, 2), (UP, 6), (DOWN, 8), (UP, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEGMENT_CASES))
+@pytest.mark.parametrize("grid", [False, True])
+def test_render_matches_the_reference_at_segment_edges(name, grid):
+    curve = SEGMENT_CASES[name]
+    for scale in (1, 7, SVG_SCALE):
+        assert render_curve_svg(curve, grid=grid, scale=scale) == reference_render_curve_svg(curve, grid=grid, scale=scale)
+
+
+def test_segment_cases_are_what_they_claim():
+    curve = SEGMENT_CASES["touches-every-side"]
+    xs = [x for x, _ in curve.vertices]
+    ys = [y for _, y in curve.vertices]
+    assert curve.bounding_box() == (min(xs), max(xs), min(ys), max(ys))
+    assert min(xs) < 0 < max(xs) and min(ys) < 0 < max(ys)
+    assert all(len(run) == 1 for run in SEGMENT_CASES["unit-segments"].segments())
+    assert [len(run) for run in SEGMENT_CASES["long-up"].segments()] == [_WINDOW, _WINDOW, _WINDOW, 5]
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
-    st.lists(st.sampled_from(STEPS), max_size=60),
+    st.lists(st.tuples(st.sampled_from(STEPS), st.integers(1, 6)), max_size=30),
     st.booleans(),
     st.integers(1, 100),
     st.integers(1, 8),
+    st.integers(1, 4),
 )
-def test_render_matches_the_reference_on_random_walks(steps, grid, scale, chunk):
-    # a small chunk puts the walks' chunk edges anywhere along them
-    curve = walk(steps)
-    with mock.patch("clasplink.cli._POINTS_CHUNK", chunk):
+def test_render_matches_the_reference_on_random_walks(runs, grid, scale, window, pieces):
+    # a small window and piece size put their edges anywhere along the walks
+    curve = straight(*runs)
+    with mock.patch("clasplink.curves._WINDOW", window), mock.patch("clasplink.cli._PIECE_SEGMENTS", pieces):
         svg = render_curve_svg(curve, grid=grid, scale=scale)
     assert svg == reference_render_curve_svg(curve, grid=grid, scale=scale)
 
