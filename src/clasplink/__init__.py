@@ -46,9 +46,7 @@ _EXPORTS = {
     "oracles": (
         "CapExceededError",
         "OracleReport",
-        "Polyomino",
         "count_fixed_polyominoes",
-        "enumerate_polyominoes",
         "format_reports",
         "verify_min_perimeter",
         "verify_word_length_bound",

@@ -260,14 +260,18 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _integer(text: str) -> int:
-    """An integer argument: argparse's own ``int`` error repeats the whole
+    """An integer argument in ASCII digits.  ``int`` also reads ``_``
+    between digits and the digits of other scripts; those are refused like
+    any other bad value.  argparse's own ``int`` error repeats the whole
     argument, this one quotes at most ``QUOTE_CHARS`` characters of it."""
-    try:
-        return int(text)
-    except ValueError:
-        from ._record import clip
+    if text.isascii() and "_" not in text:
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    from ._record import clip
 
-        raise argparse.ArgumentTypeError(f"invalid int value: {clip(text)!r}") from None
+    raise argparse.ArgumentTypeError(f"invalid int value: {clip(text)!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:

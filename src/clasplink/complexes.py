@@ -184,13 +184,18 @@ def _require_valid(F: CComplex) -> None:
         raise ValueError("invalid complex: " + "; ".join(violations))
 
 
+def _require_component(F: CComplex, k: int) -> None:
+    """Raise ValueError unless k is one of F's components 1..n."""
+    if not 1 <= k <= F.n:
+        raise ValueError(f"component {clip(str(k))} is not a component of this complex (n={F.n})")
+
+
 def clasp_word(F: CComplex, k: int) -> ClaspWord:
     """The word read along component k: one letter per clasp met, whose
     index is the component at the clasp's other end and whose sign is the
     clasp's sign."""
     _require_valid(F)
-    if not 1 <= k <= F.n:
-        raise ValueError(f"component {clip(str(k))} is not a component of this complex (n={F.n})")
+    _require_component(F, k)
     # At most 2*(n-1) distinct letters: one per (other end, sign), shared
     # by every clasp id that reads as it.
     letters: dict[tuple[int, int], SignedLetter] = {}
@@ -217,8 +222,7 @@ def total_clasps(F: CComplex) -> int:
 
 def with_rotated_order(F: CComplex, k: int, r: int) -> CComplex:
     """Move component k's basepoint: rotate its traversal order left by r."""
-    if not 1 <= k <= F.n:
-        raise ValueError(f"component {clip(str(k))} is not a component of this complex (n={F.n})")
+    _require_component(F, k)
     order = F.orders[k - 1]
     if order:
         r %= len(order)

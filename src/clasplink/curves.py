@@ -4,24 +4,23 @@ Reading a word with a fixed pair of indices (i, j) draws a path on the
 integer grid: x_i steps right, x_i^-1 left, x_j up, x_j^-1 down, and all
 other letters are skipped.  Everything here is exact integer arithmetic.
 
-A curve keeps only its steps from (0, 0), one byte a step: ``RIGHT`` (0)
-for +x, ``LEFT`` (1) for -x, ``UP`` (2) for +y and ``DOWN`` (3) for -y.
-The coordinates are built when asked for (``xs``, ``ys``, ``vertices``).
-``length``, ``is_closed``, ``reversed``, ``==`` and ``hash`` work on the
-bytes at C level.  The line integral and the bounding box walk the curve's
-straight segments, one step of Python per segment and none per vertex.
-``is_simple`` sorts one integer code per vertex, accumulated from per-step
-deltas.  No coordinate can overflow: a curve of n steps from (0, 0) stays
-within n of it.
+A curve is its steps from (0, 0), one byte a step: ``RIGHT`` (0) for +x,
+``LEFT`` (1) for -x, ``UP`` (2) for +y and ``DOWN`` (3) for -y.  Those
+bytes are the one constructor argument, ``LatticeCurve(steps)``, and the
+vertices are built only when asked for.  ``length``, ``is_closed``,
+``reversed``, ``==`` and ``hash`` work on the bytes at C level.  The line
+integral and the bounding box walk the curve's straight segments, one step
+of Python per segment and none per vertex.  ``is_simple`` sorts one integer
+code per vertex, accumulated from per-step deltas.  No coordinate can
+overflow: a curve of n steps from (0, 0) stays within n of it.
 """
 
 from __future__ import annotations
 
 import re
-from array import array
 from itertools import accumulate, islice
 from operator import eq
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .words import ClaspWord
 
@@ -34,8 +33,8 @@ RIGHT, LEFT, UP, DOWN = range(4)  # the step codes
 # __getitem__ faster than a tuple's
 _DX = [1, -1, 0, 0]
 _DY = [0, 0, 1, -1]
-_CODE = {step: code for code, step in enumerate(zip(_DX, _DY))}
-_FLIP = bytes.maketrans(bytes([RIGHT, LEFT, UP, DOWN]), bytes([LEFT, RIGHT, DOWN, UP]))
+_CODES = bytes([RIGHT, LEFT, UP, DOWN])
+_FLIP = bytes.maketrans(_CODES, bytes([LEFT, RIGHT, DOWN, UP]))
 _SEGMENT = re.compile(rb"\x00+|\x01+|\x02+|\x03+")  # a maximal straight run
 _WINDOW = 4096  # steps searched for straight runs at a time
 
@@ -44,33 +43,17 @@ class LatticeCurve:
     """A path of grid points starting at (0, 0) with unit cardinal steps.
 
     ``steps`` holds one code byte per step (see the module docstring); treat
-    it as read-only.  ``xs``, ``ys`` and ``vertices`` build the coordinates
-    on each access.  Curves compare and hash by their steps, which fix their
-    vertices.
+    it as read-only.  ``vertices`` builds the coordinates on each access.
+    Curves compare and hash by their steps, which fix their vertices.
     """
 
     __slots__ = ("steps",)
 
-    def __init__(self, vertices: Sequence[Point]) -> None:
-        if not vertices:
-            raise ValueError("a curve needs at least its start vertex")
-        if vertices[0] != (0, 0):
-            raise ValueError(f"curve must start at (0, 0), got {vertices[0]}")
-        steps = bytearray()
-        for (x0, y0), (x1, y1) in zip(vertices, islice(vertices, 1, None)):
-            code = _CODE.get((x1 - x0, y1 - y0))
-            if code is None:
-                raise ValueError(f"step from ({x0}, {y0}) to ({x1}, {y1}) is not a unit cardinal step")
-            steps.append(code)
-        object.__setattr__(self, "steps", bytes(steps))
-
-    @classmethod
-    def _unchecked(cls, steps: bytes) -> "LatticeCurve":
-        """A curve on step codes its caller built, without the vertex walk
-        of ``__init__``."""
-        curve = object.__new__(cls)
-        object.__setattr__(curve, "steps", steps)
-        return curve
+    def __init__(self, steps: bytes) -> None:
+        # one C-level pass: deleting every valid code leaves nothing
+        if type(steps) is not bytes or steps.translate(None, _CODES):
+            raise ValueError("steps must be a bytes object of step codes 0 to 3")
+        object.__setattr__(self, "steps", steps)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r} of an immutable LatticeCurve")
@@ -84,32 +67,19 @@ class LatticeCurve:
         return hash(self.steps)
 
     def __repr__(self) -> str:
-        return f"LatticeCurve(vertices={self.vertices!r})"
+        return f"LatticeCurve(steps={self.steps!r})"
 
     def __reduce__(self) -> tuple:
         # copy and pickle rebuild through __init__, past __setattr__
-        return self.__class__, (self.vertices,)
+        return self.__class__, (self.steps,)
 
     def _coordinates(self, delta: list[int]) -> Iterator[int]:
         return accumulate(map(delta.__getitem__, self.steps), initial=0)
 
-    def _points(self) -> Iterator[Point]:
-        return zip(self._coordinates(_DX), self._coordinates(_DY))
-
-    @property
-    def xs(self) -> array:
-        """The vertices' x coordinates, built anew on each access."""
-        return array("q", self._coordinates(_DX))
-
-    @property
-    def ys(self) -> array:
-        """The vertices' y coordinates, built anew on each access."""
-        return array("q", self._coordinates(_DY))
-
     @property
     def vertices(self) -> tuple[Point, ...]:
         """The path's grid points, built anew on each access."""
-        return tuple(self._points())
+        return tuple(zip(self._coordinates(_DX), self._coordinates(_DY)))
 
     @property
     def length(self) -> int:
@@ -198,11 +168,7 @@ class LatticeCurve:
 
     def reversed(self) -> "LatticeCurve":
         """The same path traversed backwards, translated to start at (0, 0)."""
-        return LatticeCurve._unchecked(self.steps[::-1].translate(_FLIP))
-
-    def to_text(self) -> str:
-        """Plain-text export: one "x y" pair per line."""
-        return "\n".join(f"{x} {y}" for x, y in self._points()) + "\n"
+        return LatticeCurve(self.steps[::-1].translate(_FLIP))
 
 
 def build_curve(w: ClaspWord, i: int, j: int) -> LatticeCurve:
@@ -220,4 +186,4 @@ def build_curve(w: ClaspWord, i: int, j: int) -> LatticeCurve:
             append(RIGHT if letter.sign == 1 else LEFT)
         elif letter.index == j:
             append(UP if letter.sign == 1 else DOWN)
-    return LatticeCurve._unchecked(bytes(steps))
+    return LatticeCurve(bytes(steps))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ._record import FrozenRecord, clip
+from ._record import FrozenRecord
 
 if TYPE_CHECKING:
     from .complexes import CComplex
@@ -37,11 +37,12 @@ def e_ij(w: ClaspWord, i: int, j: int) -> int:
 
 def pairwise_linking(F: CComplex, i: int, j: int) -> int:
     """Signed count of the clasps joining components i and j."""
+    from .complexes import _require_component  # loaded already: F is a complex
+
     if i == j:
         raise ValueError("pairwise linking requires two distinct components")
-    for k in (i, j):
-        if not 1 <= k <= F.n:
-            raise ValueError(f"component {clip(str(k))} is not a component of this complex (n={F.n})")
+    _require_component(F, i)
+    _require_component(F, j)
     lo, hi = (i, j) if i < j else (j, i)  # clasps store a <= b
     return sum(c.sign for c in F.clasps if c.a == lo and c.b == hi)
 

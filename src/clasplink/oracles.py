@@ -6,8 +6,7 @@ Two independent jobs:
   rotations and reflections counted separately) by Redelmeier's method,
   counting adjacent cell pairs as each cell is added, so the same pass
   yields the count and the minimal perimeter 4*A - 2*(adjacent pairs) of
-  every area; a second method that builds and normalizes the cell sets
-  (:func:`enumerate_polyominoes`) cross-checks the counts;
+  every area;
 * search every balanced two-letter word up to a length cap, one length at
   a time over the distinct states (x, y, integral so far), and confirm
   that word length is at least 2*ceil(2*sqrt(|integral|)) for the curve
@@ -20,11 +19,10 @@ raised from the CLI.
 from __future__ import annotations
 
 import sys
-from functools import lru_cache
 from typing import Iterator
 
 from ._record import FrozenRecord, clip
-from .bounds import ceil_two_sqrt
+from .bounds import ceil_two_sqrt, min_polyomino_perimeter
 
 POLYOMINO_AREA_CAP = 10
 WORD_LENGTH_CAP = 12
@@ -34,44 +32,6 @@ Cell = tuple[int, int]
 
 class CapExceededError(ValueError):
     """Raised when an oracle sweep is asked to exceed its runtime cap."""
-
-
-class Polyomino(FrozenRecord):
-    """A nonempty, translation-normalized set of unit grid cells."""
-
-    __slots__ = _fields = ("cells",)
-    cells: frozenset[Cell]
-
-    def __init__(self, cells: frozenset[Cell]) -> None:
-        if not cells:
-            raise ValueError("a polyomino has at least one cell")
-        if min(x for x, _ in cells) != 0 or min(y for _, y in cells) != 0:
-            raise ValueError("polyomino cells must be normalized to min x = min y = 0")
-        self._set_fields(cells)
-
-    @property
-    def area(self) -> int:
-        return len(self.cells)
-
-    def perimeter(self) -> int:
-        """Unit edges adjacent to exactly one cell: 4*area - 2*(adjacent pairs)."""
-        adjacent = sum(
-            ((x + 1, y) in self.cells) + ((x, y + 1) in self.cells)
-            for x, y in self.cells
-        )
-        return 4 * len(self.cells) - 2 * adjacent
-
-    def is_connected(self) -> bool:
-        """Edge-connectivity check by flood fill."""
-        todo = [next(iter(self.cells))]
-        seen = set(todo)
-        while todo:
-            x, y = todo.pop()
-            for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-                if nb in self.cells and nb not in seen:
-                    seen.add(nb)
-                    todo.append(nb)
-        return len(seen) == len(self.cells)
 
 
 class OracleReport(FrozenRecord):
@@ -97,40 +57,6 @@ def format_reports(reports: list[OracleReport]) -> str:
     for r in reports:
         lines.append(f"{r.parameter:>9}  {r.observed:>8}  {r.predicted:>9}  {'yes' if r.agree else 'no':>5}")
     return "\n".join(lines) + "\n"
-
-
-def _normalize(cells: frozenset[Cell]) -> frozenset[Cell]:
-    dx = min(x for x, _ in cells)
-    dy = min(y for _, y in cells)
-    if dx == 0 and dy == 0:
-        return cells
-    return frozenset((x - dx, y - dy) for x, y in cells)
-
-
-@lru_cache(maxsize=None)
-def _fixed_shapes(area: int) -> frozenset[frozenset[Cell]]:
-    """All normalized fixed polyominoes of the given area, by growth: every
-    area-a polyomino is some area-(a-1) polyomino plus one adjacent cell."""
-    if area == 1:
-        return frozenset({frozenset({(0, 0)})})
-    shapes = set()
-    for smaller in _fixed_shapes(area - 1):
-        for x, y in smaller:
-            for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-                if nb not in smaller:
-                    shapes.add(_normalize(smaller | {nb}))
-    return frozenset(shapes)
-
-
-def enumerate_polyominoes(area: int, cap: int = POLYOMINO_AREA_CAP) -> list[Polyomino]:
-    """All fixed polyominoes of the given area, sorted canonically."""
-    if area < 1:
-        raise ValueError(f"area must be at least 1, got {clip(str(area))}")
-    if area > cap:
-        raise CapExceededError(f"area {clip(str(area))} exceeds the cap {clip(str(cap))}")
-    shapes = [Polyomino(cells) for cells in _fixed_shapes(area)]
-    shapes.sort(key=lambda p: tuple(sorted(p.cells)))
-    return shapes
 
 
 _SPARE_FRAMES = 10  # headroom over the walk's one frame per cell
@@ -210,7 +136,7 @@ def verify_min_perimeter(max_area: int, cap: int = POLYOMINO_AREA_CAP) -> list[O
         raise CapExceededError(f"max_area {clip(str(max_area))} exceeds the cap {clip(str(cap))}")
     min_perimeter = _redelmeier(max_area)[1]
     return [
-        OracleReport(area, min_perimeter[area], 2 * ceil_two_sqrt(area))
+        OracleReport(area, min_perimeter[area], min_polyomino_perimeter(area))
         for area in range(1, max_area + 1)
     ]
 

@@ -32,9 +32,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Iterator
 
-# clip and QUOTE_CHARS live in _record, which the oracle loads without this
-# module; both stay importable from here.
-from ._record import QUOTE_CHARS, FrozenRecord, clip  # noqa: F401
+from ._record import FrozenRecord, clip
 
 
 class WordSyntaxError(ValueError):
@@ -89,24 +87,6 @@ class ClaspWord(FrozenRecord):
     def __str__(self) -> str:
         """Canonical text form: single spaces, one term per letter."""
         return " ".join(str(letter) for letter in self.letters)
-
-    def signed_count(self, index: int) -> int:
-        """Sum of the signs of all letters with the given index."""
-        return sum(letter.sign for letter in self.letters if letter.index == index)
-
-    def restrict(self, i: int, j: int) -> "ClaspWord":
-        """Delete every letter whose index is neither i nor j."""
-        if i == j:
-            raise ValueError("restrict requires two distinct indices")
-        return ClaspWord(tuple(l for l in self.letters if l.index in (i, j)))
-
-    def rotate(self, k: int) -> "ClaspWord":
-        """Cyclic left rotation by k positions (basepoint change)."""
-        m = len(self.letters)
-        if m == 0:
-            return self
-        k %= m
-        return ClaspWord(self.letters[k:] + self.letters[:k])
 
 
 WORD_LETTER_CAP = 10_000_000  # letters in one parsed word

@@ -5,10 +5,11 @@ from pathlib import Path
 
 import pytest
 
+from clasplink._record import QUOTE_CHARS
 from clasplink.cli import main, render_curve_svg
 from clasplink.complexes import BRN_CAP
 from clasplink.curves import build_curve
-from clasplink.words import QUOTE_CHARS, parse_word
+from clasplink.words import parse_word
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 BORROMEAN = str(DATA / "borromean.cc")
@@ -301,6 +302,57 @@ def test_invalid_int_argument_quotes_short_values_as_argparse_does(capsys, value
         plain.parse_args(["x1", "1", value])
     expected = capsys.readouterr().err.splitlines()[-1]
     assert usage_error(capsys, "eij", "x1", "1", value) == expected
+
+
+@pytest.mark.parametrize(
+    "argv, name, value",
+    [
+        (("lk", BORROMEAN, "1", "\u0662"), "j", "\u0662"),
+        (("gen-brn", "0_1"), "n", "0_1"),
+        (("oracle", "words", "--max-len", "\u0661\u0662"), "--max-len", "\u0661\u0662"),
+    ],
+    ids=["arabic-indic-two", "underscore", "arabic-indic-twelve"],
+)
+def test_integer_arguments_take_ascii_digits_only(capsys, argv, name, value):
+    # int() reads each of these; complex files take ASCII digits only, and
+    # so does the command line
+    line = usage_error(capsys, *argv)
+    assert line == f"clasplink {argv[0]}: error: argument {name}: invalid int value: {value!r}"
+
+
+@pytest.mark.parametrize(
+    "j, expected",
+    [
+        ("+2", (0, "0\n", "")),
+        (" 2", (0, "0\n", "")),
+        ("-1", (2, "", "error: component -1 is not a component of this complex (n=3)\n")),
+    ],
+    ids=["plus-sign", "leading-space", "negative"],
+)
+def test_ascii_integer_arguments_keep_their_output(capsys, j, expected):
+    assert run(capsys, "lk", BORROMEAN, "1", j) == expected
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("lk", BORROMEAN, "1"), "clasplink lk: error: the following arguments are required: j"),
+        (("eij", "x1", "1", "2", "--method", "area"), "clasplink eij: error: argument --method: invalid choice: 'area'"),
+        (("gen-brn", "two"), "clasplink gen-brn: error: argument n: invalid int value: 'two'"),
+    ],
+    ids=["missing-argument", "bad-choice", "bad-integer"],
+)
+def test_usage_errors_print_the_usage_then_one_error_line(capsys, argv, message):
+    # argparse's own errors are the one exception to a single error line
+    with pytest.raises(SystemExit) as stopped:
+        main(list(argv))
+    assert stopped.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert lines[0].startswith(f"usage: clasplink {argv[0]} [-h]")
+    assert lines[-1].startswith(message)  # newer Pythons drop the quotes from a choice list
+    assert sum("error:" in line for line in lines) == 1
 
 
 @pytest.mark.parametrize("argv", [("lk", BORROMEAN, "1", HUGE), ("mu", BORROMEAN, HUGE, "2", "3")])

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from clasplink._record import QUOTE_CHARS
 from clasplink.cli import main
 from clasplink.complexes import (
     BRN_CAP,
@@ -19,7 +20,7 @@ from clasplink.complexes import (
     with_rotated_order,
 )
 from clasplink.invariants import pairwise_linking
-from clasplink.words import QUOTE_CHARS, ClaspWord, parse_word
+from clasplink.words import ClaspWord, parse_word
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 

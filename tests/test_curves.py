@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clasplink.bounds import ceil_two_sqrt
-from clasplink.curves import LatticeCurve, build_curve
+from clasplink.curves import DOWN, LEFT, RIGHT, UP, LatticeCurve, build_curve
 from clasplink.invariants import e_ij
 from clasplink.words import ClaspWord, SignedLetter, parse_word
 
@@ -22,6 +22,13 @@ L1N = SignedLetter(1, -1)
 L2P = SignedLetter(2, 1)
 L2N = SignedLetter(2, -1)
 TWO_INDEX_ALPHABET = (L1P, L1N, L2P, L2N)
+CODES = {(1, 0): RIGHT, (-1, 0): LEFT, (0, 1): UP, (0, -1): DOWN}
+
+
+def curve_of(vertices):
+    """The curve through vertices that start at (0, 0) and move by unit
+    cardinal steps."""
+    return LatticeCurve(bytes([CODES[x1 - x0, y1 - y0] for (x0, y0), (x1, y1) in zip(vertices, vertices[1:])]))
 
 
 def two_index_words(max_len):
@@ -34,7 +41,7 @@ def closed_self_avoiding_curves(max_len):
     """Every closed curve from the origin whose interior vertices are all
     distinct, up to the length cap.  Includes the trivial single-vertex
     curve and both traversal directions of each polygon."""
-    found = [LatticeCurve(((0, 0),))]
+    found = [LatticeCurve(b"")]
     path = [(0, 0)]
     visited = {(0, 0)}
 
@@ -44,7 +51,7 @@ def closed_self_avoiding_curves(max_len):
         for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
             if nb == (0, 0):
                 if steps + 1 <= max_len:
-                    found.append(LatticeCurve(tuple(path) + ((0, 0),)))
+                    found.append(curve_of(path + [(0, 0)]))
             elif nb not in visited and abs(nb[0]) + abs(nb[1]) <= max_len - steps - 1:
                 visited.add(nb)
                 path.append(nb)
@@ -118,18 +125,13 @@ def test_build_curve_rejects_equal_indices():
 
 
 def test_curve_validation():
-    with pytest.raises(ValueError):
-        LatticeCurve(())
-    with pytest.raises(ValueError):
-        LatticeCurve(((1, 0), (0, 0)))
-    with pytest.raises(ValueError):
-        LatticeCurve(((0, 0), (1, 1)))
-    with pytest.raises(ValueError):
-        LatticeCurve(((0, 0), (2, 0)))
+    # the steps are checked, not converted: refusals are tested below
+    assert LatticeCurve(b"").vertices == ((0, 0),)
+    assert LatticeCurve(bytes([RIGHT, UP, LEFT, DOWN])).vertices == ((0, 0), (1, 0), (1, 1), (0, 1), (0, 0))
 
 
 def test_build_curve_output_passes_the_public_check():
-    # build_curve skips the step walk; the public constructor still makes it
+    # the vertices start at (0, 0) and move by unit cardinal steps
     rng = random.Random(11)
     for _ in range(500):
         w = ClaspWord.from_pairs(
@@ -137,7 +139,8 @@ def test_build_curve_output_passes_the_public_check():
             for _ in range(rng.randint(0, 30))
         )
         curve = build_curve(w, 1, 2)
-        assert LatticeCurve(curve.vertices) == curve
+        assert ReferenceLatticeCurve(curve.vertices).vertices == curve.vertices
+        assert curve_of(curve.vertices) == LatticeCurve(curve.steps) == curve
 
 
 def test_is_closed():
@@ -153,7 +156,7 @@ def test_closed_iff_signed_counts_vanish():
             for _ in range(rng.randint(0, 16))
         )
         curve = build_curve(w, 1, 2)
-        balanced = w.signed_count(1) == 0 and w.signed_count(2) == 0
+        balanced = all(sum(letter.sign for letter in w if letter.index == i) == 0 for i in (1, 2))
         assert curve.is_closed() == balanced
 
 
@@ -176,7 +179,7 @@ def test_is_simple_requires_closed():
 
 def test_line_integral_examples():
     assert build_curve(parse_word("x1 x2 x1^-1 x2^-1"), 1, 2).line_integral_x_dy() == 1
-    assert LatticeCurve(((0, 0),)).line_integral_x_dy() == 0
+    assert LatticeCurve(b"").line_integral_x_dy() == 0
     # clockwise unit square
     assert build_curve(parse_word("x2 x1 x2^-1 x1^-1"), 1, 2).line_integral_x_dy() == -1
 
@@ -198,13 +201,8 @@ def test_reversal_flips_integral_and_is_involutive():
 
 
 def test_reversal_of_trivial_curve():
-    point = LatticeCurve(((0, 0),))
+    point = LatticeCurve(b"")
     assert point.reversed() == point
-
-
-def test_to_text():
-    curve = build_curve(parse_word("x1 x2"), 1, 2)
-    assert curve.to_text() == "0 0\n1 0\n1 1\n"
 
 
 def test_integral_matches_pair_count_exhaustively():
@@ -307,9 +305,6 @@ class ReferenceLatticeCurve:
         xe, ye = self.vertices[-1]
         return ReferenceLatticeCurve(tuple((x - xe, y - ye) for x, y in reversed(self.vertices)))
 
-    def to_text(self) -> str:
-        return "\n".join(f"{x} {y}" for x, y in self.vertices) + "\n"
-
 
 STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
@@ -375,19 +370,16 @@ def simplicity(curve):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(curve_vertices)
 def test_columns_agree_with_the_tuple_curve(vertices):
-    curve, reference = LatticeCurve(vertices), ReferenceLatticeCurve(vertices)
+    curve, reference = curve_of(vertices), ReferenceLatticeCurve(vertices)
     assert curve.vertices == reference.vertices
     assert curve.length == reference.length
     assert curve.is_closed() == reference.is_closed()
     assert simplicity(curve) == simplicity(reference)
     assert curve.line_integral_x_dy() == reference.line_integral_x_dy()
     assert curve.reversed().vertices == reference.reversed().vertices
-    assert curve.to_text() == reference.to_text()
-    assert curve == LatticeCurve(reference.vertices)
-    assert hash(curve) == hash(LatticeCurve(reference.vertices))
+    assert curve == curve_of(reference.vertices)
+    assert hash(curve) == hash(curve_of(reference.vertices))
     assert curve.reversed().reversed() == curve
-    assert list(curve.xs) == [x for x, _ in reference.vertices]
-    assert list(curve.ys) == [y for _, y in reference.vertices]
     xs, ys = zip(*reference.vertices)
     assert curve.bounding_box() == (min(xs), max(xs), min(ys), max(ys))
 
@@ -401,7 +393,7 @@ def test_columns_agree_with_the_tuple_curve(vertices):
 def test_long_thin_curves_agree_with_the_tuple_curve(vertices):
     # x * span + y here passes 2**30, past the one-digit ints sort fastest;
     # the tall eight meets its repeated point only past is_simple's probe
-    curve, reference = LatticeCurve(vertices), ReferenceLatticeCurve(vertices)
+    curve, reference = curve_of(vertices), ReferenceLatticeCurve(vertices)
     assert curve.is_simple() == reference.is_simple()
     assert curve.line_integral_x_dy() == reference.line_integral_x_dy()
 
@@ -409,7 +401,7 @@ def test_long_thin_curves_agree_with_the_tuple_curve(vertices):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(curve_vertices, curve_vertices)
 def test_columns_compare_and_hash_as_the_tuple_curve(first, second):
-    curves = LatticeCurve(first), LatticeCurve(second)
+    curves = curve_of(first), curve_of(second)
     references = ReferenceLatticeCurve(first), ReferenceLatticeCurve(second)
     assert (curves[0] == curves[1]) == (references[0] == references[1])
     assert (curves[0] != curves[1]) == (references[0] != references[1])
@@ -419,23 +411,35 @@ def test_columns_compare_and_hash_as_the_tuple_curve(first, second):
 
 
 @pytest.mark.parametrize(
-    "vertices",
-    [(), ((1, 0), (0, 0)), ((0, 0), (1, 1)), ((0, 0), (2, 0)), ((0, 0), (0, -1), (0, -3)), [[0, 0]]],
+    "steps",
+    [b"\x04", bytes([RIGHT, UP, LEFT, DOWN, 255]), bytes(range(256)), "", "0123", bytearray(b"\x00"),
+     memoryview(b"\x00"), [RIGHT, UP], ((0, 0), (1, 0)), None],
+    ids=["code-4", "code-255-last", "every-byte", "empty-str", "str", "bytearray", "memoryview", "list",
+         "vertices", "none"],
 )
-def test_columns_refuse_what_the_tuple_curve_refuses(vertices):
-    with pytest.raises(ValueError) as expected:
-        ReferenceLatticeCurve(vertices)
-    with pytest.raises(ValueError) as got:
-        LatticeCurve(vertices)
-    assert str(got.value) == str(expected.value)
+def test_curve_refuses_all_but_bytes_of_step_codes(steps):
+    with pytest.raises(ValueError, match="^steps must be a bytes object of step codes 0 to 3$"):
+        LatticeCurve(steps)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.binary(max_size=40))
+def test_curve_takes_exactly_the_bytes_of_step_codes(steps):
+    if all(code <= DOWN for code in steps):
+        assert LatticeCurve(steps).steps is steps
+    else:
+        with pytest.raises(ValueError):
+            LatticeCurve(steps)
 
 
 def test_curve_is_immutable_and_not_equal_to_other_types():
     curve = build_curve(parse_word("x1 x2"), 1, 2)
     with pytest.raises(AttributeError):
-        curve.xs = curve.ys
+        curve.steps = b""
     assert curve != curve.vertices
-    assert repr(curve) == "LatticeCurve(vertices=((0, 0), (1, 0), (1, 1)))"
+    assert curve != curve.steps
+    assert repr(curve) == "LatticeCurve(steps=b'\\x00\\x02')"
+    assert eval(repr(curve)) == curve
     assert copy.deepcopy(curve) == pickle.loads(pickle.dumps(curve)) == curve
 
 
@@ -466,7 +470,7 @@ def test_curve_holds_its_columns_only():
     assert curve.is_closed() and curve.length > 100_000
     # two 8-byte columns and their growth slack held 24 bytes a vertex; a
     # tuple of points held over 60
-    assert held <= 24 * len(curve.xs)
+    assert held <= 24 * (curve.length + 1)
 
 
 def test_curve_holds_one_byte_a_step():
@@ -493,4 +497,4 @@ def test_is_simple_peak_stays_near_its_sorted_codes():
     assert simple
     # one int and one list slot per interior vertex, plus the sort's merge
     # space; a set of the points peaked over 60 bytes a vertex
-    assert peak <= 50 * len(curve.xs)
+    assert peak <= 50 * (curve.length + 1)

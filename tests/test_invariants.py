@@ -74,7 +74,8 @@ def test_restriction_does_not_change_value():
             for _ in range(rng.randint(0, 24))
         )
         i, j = rng.sample((1, 2, 3, 4), 2)
-        assert e_ij(w, i, j) == e_ij(w.restrict(i, j), i, j)
+        restricted = ClaspWord(tuple(letter for letter in w if letter.index in (i, j)))
+        assert e_ij(w, i, j) == e_ij(restricted, i, j)
 
 
 def test_rotation_invariance_on_balanced_words():
@@ -85,11 +86,13 @@ def test_rotation_invariance_on_balanced_words():
     for length in range(9):
         for combo in itertools.product(alphabet, repeat=length):
             w = ClaspWord(combo)
-            if w.signed_count(1) != 0 or w.signed_count(2) != 0:
+            if sum(letter.sign for letter in combo if letter.index == 1) != 0:
+                continue
+            if sum(letter.sign for letter in combo if letter.index == 2) != 0:
                 continue
             value = e_ij(w, 1, 2)
             for k in range(1, length):
-                assert e_ij(w.rotate(k), 1, 2) == value
+                assert e_ij(ClaspWord(combo[k:] + combo[:k]), 1, 2) == value
             checked += 1
     assert checked > 5000
 
@@ -136,8 +139,8 @@ def test_pairwise_linking_equals_signed_letter_count():
     for F in (BORROMEAN, generate_brn(1), generate_brn(3), generate_brn(7)):
         for i, j in itertools.permutations(range(1, 4), 2):
             lk = pairwise_linking(F, i, j)
-            assert clasp_word(F, i).signed_count(j) == lk
-            assert clasp_word(F, j).signed_count(i) == lk
+            assert sum(letter.sign for letter in clasp_word(F, i) if letter.index == j) == lk
+            assert sum(letter.sign for letter in clasp_word(F, j) if letter.index == i) == lk
 
 
 def test_triple_linking_borromean():

@@ -1,12 +1,11 @@
 import pytest
+from reference_polyominoes import fixed_polyominoes, is_connected, normalize, perimeter
 
 from clasplink.oracles import (
     CapExceededError,
     _word_states,
     OracleReport,
-    Polyomino,
     count_fixed_polyominoes,
-    enumerate_polyominoes,
     format_reports,
     verify_min_perimeter,
     verify_word_length_bound,
@@ -17,18 +16,10 @@ from clasplink.oracles import (
 KNOWN_FIXED_COUNTS = [1, 2, 6, 19, 63, 216, 760, 2725, 9910, 36446]
 
 
-def flood_fill_connected(cells):
-    cells = set(cells)
-    start = next(iter(cells))
-    todo = [start]
-    seen = {start}
-    while todo:
-        x, y = todo.pop()
-        for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-            if nb in cells and nb not in seen:
-                seen.add(nb)
-                todo.append(nb)
-    return seen == cells
+@pytest.fixture(scope="module")
+def shapes():
+    """The reference cell sets of every area up to 10, index = area."""
+    return fixed_polyominoes(10)
 
 
 def boundary_edge_count(cells):
@@ -42,68 +33,59 @@ def boundary_edge_count(cells):
     return edges
 
 
-def test_enumeration_matches_known_counts():
-    for area, expected in enumerate(KNOWN_FIXED_COUNTS, start=1):
-        assert len(enumerate_polyominoes(area)) == expected
+def test_enumeration_matches_known_counts(shapes):
+    assert [len(shapes[area]) for area in range(1, 11)] == KNOWN_FIXED_COUNTS
 
 
 def test_second_method_matches_known_counts():
     assert count_fixed_polyominoes(10) == KNOWN_FIXED_COUNTS
 
 
-def test_both_methods_agree():
-    growth = [len(enumerate_polyominoes(a)) for a in range(1, 11)]
+def test_both_methods_agree(shapes):
+    growth = [len(shapes[a]) for a in range(1, 11)]
     assert growth == count_fixed_polyominoes(10)
 
 
-def test_small_enumerations_by_hand():
-    assert [sorted(p.cells) for p in enumerate_polyominoes(1)] == [[(0, 0)]]
-    dominoes = {frozenset(p.cells) for p in enumerate_polyominoes(2)}
-    assert dominoes == {
+def test_small_enumerations_by_hand(shapes):
+    assert [sorted(p) for p in shapes[1]] == [[(0, 0)]]
+    assert set(shapes[2]) == {
         frozenset({(0, 0), (1, 0)}),
         frozenset({(0, 0), (0, 1)}),
     }
-    assert len(enumerate_polyominoes(3)) == 6
+    assert len(shapes[3]) == 6
 
 
-def test_enumerated_polyominoes_are_normalized_connected_and_sized():
+def test_enumerated_polyominoes_are_normalized_connected_and_sized(shapes):
     for area in range(1, 7):
-        shapes = enumerate_polyominoes(area)
-        assert len(shapes) == len({p.cells for p in shapes})
-        for p in shapes:
-            assert p.area == area
-            assert min(x for x, _ in p.cells) == 0
-            assert min(y for _, y in p.cells) == 0
-            assert flood_fill_connected(p.cells)
+        assert len(shapes[area]) == len(set(shapes[area]))
+        for p in shapes[area]:
+            assert len(p) == area
+            assert min(x for x, _ in p) == 0
+            assert min(y for _, y in p) == 0
+            assert is_connected(p)
 
 
-def test_enumeration_is_deterministically_sorted():
-    first = [tuple(sorted(p.cells)) for p in enumerate_polyominoes(5)]
+def test_enumeration_is_deterministically_sorted(shapes):
+    first = [tuple(sorted(p)) for p in shapes[5]]
     assert first == sorted(first)
-    assert first == [tuple(sorted(p.cells)) for p in enumerate_polyominoes(5)]
+    assert first == [tuple(sorted(p)) for p in fixed_polyominoes(5)[5]]
 
 
 def test_perimeter_examples():
-    assert Polyomino(frozenset({(0, 0)})).perimeter() == 4
-    square = Polyomino(frozenset({(0, 0), (1, 0), (0, 1), (1, 1)}))
-    assert square.perimeter() == 8
-    bar = Polyomino(frozenset({(0, 0), (1, 0), (2, 0)}))
-    assert bar.perimeter() == 8
+    assert perimeter(frozenset({(0, 0)})) == 4
+    square = frozenset({(0, 0), (1, 0), (0, 1), (1, 1)})
+    assert perimeter(square) == 8
+    bar = frozenset({(0, 0), (1, 0), (2, 0)})
+    assert perimeter(bar) == 8
 
 
-def test_perimeter_equals_boundary_edge_count():
+def test_perimeter_equals_boundary_edge_count(shapes):
     for area in range(1, 7):
-        for p in enumerate_polyominoes(area):
-            assert p.perimeter() == boundary_edge_count(p.cells)
+        for p in shapes[area]:
+            assert perimeter(p) == boundary_edge_count(p)
 
 
-def normalize(cells):
-    dx = min(x for x, _ in cells)
-    dy = min(y for _, y in cells)
-    return frozenset((x - dx, y - dy) for x, y in cells)
-
-
-def test_perimeter_invariant_under_grid_symmetries():
+def test_perimeter_invariant_under_grid_symmetries(shapes):
     transforms = [
         lambda x, y: (x, y),
         lambda x, y: (-x, y),
@@ -115,18 +97,17 @@ def test_perimeter_invariant_under_grid_symmetries():
         lambda x, y: (-y, -x),
     ]
     for area in range(1, 6):
-        for p in enumerate_polyominoes(area):
+        for p in shapes[area]:
             for t in transforms:
-                moved = Polyomino(normalize({t(x, y) for x, y in p.cells}))
-                assert moved.perimeter() == p.perimeter()
+                moved = normalize({t(x, y) for x, y in p})
+                assert moved in shapes[area]
+                assert perimeter(moved) == perimeter(p)
 
 
-def test_polyomino_validation():
-    with pytest.raises(ValueError):
-        Polyomino(frozenset())
-    with pytest.raises(ValueError):
-        Polyomino(frozenset({(1, 0)}))
-    assert not Polyomino(frozenset({(0, 0), (0, 2)})).is_connected()
+def test_reference_connectivity_and_normalization():
+    assert is_connected(frozenset({(0, 0), (0, 1)}))
+    assert not is_connected(frozenset({(0, 0), (0, 2)}))
+    assert normalize({(3, -2), (4, -2)}) == frozenset({(0, 0), (1, 0)})
 
 
 def test_verify_min_perimeter_small():
@@ -141,10 +122,10 @@ def test_verify_min_perimeter_full_range():
     assert all(r.agree for r in verify_min_perimeter(10))
 
 
-def test_min_perimeter_matches_enumeration():
+def test_min_perimeter_matches_enumeration(shapes):
     """The walk's minima against the cell sets built by growth."""
     for r in verify_min_perimeter(10):
-        assert r.observed == min(p.perimeter() for p in enumerate_polyominoes(r.parameter))
+        assert r.observed == min(map(perimeter, shapes[r.parameter]))
 
 
 def tree_walk_word_lengths(max_len):
@@ -237,19 +218,15 @@ def test_verify_word_length_bound_is_exhaustive_over_lengths():
 
 def test_caps_guard_runtime():
     with pytest.raises(CapExceededError):
-        enumerate_polyominoes(11)
-    with pytest.raises(CapExceededError):
         verify_min_perimeter(11)
     with pytest.raises(CapExceededError):
         verify_word_length_bound(13)
     # the caps themselves can be overridden
-    assert enumerate_polyominoes(3, cap=3)
+    assert verify_min_perimeter(3, cap=3)
     assert verify_word_length_bound(4, cap=4)
 
 
 def test_bad_parameters():
-    with pytest.raises(ValueError):
-        enumerate_polyominoes(0)
     with pytest.raises(ValueError):
         verify_min_perimeter(0)
     with pytest.raises(ValueError):

@@ -15,7 +15,7 @@ import clasplink
 from clasplink.bounds import BoundReport
 from clasplink.complexes import CComplex, Clasp, generate_brn, parse_complex, validate
 from clasplink.invariants import TripleLinkingResult
-from clasplink.oracles import OracleReport, Polyomino
+from clasplink.oracles import OracleReport
 from clasplink.words import ClaspWord, SignedLetter
 
 
@@ -103,17 +103,6 @@ class ReferenceTripleLinkingResult:
 
 
 @dataclass(frozen=True)
-class ReferencePolyomino:
-    cells: frozenset
-
-    def __post_init__(self) -> None:
-        if not self.cells:
-            raise ValueError("a polyomino has at least one cell")
-        if min(x for x, _ in self.cells) != 0 or min(y for _, y in self.cells) != 0:
-            raise ValueError("polyomino cells must be normalized to min x = min y = 0")
-
-
-@dataclass(frozen=True)
 class ReferenceOracleReport:
     parameter: int
     observed: int
@@ -135,7 +124,6 @@ CASES = [
     (Clasp, ReferenceClasp, [("a", 1, 2, 1), ("a", 2, 3, 1), ("b", 1, 2, 1), ("a", 1, 2, -1), ("é", 7, 4, -1)]),
     (OracleReport, ReferenceOracleReport, [(1, 4, 4), (2, 6, 6), (3, 8, 6)]),
     (TripleLinkingResult, ReferenceTripleLinkingResult, [(4, (1, 1, 2), True), (4, (1, 1, 2), False), (0, (0, 0, 0), True)]),
-    (Polyomino, ReferencePolyomino, [(frozenset({(0, 0)}),), (frozenset({(0, 0), (0, 1)}),)]),
     (BoundReport, ReferenceBoundReport, [(2, 1, 1, 1, 1), (3, 2, 4, 0, 4, None, {"upper_C": "count"}), (2, 0, 2, 0, 2, frozenset({0, 2}))]),
     (CComplex, ReferenceCComplex, [(1, (), ((),)), (2, (), ((), ())), (2, (), [["a"], []])]),
 ]
@@ -242,8 +230,6 @@ INVALID = [
     (BoundReport, ReferenceBoundReport, (2, 0, 1, 2, 1)),
     (BoundReport, ReferenceBoundReport, (2, 0, 1, 0, 2)),
     (TripleLinkingResult, ReferenceTripleLinkingResult, (1, (0, 0, 0), True)),
-    (Polyomino, ReferencePolyomino, (frozenset(),)),
-    (Polyomino, ReferencePolyomino, (frozenset({(1, 0)}),)),
 ]
 
 

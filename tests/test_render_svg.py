@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clasplink.cli import SVG_SCALE, render_curve_svg
-from clasplink.curves import _WINDOW, LatticeCurve
+from clasplink.curves import _WINDOW, DOWN, LEFT, RIGHT, UP, LatticeCurve
 
 STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
@@ -58,14 +58,12 @@ def reference_render_curve_svg(curve: LatticeCurve, grid: bool = False, scale: i
     return "\n".join(lines) + "\n"
 
 
+CODES = {(1, 0): RIGHT, (-1, 0): LEFT, (0, 1): UP, (0, -1): DOWN}
+
+
 def walk(steps) -> LatticeCurve:
-    x = y = 0
-    vertices = [(0, 0)]
-    for dx, dy in steps:
-        x += dx
-        y += dy
-        vertices.append((x, y))
-    return LatticeCurve(tuple(vertices))
+    """The curve of the given ``(dx, dy)`` unit steps."""
+    return LatticeCurve(bytes([CODES[step] for step in steps]))
 
 
 def random_walk(vertex_count: int, seed: int) -> LatticeCurve:

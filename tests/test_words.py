@@ -6,15 +6,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from clasplink import words as words_module
+from clasplink._record import QUOTE_CHARS, clip
 from clasplink.cli import main
 from clasplink.words import (
-    QUOTE_CHARS,
     WORD_INDEX_DIGITS,
     WORD_LETTER_CAP,
     ClaspWord,
     SignedLetter,
     WordSyntaxError,
-    clip,
     parse_word,
 )
 
@@ -120,61 +119,6 @@ def test_round_trip_many_random_words():
 @given(words)
 def test_round_trip_property(w):
     assert parse_word(str(w)) == w
-
-
-def test_signed_count_examples():
-    assert parse_word("x1 x2 x1^-1 x2^-1").signed_count(1) == 0
-    assert parse_word("x3^-1 x2 x3 x2^-1").signed_count(2) == 0
-    assert parse_word("x3^-1 x2 x3 x2^-1").signed_count(3) == 0
-    assert parse_word("x1 x1 x2").signed_count(1) == 2
-    assert ClaspWord().signed_count(1) == 0
-
-
-def test_restrict_examples():
-    assert parse_word("x3 x1 x3^-1 x2").restrict(1, 2) == parse_word("x1 x2")
-    w = parse_word("x1 x2 x1^-1 x2^-1")
-    assert w.restrict(1, 2) == w
-    assert parse_word("x3 x3^-1").restrict(1, 2) == ClaspWord()
-
-
-def test_restrict_rejects_equal_indices():
-    with pytest.raises(ValueError):
-        parse_word("x1").restrict(2, 2)
-
-
-@given(words, st.integers(1, 5), st.integers(1, 5))
-def test_restrict_idempotent(w, i, j):
-    if i == j:
-        return
-    once = w.restrict(i, j)
-    assert once.restrict(i, j) == once
-
-
-@given(words, st.integers(1, 5), st.integers(1, 5))
-def test_restrict_length_is_letter_count(w, i, j):
-    if i == j:
-        return
-    expected = sum(1 for l in w if l.index in (i, j))
-    assert len(w.restrict(i, j)) == expected
-
-
-def test_rotate_examples():
-    w = parse_word("x1 x2 x3")
-    assert w.rotate(1) == parse_word("x2 x3 x1")
-    assert w.rotate(0) == w
-    assert w.rotate(3) == w
-    assert w.rotate(-1) == parse_word("x3 x1 x2")
-    assert ClaspWord().rotate(5) == ClaspWord()
-
-
-@given(words, st.integers(-20, 20), st.integers(1, 5))
-def test_rotation_preserves_signed_count(w, k, i):
-    assert w.rotate(k).signed_count(i) == w.signed_count(i)
-
-
-@given(words, st.integers(-20, 20))
-def test_rotation_preserves_length(w, k):
-    assert len(w.rotate(k)) == len(w)
 
 
 def test_parse_shares_one_letter_per_index_and_sign():
