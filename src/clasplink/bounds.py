@@ -66,6 +66,11 @@ def three_component_lower_bound(mu: int) -> int:
     return 2 * _smallest_root_at_least(4 * abs(mu), 3)
 
 
+def _braces(values: frozenset[int]) -> str:
+    """A set of values as a report prints it: ``{0, 2}``."""
+    return "{" + ", ".join([str(v) for v in sorted(values)]) + "}"
+
+
 class BoundReport(FrozenRecord):
     """Bounds on C(L) and B(L) with a provenance tag per bound.
 
@@ -103,8 +108,7 @@ class BoundReport(FrozenRecord):
 
     def summary(self) -> str:
         if isinstance(self.exact_C, frozenset):
-            values = ", ".join(str(v) for v in sorted(self.exact_C))
-            head = f"C in {{{values}}}"
+            head = f"C in {_braces(self.exact_C)}"
         elif self.exact_C is not None:
             head = f"C = {self.exact_C} (exact)"
         elif self.lower_C == self.upper_C:
@@ -126,8 +130,7 @@ class BoundReport(FrozenRecord):
             note = self.provenance.get(key, "")
             suffix = f" # {note}" if note else ""
             if isinstance(value, frozenset):
-                values = ", ".join(str(v) for v in sorted(value))
-                lines.append(f"{key} in {{{values}}}{suffix}")
+                lines.append(f"{key} in {_braces(value)}{suffix}")
             else:
                 lines.append(f"{key} = {value}{suffix}")
         return "\n".join(lines) + "\n"
@@ -136,60 +139,40 @@ class BoundReport(FrozenRecord):
 def bound_report(F: CComplex) -> BoundReport:
     """Assemble every bound the given 2- or 3-component complex certifies.
 
-    The complex itself always supplies the upper bound (its clasp count);
-    lower bounds come from the linking numbers, and for 3 components with
-    vanishing pairwise linking from the triple linking number.
+    The complex itself always supplies the upper bound (its clasp count)
+    and the linking numbers the lower bound on B(L).  The lower bound on
+    C(L) comes from the linking numbers too, except for 3 components with
+    vanishing pairwise linking, where the triple linking number gives it.
     """
     # imported here, so the oracles' use of ceil_two_sqrt loads no complexes
-    from .complexes import _require_valid, total_clasps
+    from .complexes import total_clasps
     from .invariants import pairwise_linking, triple_linking
 
-    _require_valid(F)
+    clasps = total_clasps(F)  # refuses an invalid complex
     if F.n not in (2, 3):
         raise ValueError(f"bound reports cover 2- or 3-component links only, got {F.n}")
 
-    clasps = total_clasps(F)
+    pairs = ((1, 2),) if F.n == 2 else ((1, 2), (2, 3), (3, 1))
+    lks = [pairwise_linking(F, *pair) for pair in pairs]
+    lower_B = sum(abs(v) for v in lks)
     provenance = {
         "upper_C": "clasp count of this complex",
         "lower_B": "sum of |lk| over pairs",
         "upper_B": "crossing change at each clasp",
     }
-
+    exact_C: int | frozenset[int] | None = None
     if F.n == 2:
-        lk = pairwise_linking(F, 1, 2)
-        exact = two_component_clasp_number(lk)
+        lower_C = lower_B
+        exact_C = two_component_clasp_number(lks[0])
         provenance["lower_C"] = "pairwise linking number"
         provenance["exact_C"] = "linking number determines the clasp number"
-        return BoundReport(
-            n=2,
-            lower_C=abs(lk),
-            upper_C=clasps,
-            lower_B=abs(lk),
-            upper_B=clasps,
-            exact_C=exact,
-            provenance=provenance,
-        )
-
-    pairs = ((1, 2), (2, 3), (3, 1))
-    lks = {pair: pairwise_linking(F, *pair) for pair in pairs}
-    sum_abs = sum(abs(v) for v in lks.values())
-    exact_C: int | None = None
-    if all(v == 0 for v in lks.values()):
-        mu = triple_linking(F, 1, 2, 3).value
-        lower_C = three_component_lower_bound(mu)
-        provenance["lower_C"] = "triple linking lower bound"
-    else:
-        lower_C = sum_abs
+    elif any(lks):
+        lower_C = lower_B
         provenance["lower_C"] = "sum of |lk| over pairs"
-    if lower_C == clasps:
+    else:
+        lower_C = three_component_lower_bound(triple_linking(F, 1, 2, 3).value)
+        provenance["lower_C"] = "triple linking lower bound"
+    if F.n == 3 and lower_C == clasps:
         exact_C = clasps
         provenance["exact_C"] = "lower and upper bounds coincide"
-    return BoundReport(
-        n=3,
-        lower_C=lower_C,
-        upper_C=clasps,
-        lower_B=sum_abs,
-        upper_B=clasps,
-        exact_C=exact_C,
-        provenance=provenance,
-    )
+    return BoundReport(F.n, lower_C, clasps, lower_B, clasps, exact_C, provenance)

@@ -10,18 +10,21 @@ Subcommands:
     bounds FILE
     validate FILE
     gen-brn N
-    oracle polyomino|words [--max-area N | --max-len N] [--cap N]
+    oracle polyomino [--max-area N] [--cap N]
+    oracle words [--max-len N] [--cap N]
 
 WORD and FILE may be "-" to read standard input, so ``gen-brn 3`` pipes
-straight into ``mu`` or ``bounds``.  Exit codes: 0 success, 1
-disagreement (an oracle row, or the two ``eij`` methods), 2 input error,
-3 I/O error.  Output is deterministic byte for byte.
+straight into ``mu`` or ``bounds``.  Each ``oracle`` kind refuses the
+other's bound.  Exit codes: 0 success, 1 disagreement (an oracle row, or
+the two ``eij`` methods), 2 input error, 3 I/O error.  Output is
+deterministic byte for byte.
 
 A subcommand imports only the modules it runs, when it runs: ``oracle``
 loads no complex or curve code, ``eij`` and ``curve`` no complexes, bounds
-or oracles (``eij --method sum`` no curves either), and the complex
-subcommands no curves or oracles.  An error line quotes at most
-``QUOTE_CHARS`` characters of an argument, however long it is.
+or oracles (``eij --method sum`` no curves either, and ``eij --method
+integral`` no invariants), and the complex subcommands no curves or
+oracles.  An error line quotes at most ``QUOTE_CHARS`` characters of an
+argument, however long it is.
 """
 
 from __future__ import annotations
@@ -38,29 +41,30 @@ SVG_SCALE = 40  # pixels per lattice unit
 _PIECE_SEGMENTS = 1024  # polyline segments joined per piece
 
 
-def render_curve_svg(curve: LatticeCurve, grid: bool = False, scale: int = SVG_SCALE) -> str:
+def render_curve_svg(curve: LatticeCurve, grid: bool = False) -> str:
     """Render the curve as an SVG polyline with a start-point marker.
 
     One unit of margin surrounds the bounding box; the y axis is flipped
     so upward steps render upward.  Each coordinate in the box is formatted
     once.  The polyline is written a straight segment at a time: the points
     of a horizontal segment are one ``str.join`` over a slice of the column
-    strings, and those of a vertical one over a slice of the row strings,
-    read from a reversed list for a segment that runs left or down.  The
-    segments are joined ``_PIECE_SEGMENTS`` at a time, so the only
-    whole-curve text built is the returned SVG and the pieces it is joined
-    from.
+    strings, and those of a vertical one over a slice of the row strings.
+    The slice runs backwards (step -1) for a segment that runs left or
+    down; the margin keeps every index at least 1, so a backward slice
+    never ends at -1.  The segments are joined ``_PIECE_SEGMENTS`` at a
+    time, so the only whole-curve text built is the returned SVG and the
+    pieces it is joined from.
     """
-    from .curves import LEFT, RIGHT, UP
+    from .curves import UP
 
     min_x, max_x, min_y, max_y = curve.bounding_box()
-    width = (max_x - min_x + 2) * scale
-    height = (max_y - min_y + 2) * scale
+    width = (max_x - min_x + 2) * SVG_SCALE
+    height = (max_y - min_y + 2) * SVG_SCALE
 
     # px[x - min_x + 1] and py[y - min_y + 1] are the pixel strings of
     # column x and row y, for the box and its one-unit margin
-    px = [str(k * scale) for k in range(max_x - min_x + 3)]
-    py = [str(k * scale) for k in range(max_y - min_y + 2, -1, -1)]
+    px = [str(k * SVG_SCALE) for k in range(max_x - min_x + 3)]
+    py = [str(k * SVG_SCALE) for k in range(max_y - min_y + 2, -1, -1)]
     x0, y0 = 1 - min_x, 1 - min_y  # the start vertex
 
     parts = [
@@ -76,41 +80,31 @@ def render_curve_svg(curve: LatticeCurve, grid: bool = False, scale: int = SVG_S
     if curve.length:
         # A point is " X,Y".  A horizontal segment on row y joins its " X"
         # with rows[y] and ends with it; a vertical one on column x starts
-        # with cols[x] and joins its "Y" with it.  A left or down segment
-        # slices the reversed list, where index k is index last - k.
+        # with cols[x] and joins its "Y" with it.
         rows = ["," + sy for sy in py]
         cols = [" " + sx + "," for sx in px]
-        xs_up = [" " + sx for sx in px]
-        xs_down, ys_down = xs_up[::-1], py[::-1]
-        last_x, last_y = len(px) - 1, len(py) - 1
+        xs = [" " + sx for sx in px]
         x, y = x0, y0
         parts.append(f'  <polyline points="{px[x]},{py[y]}')
         piece: list[str] = []
         add = piece.append
         for run in curve.segments():
             code = run[0]
-            if code == RIGHT:
-                end = x + len(run)
-                add(rows[y].join(xs_up[x + 1 : end + 1]) + rows[y])
+            s = -1 if code & 1 else 1  # LEFT and DOWN are the odd codes
+            if code < UP:
+                end = x + s * len(run)
+                add(rows[y].join(xs[x + s : end + s : s]) + rows[y])
                 x = end
-            elif code == LEFT:
-                end = x - len(run)
-                add(rows[y].join(xs_down[last_x - x + 1 : last_x - end + 1]) + rows[y])
-                x = end
-            elif code == UP:
-                end = y + len(run)
-                add(cols[x] + cols[x].join(py[y + 1 : end + 1]))
-                y = end
             else:
-                end = y - len(run)
-                add(cols[x] + cols[x].join(ys_down[last_y - y + 1 : last_y - end + 1]))
+                end = y + s * len(run)
+                add(cols[x] + cols[x].join(py[y + s : end + s : s]))
                 y = end
             if len(piece) == _PIECE_SEGMENTS:
                 parts.append("".join(piece))
                 piece.clear()
         parts.append("".join(piece))
         parts.append('" fill="none" stroke="#000000" stroke-width="2"/>\n')
-    parts.append(f'  <circle cx="{px[x0]}" cy="{py[y0]}" r="{scale // 8}" fill="#cc0000"/>\n')
+    parts.append(f'  <circle cx="{px[x0]}" cy="{py[y0]}" r="{SVG_SCALE // 8}" fill="#cc0000"/>\n')
     parts.append("</svg>\n")
     return "".join(parts)
 
@@ -139,24 +133,25 @@ def _load_valid_complex(path: str) -> CComplex | None:
 
 
 def cmd_eij(args: argparse.Namespace) -> int:
-    from .invariants import e_ij
     from .words import parse_word
 
     w = parse_word(_read_text(args.word))
-    by_sum = e_ij(w, args.i, args.j)
-    if args.method in ("integral", "both"):
+    by_sum = by_integral = None
+    if args.method != "integral":
+        from .invariants import e_ij
+
+        by_sum = e_ij(w, args.i, args.j)
+    if args.method != "sum":
         from .curves import build_curve
 
         by_integral = build_curve(w, args.i, args.j).line_integral_x_dy()
-        if args.method == "both" and by_sum != by_integral:
-            print(
-                f"error: double sum gave {by_sum} but the line integral gave {by_integral}",
-                file=sys.stderr,
-            )
-            return 1
-        print(by_integral)
-    else:
-        print(by_sum)
+    if args.method == "both" and by_sum != by_integral:
+        print(
+            f"error: double sum gave {by_sum} but the line integral gave {by_integral}",
+            file=sys.stderr,
+        )
+        return 1
+    print(by_sum if by_integral is None else by_integral)
     return 0
 
 
@@ -245,6 +240,11 @@ def cmd_gen_brn(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    # each oracle takes its own bound and refuses the other's
+    if args.kind == "polyomino" and args.max_len is not None:
+        raise ValueError("--max-len does not apply to oracle polyomino")
+    if args.kind == "words" and args.max_area is not None:
+        raise ValueError("--max-area does not apply to oracle words")
     from . import oracles
 
     if args.kind == "polyomino":

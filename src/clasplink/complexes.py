@@ -340,13 +340,11 @@ def parse_complex(text: str) -> CComplex:
 
 
 def print_complex(F: CComplex) -> str:
-    """Canonical text form: clasps sorted by (a, b, first appearance),
-    then one order line per component.  Round-trips through
-    :func:`parse_complex`."""
+    """Canonical text form: clasps sorted by (a, b), ties in file order
+    (the sort is stable), then one order line per component.  Round-trips
+    through :func:`parse_complex`."""
     lines = [f"components {F.n}"]
-    ranked = sorted(range(len(F.clasps)), key=lambda idx: (F.clasps[idx].a, F.clasps[idx].b, idx))
-    for idx in ranked:
-        c = F.clasps[idx]
+    for c in sorted(F.clasps, key=lambda c: (c.a, c.b)):
         lines.append(f"clasp {c.id} {c.a} {c.b} {'+' if c.sign == 1 else '-'}")
     for k in range(1, F.n + 1):
         lines.append(" ".join(["order", str(k), *F.orders[k - 1]]))

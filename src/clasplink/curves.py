@@ -6,8 +6,8 @@ other letters are skipped.  Everything here is exact integer arithmetic.
 
 A curve is its steps from (0, 0), one byte a step: ``RIGHT`` (0) for +x,
 ``LEFT`` (1) for -x, ``UP`` (2) for +y and ``DOWN`` (3) for -y.  Those
-bytes are the one constructor argument, ``LatticeCurve(steps)``, and the
-vertices are built only when asked for.  ``length``, ``is_closed``,
+bytes are the one field of the frozen record ``LatticeCurve(steps)``, and
+the vertices are built only when asked for.  ``length``, ``is_closed``,
 ``reversed``, ``==`` and ``hash`` work on the bytes at C level.  The line
 integral and the bounding box walk the curve's straight segments, one step
 of Python per segment and none per vertex.  ``is_simple`` sorts one integer
@@ -22,6 +22,7 @@ from itertools import accumulate, islice
 from operator import eq
 from typing import Iterator
 
+from ._record import FrozenRecord
 from .words import ClaspWord
 
 Point = tuple[int, int]
@@ -39,39 +40,22 @@ _SEGMENT = re.compile(rb"\x00+|\x01+|\x02+|\x03+")  # a maximal straight run
 _WINDOW = 4096  # steps searched for straight runs at a time
 
 
-class LatticeCurve:
+class LatticeCurve(FrozenRecord):
     """A path of grid points starting at (0, 0) with unit cardinal steps.
 
-    ``steps`` holds one code byte per step (see the module docstring); treat
-    it as read-only.  ``vertices`` builds the coordinates on each access.
-    Curves compare and hash by their steps, which fix their vertices.
+    ``steps`` holds one code byte per step (see the module docstring).
+    ``vertices`` builds the coordinates on each access.  As a frozen record
+    a curve compares, hashes, shows, copies and pickles by its steps, which
+    fix its vertices, and refuses assignment and deletion.
     """
 
-    __slots__ = ("steps",)
+    __slots__ = _fields = ("steps",)
 
     def __init__(self, steps: bytes) -> None:
         # one C-level pass: deleting every valid code leaves nothing
         if type(steps) is not bytes or steps.translate(None, _CODES):
             raise ValueError("steps must be a bytes object of step codes 0 to 3")
         object.__setattr__(self, "steps", steps)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable LatticeCurve")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.steps == other.steps
-
-    def __hash__(self) -> int:
-        return hash(self.steps)
-
-    def __repr__(self) -> str:
-        return f"LatticeCurve(steps={self.steps!r})"
-
-    def __reduce__(self) -> tuple:
-        # copy and pickle rebuild through __init__, past __setattr__
-        return self.__class__, (self.steps,)
 
     def _coordinates(self, delta: list[int]) -> Iterator[int]:
         return accumulate(map(delta.__getitem__, self.steps), initial=0)

@@ -249,6 +249,19 @@ def test_oracle_cap_errors(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("oracle", "words", "--max-area", "3"), "error: --max-area does not apply to oracle words\n"),
+        (("oracle", "polyomino", "--max-len", "2"), "error: --max-len does not apply to oracle polyomino\n"),
+    ],
+    ids=["words-max-area", "polyomino-max-len"],
+)
+def test_oracle_refuses_the_other_kinds_bound(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", message)
+
+
 def test_oracle_polyomino_deeper_than_recursion_limit(capsys):
     # The Redelmeier walk recurses once per cell; an area past the
     # recursion limit is refused before the walk starts.

@@ -99,6 +99,12 @@ def test_eij_by_the_sum_alone_loads_no_curves():
     assert clasplink_modules(loaded) == {"cli", "_record", "words", "invariants"}
 
 
+def test_eij_by_the_integral_alone_loads_no_invariants():
+    codes, loaded = loaded_by(["eij", "x1 x2 x1^-1 x2^-1", "1", "2", "--method", "integral"])
+    assert codes == [0]
+    assert clasplink_modules(loaded) == {"cli", "_record", "words", "curves"}
+
+
 def test_importing_the_package_loads_no_submodule():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     code = "import sys, clasplink; print(sorted(m for m in sys.modules if m.startswith('clasplink')))"

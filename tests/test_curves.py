@@ -443,6 +443,24 @@ def test_curve_is_immutable_and_not_equal_to_other_types():
     assert copy.deepcopy(curve) == pickle.loads(pickle.dumps(curve)) == curve
 
 
+def test_curve_refuses_deletion():
+    curve = build_curve(parse_word("x1 x2"), 1, 2)
+    with pytest.raises(AttributeError):
+        del curve.steps
+    with pytest.raises(AttributeError):
+        delattr(curve, "steps")
+    assert curve.steps == bytes([RIGHT, UP])
+
+
+def test_equal_steps_give_equal_curves_and_hashes():
+    steps = bytes([RIGHT, UP, LEFT, DOWN])
+    first, second = LatticeCurve(steps), LatticeCurve(bytes(bytearray(steps)))
+    assert first.steps is not second.steps
+    assert first == second and hash(first) == hash(second)
+    assert len({first, second, build_curve(parse_word("x1 x2 x1^-1 x2^-1"), 1, 2)}) == 1
+    assert first != LatticeCurve(steps[:-1])
+
+
 # --- memory -----------------------------------------------------------------
 
 
@@ -457,20 +475,6 @@ def comb_word(teeth: int, height: int) -> ClaspWord:
 
 
 COMB = comb_word(teeth=250, height=200)  # about 1e5 vertices, coordinates past 256
-
-
-def test_curve_holds_its_columns_only():
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        curve = build_curve(COMB, 1, 2)
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert curve.is_closed() and curve.length > 100_000
-    # two 8-byte columns and their growth slack held 24 bytes a vertex; a
-    # tuple of points held over 60
-    assert held <= 24 * (curve.length + 1)
 
 
 def test_curve_holds_one_byte_a_step():
