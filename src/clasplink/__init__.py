@@ -33,11 +33,11 @@ _EXPORTS = {
         "CComplex",
         "Clasp",
         "ComplexFormatError",
+        "InvalidComplexError",
         "clasp_word",
         "generate_brn",
         "parse_complex",
         "print_complex",
-        "total_clasps",
         "validate",
         "with_rotated_order",
     ),

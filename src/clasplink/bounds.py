@@ -144,11 +144,10 @@ def bound_report(F: CComplex) -> BoundReport:
     C(L) comes from the linking numbers too, except for 3 components with
     vanishing pairwise linking, where the triple linking number gives it.
     """
-    # imported here, so the oracles' use of ceil_two_sqrt loads no complexes
-    from .complexes import total_clasps
+    # imported here, so the oracles' use of ceil_two_sqrt loads no invariants
     from .invariants import pairwise_linking, triple_linking
 
-    clasps = total_clasps(F)  # refuses an invalid complex
+    clasps = len(F.clasps)
     if F.n not in (2, 3):
         raise ValueError(f"bound reports cover 2- or 3-component links only, got {F.n}")
 

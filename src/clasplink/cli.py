@@ -34,7 +34,6 @@ import sys
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from .complexes import CComplex
     from .curves import LatticeCurve
 
 SVG_SCALE = 40  # pixels per lattice unit
@@ -120,18 +119,6 @@ def _read_file(path: str) -> str:
         return handle.read()
 
 
-def _load_valid_complex(path: str) -> CComplex | None:
-    from .complexes import parse_complex, validate
-
-    F = parse_complex(_read_file(path))
-    violations = validate(F)
-    if violations:
-        for v in violations:
-            print(f"error: {v}", file=sys.stderr)
-        return None
-    return F
-
-
 def cmd_eij(args: argparse.Namespace) -> int:
     from .words import parse_word
 
@@ -173,11 +160,10 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 
 def cmd_mu(args: argparse.Namespace) -> int:
+    from .complexes import parse_complex
     from .invariants import triple_linking
 
-    F = _load_valid_complex(args.file)
-    if F is None:
-        return 2
+    F = parse_complex(_read_file(args.file))
     result = triple_linking(F, args.i, args.j, args.k)
     i, j, k = args.i, args.j, args.k
     print(f"mu = {result.value}")
@@ -189,21 +175,18 @@ def cmd_mu(args: argparse.Namespace) -> int:
 
 
 def cmd_lk(args: argparse.Namespace) -> int:
+    from .complexes import parse_complex
     from .invariants import pairwise_linking
 
-    F = _load_valid_complex(args.file)
-    if F is None:
-        return 2
+    F = parse_complex(_read_file(args.file))
     print(pairwise_linking(F, args.i, args.j))
     return 0
 
 
 def cmd_words(args: argparse.Namespace) -> int:
-    from .complexes import clasp_word
+    from .complexes import clasp_word, parse_complex
 
-    F = _load_valid_complex(args.file)
-    if F is None:
-        return 2
+    F = parse_complex(_read_file(args.file))
     for k in range(1, F.n + 1):
         print(f"w{k} = {clasp_word(F, k)}".rstrip())
     return 0
@@ -211,25 +194,24 @@ def cmd_words(args: argparse.Namespace) -> int:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     from .bounds import bound_report
+    from .complexes import parse_complex
 
-    F = _load_valid_complex(args.file)
-    if F is None:
-        return 2
+    F = parse_complex(_read_file(args.file))
     sys.stdout.write(bound_report(F).format())
     return 0
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    from .complexes import parse_complex, validate
+    from .complexes import InvalidComplexError, parse_complex
 
-    F = parse_complex(_read_file(args.file))
-    violations = validate(F)
-    if not violations:
-        print("OK")
-        return 0
-    for v in violations:
-        print(v)
-    return 2
+    try:
+        parse_complex(_read_file(args.file))
+    except InvalidComplexError as exc:
+        for v in exc.violations:
+            print(v)
+        return 2
+    print("OK")
+    return 0
 
 
 def cmd_gen_brn(args: argparse.Namespace) -> int:
@@ -317,9 +299,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    # WordSyntaxError, ComplexFormatError and CapExceededError are ValueErrors
+    # every input error is a ValueError; an InvalidComplexError lists its violations
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        for problem in getattr(exc, "violations", None) or (exc,):
+            print(f"error: {problem}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

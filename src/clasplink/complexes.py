@@ -14,12 +14,12 @@ File format (line oriented, ``#`` comments, case-sensitive keywords):
 The ``order k`` line lists the clasp ids met along component k starting
 from its basepoint; rotating the list is a basepoint change.
 
-A complex is checked once: when :func:`validate` finds no violations it
-remembers that on the (frozen, immutable) instance, and the functions that
-need a well-formed complex skip the check on an instance that passed it.
-A new instance, whether built with ``CComplex(...)``, by
-:func:`with_rotated_order` or by a copy, is checked again.  An explicit
-``validate(F)`` call always runs the full check.
+A complex is well formed by construction: ``CComplex(...)`` runs
+:func:`validate` on its parts and raises :class:`InvalidComplexError`,
+listing every violation, if there are any.  So a ``CComplex`` that exists
+is well formed, and nothing that takes one checks it again.  Every way to
+make one (:func:`parse_complex`, :func:`generate_brn`,
+:func:`with_rotated_order`, a copy or a pickle) goes through that check.
 
 A clasp is checked once too.  The public ``Clasp(...)`` checks every field;
 :func:`parse_complex` and :func:`generate_brn` make their clasps from
@@ -46,6 +46,17 @@ BRN_CAP = 100_000
 
 class ComplexFormatError(ValueError):
     """Raised when a complex file cannot be parsed."""
+
+
+class InvalidComplexError(ValueError):
+    """Raised by ``CComplex(...)``; ``violations`` lists what :func:`validate` found."""
+
+    def __init__(self, violations: list[str]) -> None:
+        super().__init__("invalid complex: " + "; ".join(violations))
+        self.violations = violations
+
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild from the list
+        return self.__class__, (self.violations,)
 
 
 def _quote(value: object) -> str:
@@ -107,41 +118,46 @@ def _fill_clasp(clasp: Clasp, id: str, a: int, b: int, sign: int) -> None:
 class CComplex(FrozenRecord):
     """n components, a tuple of clasps, and one traversal order per component."""
 
-    # _validated: set by validate() once the instance is known well formed
-    __slots__ = ("n", "clasps", "orders", "_validated")
-    _fields = ("n", "clasps", "orders")
+    __slots__ = _fields = ("n", "clasps", "orders")
     n: int
     clasps: tuple[Clasp, ...]
     orders: tuple[tuple[str, ...], ...]
 
     def __init__(self, n: int, clasps: tuple[Clasp, ...], orders: tuple[tuple[str, ...], ...]) -> None:
-        # Tuples all the way down, so a validation remembered on the
-        # instance cannot go stale through a list mutated afterwards.
+        # Tuples all the way down, so no list mutated afterwards can make
+        # the checked instance malformed.
         clasps = tuple(clasps)
         orders = tuple(tuple(order) for order in orders)
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise ValueError(f"component count must be a nonnegative integer, got {n!r}")
         if len(orders) != n:
             raise ValueError(f"expected {n} traversal orders, got {len(orders)}")
+        for c in clasps:
+            if not isinstance(c, Clasp):
+                raise ValueError(f"clasps must be Clasp records, got {_quote(c)}")
+        violations = validate(n, clasps, orders)
+        if violations:
+            raise InvalidComplexError(violations)
         self._set_fields(n, clasps, orders)
-        object.__setattr__(self, "_validated", False)
 
 
-def validate(F: CComplex) -> list[str]:
-    """Check every structural invariant; returns a list of violations.
+def validate(n: int, clasps: tuple[Clasp, ...], orders: tuple[tuple[str, ...], ...]) -> list[str]:
+    """Check every structural invariant of the parts of a complex: n
+    components, its clasps and one traversal order per component.
 
-    An empty list means F is well formed, and F remembers it (see the
-    module docstring).  Violations are descriptions, not exceptions, so
-    malformed data can be reported in full.
+    Returns the list of violations, empty when the parts are well formed.
+    They are descriptions, not exceptions, so malformed data is reported
+    in full; ``CComplex(n, clasps, orders)`` raises them as one
+    :class:`InvalidComplexError`.
     """
     violations: list[str] = []
-    if F.n < 1:
-        violations.append(f"component count must be at least 1, got {F.n}")
+    if n < 1:
+        violations.append(f"component count must be at least 1, got {n}")
 
     seen: dict[str, Clasp] = {}
     # incident[k]: ids of the well-formed clasps with an end on component k
     incident: defaultdict[int, set[str]] = defaultdict(set)
-    for c in F.clasps:
+    for c in clasps:
         if c.id in seen:
             violations.append(f"duplicate clasp id {_quote(c.id)}")
             continue
@@ -149,16 +165,16 @@ def validate(F: CComplex) -> list[str]:
         if c.a == c.b:
             violations.append(f"clasp {_quote(c.id)} is a self-clasp (both ends on component {c.a})")
         for endpoint in (c.a, c.b):
-            if endpoint > F.n:
+            if endpoint > n:
                 violations.append(f"clasp {_quote(c.id)} references unknown component {clip(str(endpoint))}")
-        if c.a != c.b and c.b <= F.n:  # a <= b, so both ends are known
+        if c.a != c.b and c.b <= n:  # a <= b, so both ends are known
             incident[c.a].add(c.id)
             incident[c.b].add(c.id)
 
-    for k in range(1, F.n + 1):
+    for k in range(1, n + 1):
         expected = incident.get(k, set())
         listed: set[str] = set()
-        for cid in F.orders[k - 1]:
+        for cid in orders[k - 1]:
             if cid in listed:
                 violations.append(f"order for component {k} repeats clasp id {_quote(cid)}")
                 continue
@@ -169,24 +185,12 @@ def validate(F: CComplex) -> list[str]:
                 violations.append(f"order for component {k} lists non-incident clasp {_quote(cid)}")
         for cid in sorted(expected - listed):
             violations.append(f"order for component {k} is incomplete: missing clasp id {_quote(cid)}")
-    if not violations:
-        object.__setattr__(F, "_validated", True)
     return violations
-
-
-def _require_valid(F: CComplex) -> None:
-    """Raise ValueError listing the violations unless F is well formed;
-    free for an instance that has already passed :func:`validate`."""
-    if F._validated:
-        return
-    violations = validate(F)
-    if violations:
-        raise ValueError("invalid complex: " + "; ".join(violations))
 
 
 def _require_component(F: CComplex, k: int) -> None:
     """Raise ValueError unless k is one of F's components 1..n."""
-    if not 1 <= k <= F.n:
+    if type(k) is not int or not 1 <= k <= F.n:
         raise ValueError(f"component {clip(str(k))} is not a component of this complex (n={F.n})")
 
 
@@ -194,7 +198,6 @@ def clasp_word(F: CComplex, k: int) -> ClaspWord:
     """The word read along component k: one letter per clasp met, whose
     index is the component at the clasp's other end and whose sign is the
     clasp's sign."""
-    _require_valid(F)
     _require_component(F, k)
     # At most 2*(n-1) distinct letters: one per (other end, sign), shared
     # by every clasp id that reads as it.
@@ -214,15 +217,11 @@ def clasp_word(F: CComplex, k: int) -> ClaspWord:
     return ClaspWord(tuple(letter_of[cid] for cid in F.orders[k - 1]))
 
 
-def total_clasps(F: CComplex) -> int:
-    """Number of clasps; twice this equals the summed clasp word lengths."""
-    _require_valid(F)
-    return len(F.clasps)
-
-
 def with_rotated_order(F: CComplex, k: int, r: int) -> CComplex:
     """Move component k's basepoint: rotate its traversal order left by r."""
     _require_component(F, k)
+    if type(r) is not int:
+        raise ValueError(f"rotation must be an integer, got {_quote(r)}")
     order = F.orders[k - 1]
     if order:
         r %= len(order)
@@ -280,8 +279,8 @@ def parse_complex(text: str) -> CComplex:
     """Parse the line-oriented complex format.
 
     Raises :class:`ComplexFormatError` with a line number on syntax
-    problems.  Semantic problems (self-clasps, incomplete orders, ...) are
-    left for :func:`validate` to report.
+    problems, and :class:`InvalidComplexError`, listing every violation,
+    on semantic ones (self-clasps, incomplete orders, ...).
     """
     n: int | None = None
     clasps: list[Clasp] = []
@@ -336,7 +335,10 @@ def parse_complex(text: str) -> CComplex:
 
     if n is None:
         raise ComplexFormatError("missing components line")
-    return CComplex(n, tuple(clasps), tuple(orders.get(k, ()) for k in range(1, n + 1)))
+    parts = tuple(clasps), tuple(orders.get(k, ()) for k in range(1, n + 1))
+    # CComplex validates in this frame: free the text and builders before its peak
+    del text, clasps, orders
+    return CComplex(n, *parts)
 
 
 def print_complex(F: CComplex) -> str:

@@ -20,7 +20,6 @@ from clasplink.complexes import (
     clasp_word,
     generate_brn,
     parse_complex,
-    total_clasps,
     validate,
     with_rotated_order,
 )
@@ -67,7 +66,7 @@ def test_criterion_2_staircase_both_paths():
 def test_criterion_3_shipped_borromean_file():
     with criterion(3, "shipped Borromean file: mu = 1 with contributions (0, 1, 0)"):
         F = parse_complex((DATA / "borromean.cc").read_text())
-        assert validate(F) == []
+        assert validate(F.n, F.clasps, F.orders) == []
         result = triple_linking(F, 1, 2, 3)
         assert result.value == 1
         assert result.contributions == (0, 1, 0)
@@ -80,7 +79,7 @@ def test_criterion_4_generalized_borromean_family():
         for n in range(1, 26):
             F = generate_brn(n)
             assert triple_linking(F, 1, 2, 3).value == n * n
-            assert total_clasps(F) == 4 * n
+            assert len(F.clasps) == 4 * n
             for i, j in ((1, 2), (2, 3), (3, 1)):
                 assert pairwise_linking(F, i, j) == 0
         assert time.perf_counter() - start < 1.0

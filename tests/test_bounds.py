@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from reference_polyominoes import fixed_polyominoes, perimeter
+from reference_polyominoes import perimeter
 
 from clasplink.bounds import (
     BoundReport,
@@ -11,7 +11,7 @@ from clasplink.bounds import (
     three_component_lower_bound,
     two_component_clasp_number,
 )
-from clasplink.complexes import CComplex, Clasp, generate_brn, parse_complex
+from clasplink.complexes import CComplex, Clasp, InvalidComplexError, generate_brn, parse_complex
 
 
 def test_ceil_two_sqrt_examples():
@@ -47,8 +47,7 @@ def test_min_polyomino_perimeter_examples():
         min_polyomino_perimeter(0)
 
 
-def test_min_polyomino_perimeter_matches_enumeration():
-    shapes = fixed_polyominoes(10)
+def test_min_polyomino_perimeter_matches_enumeration(shapes):
     for area in range(1, 11):
         observed = min(map(perimeter, shapes[area]))
         assert min_polyomino_perimeter(area) == observed
@@ -164,9 +163,9 @@ def test_bound_report_rejects_wrong_component_count():
 
 
 def test_bound_report_rejects_invalid_complex():
-    broken = CComplex(2, (Clasp("a", 1, 2, 1),), ((), ()))
-    with pytest.raises(ValueError):
-        bound_report(broken)
+    # the complex is refused when it is built, before a report can take it
+    with pytest.raises(InvalidComplexError, match="^invalid complex: "):
+        bound_report(CComplex(2, (Clasp("a", 1, 2, 1),), ((), ())))
 
 
 def test_bound_report_on_random_valid_complexes():

@@ -11,11 +11,11 @@ from clasplink.complexes import (
     CComplex,
     Clasp,
     ComplexFormatError,
+    InvalidComplexError,
     clasp_word,
     generate_brn,
     parse_complex,
     print_complex,
-    total_clasps,
     validate,
     with_rotated_order,
 )
@@ -51,8 +51,8 @@ def random_valid_complex(rng, n=3, max_pairs=4, balanced=False):
 def test_parse_borromean_file():
     F = parse_complex(BORROMEAN_TEXT)
     assert F.n == 3
-    assert validate(F) == []
-    assert total_clasps(F) == 4
+    assert validate(F.n, F.clasps, F.orders) == []
+    assert len(F.clasps) == 4
     assert clasp_word(F, 1) == parse_word("x3^-1 x2 x3 x2^-1")
     assert clasp_word(F, 2) == parse_word("x1^-1 x1")
     assert clasp_word(F, 3) == parse_word("x1^-1 x1")
@@ -143,7 +143,7 @@ def test_violation_quotes_a_bounded_prefix_of_a_long_id(tmp_path, capsys, comman
 
 def test_every_violation_quotes_a_bounded_prefix():
     big = "9" * 3000
-    F = CComplex(
+    parts = (
         3,
         (
             Clasp(LONG_ID, 1, 1, 1),
@@ -153,7 +153,9 @@ def test_every_violation_quotes_a_bounded_prefix():
         ),
         (("z" + LONG_ID, "z" + LONG_ID), ("c" + LONG_ID,), ("b" + LONG_ID,)),
     )
-    assert validate(F) == [
+    with pytest.raises(InvalidComplexError) as excinfo:
+        CComplex(*parts)
+    assert excinfo.value.violations == validate(*parts) == [
         f"clasp {QUOTED_ID} is a self-clasp (both ends on component 1)",
         f"duplicate clasp id {QUOTED_ID}",
         f"clasp 'b{LONG_ID[:QUOTE_CHARS - 1]}...' references unknown component {big[:QUOTE_CHARS]}...",
@@ -199,53 +201,51 @@ def test_parse_errors_quote_a_bounded_prefix_of_a_long_number(line, message):
 
 
 def test_validate_self_clasp():
-    F = CComplex(2, (Clasp("a", 1, 1, 1),), (("a",), ()))
-    assert any("self-clasp" in v for v in validate(F))
+    assert any("self-clasp" in v for v in validate(2, (Clasp("a", 1, 1, 1),), (("a",), ())))
 
 
 def test_validate_order_incomplete():
-    F = CComplex(2, (Clasp("a", 1, 2, 1),), (("a",), ()))
-    problems = validate(F)
+    problems = validate(2, (Clasp("a", 1, 2, 1),), (("a",), ()))
     assert len(problems) == 1
     assert "incomplete" in problems[0] and "component 2" in problems[0]
 
 
 def test_validate_unknown_component():
-    F = CComplex(2, (Clasp("a", 1, 5, 1),), (("a",), ()))
-    assert any("unknown component 5" in v for v in validate(F))
+    assert any("unknown component 5" in v for v in validate(2, (Clasp("a", 1, 5, 1),), (("a",), ())))
 
 
 def test_validate_order_extras_and_repeats():
-    F = CComplex(
+    problems = "\n".join(validate(
         2,
         (Clasp("a", 1, 2, 1),),
         (("a", "a"), ("a", "z")),
-    )
-    problems = "\n".join(validate(F))
+    ))
     assert "repeats clasp id 'a'" in problems
     assert "unknown clasp id 'z'" in problems
 
 
 def test_validate_non_incident_listing():
-    F = CComplex(
+    problems = validate(
         3,
         (Clasp("a", 1, 2, 1), Clasp("b", 1, 3, 1)),
         (("a", "b"), ("a", "b"), ("b",)),
     )
-    assert any("non-incident clasp 'b'" in v for v in validate(F))
+    assert any("non-incident clasp 'b'" in v for v in problems)
 
 
 def test_validate_duplicate_ids():
-    F = CComplex(
+    problems = validate(
         2,
         (Clasp("a", 1, 2, 1), Clasp("a", 1, 2, -1)),
         (("a",), ("a",)),
     )
-    assert any("duplicate clasp id" in v for v in validate(F))
+    assert any("duplicate clasp id" in v for v in problems)
 
 
 def test_validate_component_count():
-    assert any("at least 1" in v for v in validate(CComplex(0, (), ())))
+    assert any("at least 1" in v for v in validate(0, (), ()))
+    with pytest.raises(InvalidComplexError, match="^invalid complex: component count must be at least 1, got 0$"):
+        CComplex(0, (), ())
 
 
 def test_clasp_constructor():
@@ -278,21 +278,28 @@ def test_ccomplex_constructor():
         CComplex(-1, (), ())
 
 
+def test_ccomplex_refuses_a_clasp_that_is_not_a_clasp():
+    # a bare tuple once reached validate and died there with an AttributeError
+    with pytest.raises(ValueError, match=r"^clasps must be Clasp records, got \('a', 1, 2, 1\)$"):
+        CComplex(2, [("a", 1, 2, 1)], [["a"], ["a"]])
+    with pytest.raises(ValueError, match=rf"^clasps must be Clasp records, got '{'b' * QUOTE_CHARS}\.\.\.'$"):
+        CComplex(2, [Clasp("a", 1, 2, 1), "b" * 3000], [["a"], ["a"]])
+
+
+@pytest.mark.parametrize("n", [True, False, 2.0, "1"])
+def test_ccomplex_refuses_a_component_count_that_is_not_an_int(n):
+    # bool is an int subclass, so True was once taken as one component
+    with pytest.raises(ValueError, match="component count must be a nonnegative integer"):
+        CComplex(n, (), ((),) * int(n))
+
+
 def test_clasp_word_requires_validity_and_range():
-    invalid = CComplex(2, (Clasp("a", 1, 2, 1),), (("a",), ()))
-    with pytest.raises(ValueError):
-        clasp_word(invalid, 1)
+    with pytest.raises(InvalidComplexError):
+        CComplex(2, (Clasp("a", 1, 2, 1),), (("a",), ()))
     empty = CComplex(1, (), ((),))
     assert clasp_word(empty, 1) == ClaspWord()
     with pytest.raises(ValueError):
         clasp_word(empty, 2)
-
-
-def test_total_clasps():
-    assert total_clasps(parse_complex(BORROMEAN_TEXT)) == 4
-    assert total_clasps(CComplex(1, (), ((),))) == 0
-    for n in (1, 4, 9):
-        assert total_clasps(generate_brn(n)) == 4 * n
 
 
 def test_handshake_identity():
@@ -301,7 +308,7 @@ def test_handshake_identity():
     complexes += [random_valid_complex(rng, n=rng.randint(2, 5)) for _ in range(50)]
     for F in complexes:
         word_lengths = sum(len(clasp_word(F, k)) for k in range(1, F.n + 1))
-        assert 2 * total_clasps(F) == word_lengths
+        assert 2 * len(F.clasps) == word_lengths
 
 
 def test_letter_multisets_match_clasp_signs():
@@ -354,7 +361,7 @@ def test_print_complex_is_canonical():
 def test_generate_brn_words():
     for n in (1, 2, 6):
         F = generate_brn(n)
-        assert validate(F) == []
+        assert validate(F.n, F.clasps, F.orders) == []
         w1, w2, w3 = (clasp_word(F, k) for k in (1, 2, 3))
         assert w1 == parse_word(f"x3^-{n} x2^{n} x3^{n} x2^-{n}")
         assert w2 == parse_word(f"x1^{n} x1^-{n}")
@@ -364,8 +371,8 @@ def test_generate_brn_words():
 def test_generate_brn_is_valid_and_unlinked():
     for n in range(1, 51):
         F = generate_brn(n)
-        assert validate(F) == []
-        assert total_clasps(F) == 4 * n
+        assert validate(F.n, F.clasps, F.orders) == []
+        assert len(F.clasps) == 4 * n
         for i, j in ((1, 2), (2, 3), (3, 1)):
             assert pairwise_linking(F, i, j) == 0
 
@@ -397,3 +404,10 @@ def test_with_rotated_order():
     assert with_rotated_order(F, 2, 0).orders == F.orders
     with pytest.raises(ValueError):
         with_rotated_order(F, 9, 1)
+
+
+@pytest.mark.parametrize("k,r", [(1, 1.5), (1, "1"), (1, None), (1, True), (1.5, 1), (True, 1)])
+def test_with_rotated_order_refuses_what_is_not_an_int(k, r):
+    # a float rotation once raised TypeError from slicing
+    with pytest.raises(ValueError):
+        with_rotated_order(parse_complex(BORROMEAN_TEXT), k, r)

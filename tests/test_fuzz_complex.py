@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clasplink.cli import main
-from clasplink.complexes import CComplex, ComplexFormatError, parse_complex
+from clasplink.complexes import CComplex, ComplexFormatError, InvalidComplexError, parse_complex
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 SHIPPED = [path.read_text() for path in sorted(DATA.glob("*.cc"))]
@@ -68,6 +68,9 @@ def test_parse_complex_returns_or_raises_format_error(text):
         F = parse_complex(text)
     except ComplexFormatError as exc:
         assert str(exc)
+    except InvalidComplexError as exc:
+        assert exc.violations
+        assert str(exc) == "invalid complex: " + "; ".join(exc.violations)
     else:
         assert isinstance(F, CComplex)
 

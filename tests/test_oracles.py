@@ -16,12 +16,6 @@ from clasplink.oracles import (
 KNOWN_FIXED_COUNTS = [1, 2, 6, 19, 63, 216, 760, 2725, 9910, 36446]
 
 
-@pytest.fixture(scope="module")
-def shapes():
-    """The reference cell sets of every area up to 10, index = area."""
-    return fixed_polyominoes(10)
-
-
 def boundary_edge_count(cells):
     """Perimeter by direct edge enumeration: count (cell, side) pairs whose
     neighbor is outside."""
