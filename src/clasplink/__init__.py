@@ -35,6 +35,7 @@ _EXPORTS = {
         "ComplexFormatError",
         "InvalidComplexError",
         "clasp_word",
+        "clasp_words",
         "generate_brn",
         "parse_complex",
         "print_complex",

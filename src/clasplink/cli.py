@@ -184,11 +184,11 @@ def cmd_lk(args: argparse.Namespace) -> int:
 
 
 def cmd_words(args: argparse.Namespace) -> int:
-    from .complexes import clasp_word, parse_complex
+    from .complexes import clasp_words, parse_complex
 
     F = parse_complex(_read_file(args.file))
-    for k in range(1, F.n + 1):
-        print(f"w{k} = {clasp_word(F, k)}".rstrip())
+    for k, word in enumerate(clasp_words(F), start=1):
+        print(f"w{k} = {word}".rstrip())
     return 0
 
 

@@ -21,17 +21,16 @@ is well formed, and nothing that takes one checks it again.  Every way to
 make one (:func:`parse_complex`, :func:`generate_brn`,
 :func:`with_rotated_order`, a copy or a pickle) goes through that check.
 
-A clasp is checked once too.  The public ``Clasp(...)`` checks every field;
-:func:`parse_complex` and :func:`generate_brn` make their clasps from
-fields they already know to be a token and integers, so only the
-endpoints' lower bound is checked again.  Error messages quote an id or a
-bad field, or an integer argument, through :func:`~clasplink._record.clip`,
-so no line grows with its input.
+``Clasp(...)`` is the one way to make a clasp, and every caller, the
+parser and :func:`generate_brn` included, gets every check of its fields.
+Error messages quote an id or a bad field, or an integer argument, through
+:func:`~clasplink._record.clip`, so no line grows with its input.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import chain, filterfalse
 
 from ._record import FrozenRecord, clip
 from .words import ClaspWord, SignedLetter
@@ -65,10 +64,6 @@ def _quote(value: object) -> str:
     return repr(clip(value)) if isinstance(value, str) else clip(repr(value))
 
 
-def _endpoint_error(endpoint: object) -> ValueError:
-    return ValueError(f"clasp endpoints must be positive integers, got {_quote(endpoint)}")
-
-
 class Clasp(FrozenRecord):
     """A signed clasp joining components a and b, stored with a <= b."""
 
@@ -85,34 +80,18 @@ class Clasp(FrozenRecord):
         # type() rather than isinstance(): bool is an int subclass
         for endpoint in (a, b):
             if type(endpoint) is not int or endpoint < 1:
-                raise _endpoint_error(endpoint)
+                raise ValueError(f"clasp endpoints must be positive integers, got {_quote(endpoint)}")
         if type(sign) is not int or sign not in (1, -1):
             raise ValueError(f"clasp sign must be +1 or -1, got {_quote(sign)}")
-        _fill_clasp(self, id, a, b, sign)
-
-    @classmethod
-    def _from_fields(cls, id: str, a: int, b: int, sign: int) -> "Clasp":
-        """A clasp from a whitespace-free token, two ints and a sign of
-        +1 or -1: only the endpoints' lower bound is checked."""
-        if a < 1:
-            raise _endpoint_error(a)
-        if b < 1:
-            raise _endpoint_error(b)
-        clasp = object.__new__(cls)
-        _fill_clasp(clasp, id, a, b, sign)
-        return clasp
-
-
-def _fill_clasp(clasp: Clasp, id: str, a: int, b: int, sign: int) -> None:
-    """Store a clasp's fields, ends in order.  Parsing builds one clasp
-    per line, so the stores are spelled out, not looped over ``_fields``."""
-    if a > b:
-        a, b = b, a
-    store = object.__setattr__
-    store(clasp, "id", id)
-    store(clasp, "a", a)
-    store(clasp, "b", b)
-    store(clasp, "sign", sign)
+        if a > b:
+            a, b = b, a
+        # Parsing builds one clasp per line, so the stores are spelled out,
+        # not looped over _fields.
+        store = object.__setattr__
+        store(self, "id", id)
+        store(self, "a", a)
+        store(self, "b", b)
+        store(self, "sign", sign)
 
 
 class CComplex(FrozenRecord):
@@ -127,7 +106,7 @@ class CComplex(FrozenRecord):
         # Tuples all the way down, so no list mutated afterwards can make
         # the checked instance malformed.
         clasps = tuple(clasps)
-        orders = tuple(tuple(order) for order in orders)
+        orders = tuple(orders)
         if type(n) is not int or n < 0:
             raise ValueError(f"component count must be a nonnegative integer, got {n!r}")
         if len(orders) != n:
@@ -135,6 +114,13 @@ class CComplex(FrozenRecord):
         for c in clasps:
             if not isinstance(c, Clasp):
                 raise ValueError(f"clasps must be Clasp records, got {_quote(c)}")
+        # filter() tests each order and id in C, so only a bad one reaches a
+        # loop body; tuple() would split a string into one-character ids.
+        for order in filter(str.__instancecheck__, orders):
+            raise ValueError(f"a traversal order must be a sequence of clasp ids, not a string, got {_quote(order)}")
+        orders = tuple(map(tuple, orders))
+        for cid in filterfalse(str.__instancecheck__, chain.from_iterable(orders)):
+            raise ValueError(f"clasp ids in a traversal order must be strings, got {_quote(cid)}")
         violations = validate(n, clasps, orders)
         if violations:
             raise InvalidComplexError(violations)
@@ -164,10 +150,11 @@ def validate(n: int, clasps: tuple[Clasp, ...], orders: tuple[tuple[str, ...], .
         seen[c.id] = c
         if c.a == c.b:
             violations.append(f"clasp {_quote(c.id)} is a self-clasp (both ends on component {c.a})")
-        for endpoint in (c.a, c.b):
-            if endpoint > n:
-                violations.append(f"clasp {_quote(c.id)} references unknown component {clip(str(endpoint))}")
-        if c.a != c.b and c.b <= n:  # a <= b, so both ends are known
+        if c.b > n:  # a <= b, so no end is unknown unless b is
+            for endpoint in (c.a, c.b):
+                if endpoint > n:
+                    violations.append(f"clasp {_quote(c.id)} references unknown component {clip(str(endpoint))}")
+        elif c.a != c.b:
             incident[c.a].add(c.id)
             incident[c.b].add(c.id)
 
@@ -217,6 +204,30 @@ def clasp_word(F: CComplex, k: int) -> ClaspWord:
     return ClaspWord(tuple(letter_of[cid] for cid in F.orders[k - 1]))
 
 
+def clasp_words(F: CComplex) -> list[ClaspWord]:
+    """Every component's word, w1 first, each as :func:`clasp_word` reads
+    it, from one pass over the clasps rather than one pass per component."""
+    # letters[index * sign]: one shared letter per index and sign (index >= 1)
+    letters: dict[int, SignedLetter] = {}
+    # letter_of[k][id]: the letter that clasp id reads as along component k
+    letter_of: defaultdict[int, dict[str, SignedLetter]] = defaultdict(dict)
+    for c in F.clasps:
+        a, b, sign = c.a, c.b, c.sign
+        at_a = letters.get(b * sign)
+        if at_a is None:
+            at_a = letters[b * sign] = SignedLetter(b, sign)
+        at_b = letters.get(a * sign)
+        if at_b is None:
+            at_b = letters[a * sign] = SignedLetter(a, sign)
+        letter_of[a][c.id] = at_a
+        letter_of[b][c.id] = at_b
+    # pop() frees each component's table once its word is read
+    return [
+        ClaspWord(tuple(map(letter_of.pop(k, {}).__getitem__, order)))
+        for k, order in enumerate(F.orders, start=1)
+    ]
+
+
 def with_rotated_order(F: CComplex, k: int, r: int) -> CComplex:
     """Move component k's basepoint: rotate its traversal order left by r."""
     _require_component(F, k)
@@ -240,6 +251,8 @@ def generate_brn(n: int) -> CComplex:
     and (x1 x1^-1)^n respectively.  ``n`` may be at most ``BRN_CAP``, and a
     larger one is refused before anything is built.
     """
+    if type(n) is not int:  # bool is an int subclass
+        raise ValueError(f"n must be an integer, got {_quote(n)}")
     if n < 1:
         raise ValueError(f"n must be at least 1, got {clip(str(n))}")
     if n > BRN_CAP:
@@ -248,12 +261,11 @@ def generate_brn(n: int) -> CComplex:
     q = [f"q{m}" for m in range(1, n + 1)]  # 1-2 negative
     r = [f"r{m}" for m in range(1, n + 1)]  # 1-3 positive
     s = [f"s{m}" for m in range(1, n + 1)]  # 1-3 negative
-    make = Clasp._from_fields
     clasps = tuple(
-        [make(cid, 1, 2, 1) for cid in p]
-        + [make(cid, 1, 2, -1) for cid in q]
-        + [make(cid, 1, 3, 1) for cid in r]
-        + [make(cid, 1, 3, -1) for cid in s]
+        [Clasp(cid, 1, 2, 1) for cid in p]
+        + [Clasp(cid, 1, 2, -1) for cid in q]
+        + [Clasp(cid, 1, 3, 1) for cid in r]
+        + [Clasp(cid, 1, 3, -1) for cid in s]
     )
     order1 = tuple(s + p + r + q)
     order2 = tuple(p + q)
@@ -285,16 +297,14 @@ def parse_complex(text: str) -> CComplex:
     n: int | None = None
     clasps: list[Clasp] = []
     orders: dict[int, tuple[str, ...]] = {}
-    make_clasp = Clasp._from_fields  # cid is a split() token, a and b ints
 
     def fail(line_no: int, message: str) -> ComplexFormatError:
         return ComplexFormatError(f"line {line_no}: {message}")
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        fields = raw.split()
+        if not fields or fields[0].startswith("#"):
             continue
-        fields = line.split()
         keyword = fields[0]
         if keyword == "components":
             if n is not None:
@@ -316,7 +326,7 @@ def parse_complex(text: str) -> CComplex:
             if sign_text not in ("+", "-"):
                 raise fail(line_no, f"clasp sign must be + or -, got {clip(sign_text)!r}")
             try:
-                clasps.append(make_clasp(cid, a, b, 1 if sign_text == "+" else -1))
+                clasps.append(Clasp(cid, a, b, 1 if sign_text == "+" else -1))
             except ValueError as exc:
                 raise fail(line_no, str(exc)) from None
         elif keyword == "order":

@@ -119,9 +119,18 @@ def _redelmeier(max_area: int) -> tuple[list[int], list[int]]:
     return counts, min_perimeter
 
 
+def _require_ints(**counts: object) -> None:
+    """Refuse a count that is not exactly an int: type() rather than
+    isinstance(), since bool is an int subclass."""
+    for name, value in counts.items():
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an integer, got {clip(repr(value))}")
+
+
 def count_fixed_polyominoes(max_area: int) -> list[int]:
     """Counts of fixed polyominoes for areas 1..max_area, by Redelmeier's
     method (see :func:`_redelmeier`)."""
+    _require_ints(max_area=max_area)
     if max_area < 1:
         raise ValueError(f"max_area must be at least 1, got {clip(str(max_area))}")
     return _redelmeier(max_area)[0][1:]
@@ -130,6 +139,7 @@ def count_fixed_polyominoes(max_area: int) -> list[int]:
 def verify_min_perimeter(max_area: int, cap: int = POLYOMINO_AREA_CAP) -> list[OracleReport]:
     """Compare the minimal perimeter over every fixed polyomino against
     2*ceil(2*sqrt(A)) for every area 1..max_area."""
+    _require_ints(max_area=max_area, cap=cap)
     if max_area < 1:
         raise ValueError(f"max_area must be at least 1, got {clip(str(max_area))}")
     if max_area > cap:
@@ -159,6 +169,7 @@ def verify_word_length_bound(max_len: int, cap: int = WORD_LENGTH_CAP) -> list[O
     balanced continuation, so nothing in scope is skipped).  The minimal
     length for A is the first length at which a state (0, 0, ±A) appears.
     """
+    _require_ints(max_len=max_len, cap=cap)
     if max_len < 1:
         raise ValueError(f"max_len must be at least 1, got {clip(str(max_len))}")
     if max_len > cap:

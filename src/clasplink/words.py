@@ -71,7 +71,9 @@ class ClaspWord(FrozenRecord):
     letters: tuple[SignedLetter, ...]
 
     def __init__(self, letters: tuple[SignedLetter, ...] = ()) -> None:
-        self._set_fields(letters)
+        # tuple() copies a list, which could change the frozen word, and
+        # returns a tuple as it is
+        self._set_fields(tuple(letters))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "ClaspWord":

@@ -1,13 +1,14 @@
 import argparse
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from clasplink._record import QUOTE_CHARS
 from clasplink.cli import main, render_curve_svg
-from clasplink.complexes import BRN_CAP
+from clasplink.complexes import BRN_CAP, clasp_word, parse_complex
 from clasplink.curves import build_curve
 from clasplink.words import parse_word
 
@@ -133,6 +134,53 @@ def test_words_golden(capsys):
     code, out, _ = run(capsys, "words", BORROMEAN)
     assert code == 0
     assert out == WORDS_BORROMEAN
+
+
+def chain_text(n):
+    """Components 1..n in a chain: clasp ck joins k and k + 1 and is
+    positive for odd k."""
+    lines = [f"components {n}"]
+    lines += [f"clasp c{k} {k} {k + 1} {'+' if k % 2 else '-'}" for k in range(1, n)]
+    lines += [" ".join(["order", str(k)] + [f"c{m}" for m in (k - 1, k) if 1 <= m < n]) for k in range(1, n + 1)]
+    return "\n".join(lines) + "\n"
+
+
+def test_words_reads_a_long_chain_in_one_pass(capsys, tmp_path):
+    n = 20_000
+    text = chain_text(n)
+    path = tmp_path / "chain.cc"
+    path.write_text(text)
+
+    def best_of_two(command):
+        times = []
+        for _ in range(2):
+            start = time.perf_counter()
+            code = main([command, str(path)])
+            times.append(time.perf_counter() - start)
+            out = capsys.readouterr().out
+        assert code == 0
+        return out, min(times)
+
+    out, words_s = best_of_two("words")
+    lines = out.splitlines()
+
+    def letter(k, sign):
+        return f"x{k}" if sign == 1 else f"x{k}^-1"
+
+    def sign(k):  # of clasp ck
+        return 1 if k % 2 else -1
+
+    expected = [f"w1 = {letter(2, sign(1))}"]
+    expected += [f"w{k} = {letter(k - 1, sign(k - 1))} {letter(k + 1, sign(k))}" for k in range(2, n)]
+    expected += [f"w{n} = {letter(n - 1, sign(n - 1))}"]
+    assert lines == expected
+    F = parse_complex(text)
+    for k in [*range(1, n + 1, 997), n]:
+        assert lines[k - 1] == f"w{k} = {clasp_word(F, k)}"
+    _, validate_s = best_of_two("validate")
+    # one clasp_word call per component, each over every clasp, took 55
+    # times as long as validate on this file
+    assert words_s < 5 * validate_s
 
 
 def test_bounds_golden(capsys):

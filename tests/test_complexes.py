@@ -1,9 +1,12 @@
+import inspect
 import random
+import re
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from clasplink import complexes
 from clasplink._record import QUOTE_CHARS
 from clasplink.cli import main
 from clasplink.complexes import (
@@ -13,6 +16,7 @@ from clasplink.complexes import (
     ComplexFormatError,
     InvalidComplexError,
     clasp_word,
+    clasp_words,
     generate_brn,
     parse_complex,
     print_complex,
@@ -286,6 +290,37 @@ def test_ccomplex_refuses_a_clasp_that_is_not_a_clasp():
         CComplex(2, [Clasp("a", 1, 2, 1), "b" * 3000], [["a"], ["a"]])
 
 
+def test_ccomplex_refuses_an_order_given_as_a_string():
+    # tuple() once split the string into the one-character ids "a"
+    with pytest.raises(ValueError, match="^a traversal order must be a sequence of clasp ids, not a string, got 'a'$"):
+        CComplex(2, (Clasp("a", 1, 2, 1),), ["a", "a"])
+
+
+def test_ccomplex_refuses_an_id_that_is_not_a_string():
+    # a list id once died inside validate with "unhashable type: 'list'"
+    with pytest.raises(ValueError, match=r"^clasp ids in a traversal order must be strings, got \['a'\]$"):
+        CComplex(1, (), [[["a"]]])
+    long_id = (7,) * 3000
+    quoted = re.escape(repr(long_id)[:QUOTE_CHARS] + "...")
+    with pytest.raises(ValueError, match=f"^clasp ids in a traversal order must be strings, got {quoted}$"):
+        CComplex(2, (Clasp("a", 1, 2, 1),), [["a"], ["a", long_id]])
+
+
+def test_clasp_has_one_constructor(monkeypatch):
+    assert not hasattr(Clasp, "_from_fields")
+    assert not hasattr(complexes, "_fill_clasp")
+    assert "object.__new__" not in inspect.getsource(complexes)
+    # the parser and generate_brn make every clasp through Clasp.__init__
+    calls = []
+    init = Clasp.__init__
+    monkeypatch.setattr(Clasp, "__init__", lambda self, *args: calls.append(args) or init(self, *args))
+    parse_complex(BORROMEAN_TEXT)
+    generate_brn(1)
+    assert calls == [("p", 1, 2, 1), ("q", 1, 2, -1), ("r", 1, 3, 1), ("s", 1, 3, -1)] + [
+        ("p1", 1, 2, 1), ("q1", 1, 2, -1), ("r1", 1, 3, 1), ("s1", 1, 3, -1)
+    ]
+
+
 @pytest.mark.parametrize("n", [True, False, 2.0, "1"])
 def test_ccomplex_refuses_a_component_count_that_is_not_an_int(n):
     # bool is an int subclass, so True was once taken as one component
@@ -309,6 +344,14 @@ def test_handshake_identity():
     for F in complexes:
         word_lengths = sum(len(clasp_word(F, k)) for k in range(1, F.n + 1))
         assert 2 * len(F.clasps) == word_lengths
+
+
+def test_clasp_words_read_each_word_as_clasp_word_does():
+    rng = random.Random(5)
+    complexes = [parse_complex(BORROMEAN_TEXT), generate_brn(4), CComplex(1, (), ((),))]
+    complexes += [random_valid_complex(rng, n=rng.randint(1, 6), max_pairs=8) for _ in range(50)]
+    for F in complexes:
+        assert clasp_words(F) == [clasp_word(F, k) for k in range(1, F.n + 1)]
 
 
 def test_letter_multisets_match_clasp_signs():

@@ -1,6 +1,7 @@
 import pytest
 from reference_polyominoes import fixed_polyominoes, is_connected, normalize, perimeter
 
+from clasplink.complexes import generate_brn
 from clasplink.oracles import (
     CapExceededError,
     _word_states,
@@ -227,6 +228,26 @@ def test_bad_parameters():
         verify_word_length_bound(0)
     with pytest.raises(ValueError):
         count_fixed_polyominoes(0)
+
+
+@pytest.mark.parametrize(
+    "function,args,name",
+    [
+        (generate_brn, (True,), "n"),
+        (generate_brn, (2.5,), "n"),
+        (count_fixed_polyominoes, (3.0,), "max_area"),
+        (verify_min_perimeter, (2.0,), "max_area"),
+        (verify_min_perimeter, (2, True), "cap"),
+        (verify_word_length_bound, (True,), "max_len"),
+        (verify_word_length_bound, ("4",), "max_len"),
+        (verify_word_length_bound, (4, 12.0), "cap"),
+    ],
+    ids=lambda v: getattr(v, "__name__", str(v)),
+)
+def test_counts_must_be_ints(function, args, name):
+    # bool is an int subclass, so True once ran as 1; a float raised TypeError
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        function(*args)
 
 
 def test_oracle_report_agree():

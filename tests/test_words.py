@@ -106,6 +106,18 @@ def test_signed_letter_validation():
         SignedLetter(1, True)
 
 
+def test_word_stores_its_letters_as_a_tuple():
+    # a list was once kept as given: unhashable, and append() changed the word
+    letters = [SignedLetter(1, 1)]
+    w = ClaspWord(letters)
+    letters.append(SignedLetter(2, 1))
+    assert w.letters == (SignedLetter(1, 1),)
+    assert hash(w) == hash(ClaspWord((SignedLetter(1, 1),)))
+    assert str(w) == "x1"
+    parsed = parse_word("x1 x2")
+    assert ClaspWord(parsed.letters).letters is parsed.letters
+
+
 def test_round_trip_many_random_words():
     rng = random.Random(20260810)
     for _ in range(10_000):
