@@ -10,9 +10,10 @@ bytes are the one field of the frozen record ``LatticeCurve(steps)``, and
 the vertices are built only when asked for.  ``length``, ``is_closed``,
 ``reversed``, ``==`` and ``hash`` work on the bytes at C level.  The line
 integral and the bounding box walk the curve's straight segments, one step
-of Python per segment and none per vertex.  ``is_simple`` sorts one integer
-code per vertex, accumulated from per-step deltas.  No coordinate can
-overflow: a curve of n steps from (0, 0) stays within n of it.
+of Python per segment and none per vertex.  ``is_simple`` marks the
+vertices in a bitmap of the bounding box, one byte a cell and one slice a
+segment, unless that box is large for the curve's length.  No coordinate
+can overflow: a curve of n steps from (0, 0) stays within n of it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from .words import ClaspWord
 
 Point = tuple[int, int]
 
-_PROBE = 4096  # interior vertices is_simple checks before it sorts them all
+_PROBE = 4096  # interior vertices is_simple checks before all of them
+_BOX_CELLS_PER_STEP = 8  # the largest bounding box is_simple maps, per step
 
 RIGHT, LEFT, UP, DOWN = range(4)  # the step codes
 # x and y change of each step code, in lists: map() calls a list's
@@ -60,6 +62,19 @@ class LatticeCurve(FrozenRecord):
     def _coordinates(self, delta: list[int]) -> Iterator[int]:
         return accumulate(map(delta.__getitem__, self.steps), initial=0)
 
+    def _repeats(self, count: int) -> bool:
+        """Whether two of the first ``count`` vertices coincide.
+
+        Each vertex is coded as ``x * span + y``, the running sum of each
+        step's change of code (``span`` along x, 1 along y), and a repeat
+        shows as equal sorted neighbours.  n vertices from (0, 0) by unit
+        steps keep every y within n - 1 of 0, so fewer than ``span`` values
+        apart.
+        """
+        span = 2 * len(self.steps) + 1
+        codes = sorted(islice(self._coordinates([span, -span, 1, -1]), count))
+        return any(map(eq, codes, islice(codes, 1, None)))
+
     @property
     def vertices(self) -> tuple[Point, ...]:
         """The path's grid points, built anew on each access."""
@@ -86,25 +101,42 @@ class LatticeCurve(FrozenRecord):
     def is_simple(self) -> bool:
         """True iff no grid point is revisited, apart from start = end.
 
-        Only defined for closed curves.  Each interior vertex is coded as
-        ``x * span + y``, and a repeat shows as equal sorted neighbours.
-        The code is one integer per point: n vertices from (0, 0) by unit
-        steps keep every y within n - 1 of 0, so fewer than ``span``
-        values apart.  The codes are the running sum of each step's change
-        of code (``span`` along x, 1 along y).  A walk that revisits a
-        point mostly does so soon after it starts, so the first ``_PROBE``
-        vertices are checked before all of them are sorted.
+        Only defined for closed curves.  A walk that revisits a point mostly
+        does so soon after it starts, so the first ``_PROBE`` vertices are
+        checked first, which on a curve of at most ``_PROBE`` steps is all
+        of them.  Then, if the bounding box holds at most
+        ``_BOX_CELLS_PER_STEP`` cells a step, the vertices mark a bitmap of
+        the box, one byte a cell.  Each straight run reads its cells with
+        one strided slice (stride 1 along a row, the box width along a
+        column), then sets them.  A run takes its first vertex up to, not
+        including, its last, which the next run takes; so every vertex is
+        marked once, apart from the closing one.  A bigger box, such as the
+        n**2 / 16 cells of a closed diagonal staircase of n steps, falls
+        back to sorting every vertex's code.
         """
         if not self.is_closed():
             raise ValueError("simplicity is only defined for closed curves")
-        span = 2 * len(self.steps) + 1
         interior = len(self.steps)
-
-        def repeats(count: int) -> bool:
-            codes = sorted(islice(self._coordinates([span, -span, 1, -1]), count))
-            return any(map(eq, codes, islice(codes, 1, None)))
-
-        return not (repeats(min(interior, _PROBE)) or repeats(interior))
+        if self._repeats(min(interior, _PROBE)):
+            return False
+        if interior <= _PROBE:
+            return True
+        min_x, max_x, min_y, max_y = self.bounding_box()
+        width = max_x - min_x + 1
+        cells = width * (max_y - min_y + 1)
+        if cells > _BOX_CELLS_PER_STEP * interior:
+            return not self._repeats(interior)
+        seen = bytearray(cells)
+        stride = [1, -1, width, -width]  # change of cell index of each step code
+        at = -min_y * width - min_x  # the cell of (0, 0)
+        for run in self.segments():
+            step = stride[run[0]]
+            end = at + len(run) * step  # the last vertex's cell, so never below 0
+            if 1 in seen[at:end:step]:
+                return False
+            seen[at:end:step] = b"\x01" * len(run)
+            at = end
+        return True
 
     def line_integral_x_dy(self) -> int:
         """Exact value of the line integral of x dy along the path.

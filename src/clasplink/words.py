@@ -58,7 +58,11 @@ class SignedLetter(FrozenRecord):
             raise ValueError(f"letter index must be a positive integer, got {index!r}")
         if type(sign) is not int or sign not in (1, -1):
             raise ValueError(f"letter sign must be +1 or -1, got {sign!r}")
-        self._set_fields(index, sign)
+        # A complex's words build two letters a clasp, so the stores are
+        # spelled out, not looped over _fields.
+        store = object.__setattr__
+        store(self, "index", index)
+        store(self, "sign", sign)
 
     def __str__(self) -> str:
         return f"x{self.index}" if self.sign == 1 else f"x{self.index}^-1"
@@ -73,7 +77,7 @@ class ClaspWord(FrozenRecord):
     def __init__(self, letters: tuple[SignedLetter, ...] = ()) -> None:
         # tuple() copies a list, which could change the frozen word, and
         # returns a tuple as it is
-        self._set_fields(tuple(letters))
+        object.__setattr__(self, "letters", tuple(letters))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "ClaspWord":

@@ -4,12 +4,14 @@ import pickle
 import random
 import tracemalloc
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
+from operator import eq
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from clasplink import curves
 from clasplink.bounds import ceil_two_sqrt
 from clasplink.curves import DOWN, LEFT, RIGHT, UP, LatticeCurve, build_curve
 from clasplink.invariants import e_ij
@@ -499,6 +501,125 @@ def test_is_simple_peak_stays_near_its_sorted_codes():
     finally:
         tracemalloc.stop()
     assert simple
-    # one int and one list slot per interior vertex, plus the sort's merge
-    # space; a set of the points peaked over 60 bytes a vertex
+    # the bitmap holds one byte a cell of the box, about one a step here;
+    # the sort it replaced held one int and one list slot per interior
+    # vertex, plus its merge space, and a set of the points over 60 bytes
     assert peak <= 50 * (curve.length + 1)
+
+
+# --- is_simple: the bitmap and the fallback against the sort ----------------
+
+
+def reference_is_simple(curve):
+    """The sort-based ``is_simple`` that the bitmap replaced: each interior
+    vertex coded as ``x * span + y``, a repeat shown by equal sorted
+    neighbours, the first ``_PROBE`` vertices checked first."""
+    if not curve.is_closed():
+        raise ValueError("simplicity is only defined for closed curves")
+    span = 2 * len(curve.steps) + 1
+    code_delta = [span, -span, 1, -1]  # of each step code
+    interior = len(curve.steps)
+
+    def repeats(count):
+        codes = sorted(islice(accumulate(map(code_delta.__getitem__, curve.steps), initial=0), count))
+        return any(map(eq, codes, islice(codes, 1, None)))
+
+    return not (repeats(min(interior, curves._PROBE)) or repeats(interior))
+
+
+def closed(codes):
+    """The step codes, then the steps back to x = 0 and y = 0."""
+    x = codes.count(RIGHT) - codes.count(LEFT)
+    y = codes.count(UP) - codes.count(DOWN)
+    return codes + [LEFT if x > 0 else RIGHT] * abs(x) + [DOWN if y > 0 else UP] * abs(y)
+
+
+step_codes = st.lists(st.sampled_from((RIGHT, LEFT, UP, DOWN)), max_size=30)
+closed_walks = st.one_of(step_codes.map(closed), step_codes.map(closed).flatmap(st.permutations)).map(bytes)
+# every way through is_simple on a small walk: the probe alone (default),
+# the bitmap (probe 0 or 1) and the sort fallback (no box is small enough)
+PATHS = [(probe, cells) for probe in (0, 1, curves._PROBE) for cells in (0, curves._BOX_CELLS_PER_STEP)]
+SPLIT = curves._WINDOW + 10  # a straight run that segments() yields as two
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(closed_walks)
+@example(b"")
+@example(bytes([RIGHT, LEFT]))  # a backtrack of length 2 is simple
+@example(bytes([RIGHT, UP, LEFT, DOWN, LEFT, DOWN, RIGHT, UP]))  # meets (0, 0) in mid-walk
+@example(bytes([DOWN, LEFT, LEFT, UP, RIGHT, RIGHT]))  # a run left ends on cell 0
+@example(bytes([LEFT, LEFT, DOWN, RIGHT, RIGHT, UP]))  # a run down ends on cell 0
+@example(bytes([UP, RIGHT, DOWN, LEFT]))  # the closing run ends on cell 0
+@example(bytes([UP] + [RIGHT] * SPLIT + [DOWN] * 2 + [LEFT] * SPLIT + [UP]))
+@example(bytes([UP] + [RIGHT] * SPLIT + [DOWN] * 2 + [LEFT] * 2 + [UP] * 2  # back onto the split run
+               + [DOWN] * 2 + [LEFT] * (SPLIT - 2) + [UP]))
+def test_is_simple_agrees_with_the_sort_on_every_path(steps):
+    curve = LatticeCurve(steps)
+    expected = reference_is_simple(curve)
+    for probe, cells in PATHS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(curves, "_PROBE", probe)
+            patch.setattr(curves, "_BOX_CELLS_PER_STEP", cells)
+            assert curve.is_simple() == expected, (probe, cells)
+
+
+def comb_steps(teeth, detour=None):
+    """The comb of ``curve simple-400000`` as step codes, teeth in rising
+    order: tooth k goes up column 2k and down column 2k + 1, and a base line
+    one step below closes it.  With ``detour = k`` the base line crosses
+    tooth k on the way back: up two, left one and down two."""
+    parts = []
+    for height in range(teeth // 2 + 1, teeth // 2 + 1 + teeth):
+        parts += [bytes([UP]) * height, bytes([RIGHT]), bytes([DOWN]) * height, bytes([RIGHT])]
+    parts.append(bytes([DOWN]))
+    if detour is None:
+        parts.append(bytes([LEFT]) * (2 * teeth))
+    else:
+        parts += [bytes([LEFT]) * (2 * (teeth - detour) - 1), bytes([UP, UP, LEFT, DOWN, DOWN]),
+                  bytes([LEFT]) * (2 * detour)]
+    parts.append(bytes([UP]))
+    return b"".join(parts)
+
+
+def traced_is_simple(curve):
+    tracemalloc.start()
+    try:
+        simple = curve.is_simple()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return simple, peak
+
+
+def test_is_simple_maps_the_benchmark_comb_in_under_a_mebibyte():
+    curve = LatticeCurve(comb_steps(387))
+    assert curve.length == 301_088
+    simple, peak = traced_is_simple(curve)
+    assert simple
+    # a 775-by-582 box, 1.5 cells a step; the sort peaked at 11.7 MiB
+    assert peak < 1 << 20
+
+
+def test_is_simple_bitmap_finds_a_crossing_past_the_probe():
+    steps = comb_steps(387, detour=200)
+    curve = LatticeCurve(steps)
+    assert curve.is_closed() and steps.index(bytes([UP, UP, LEFT])) > curves._PROBE
+    simple, peak = traced_is_simple(curve)
+    assert not simple and not reference_is_simple(curve)
+    # under a mebibyte: the bitmap found it, not the sort
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "detour", [b"", bytes([DOWN, UP])], ids=["simple", "back-onto-the-stair"],
+)
+def test_is_simple_sorts_a_long_staircase(detour):
+    # up the diagonal, then left and down; the detour revisits two points
+    # about 4,200 steps in, past the probe
+    m = 2100
+    curve = LatticeCurve(bytes([RIGHT, UP]) * m + detour + bytes([LEFT]) * m + bytes([DOWN]) * m)
+    box = (m + 1) ** 2
+    assert curve.length > curves._PROBE and box > curves._BOX_CELLS_PER_STEP * curve.length
+    simple, peak = traced_is_simple(curve)
+    assert simple == reference_is_simple(curve) == (not detour)
+    assert peak < box // 4  # the sort ran; the box was never allocated
