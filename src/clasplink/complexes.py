@@ -3,7 +3,9 @@ order in which each component's boundary meets its clasps.
 
 Only the incidence data is modeled; surfaces, genus and embeddings are
 not.  Every invariant computed downstream consumes nothing but the clasp
-words derived here.
+words derived here, and one loop reads them: :func:`clasp_word`,
+:func:`clasp_words` and ``invariants.triple_linking`` each get the words
+they need from one pass over the clasps.
 
 File format (line oriented, ``#`` comments, case-sensitive keywords):
 
@@ -181,51 +183,47 @@ def _require_component(F: CComplex, k: int) -> None:
         raise ValueError(f"component {clip(str(k))} is not a component of this complex (n={F.n})")
 
 
+def _read_words(F: CComplex, components: range | tuple[int, ...]) -> list[ClaspWord]:
+    """The words of the given distinct components, in that order, from one
+    pass over the clasps.  The components are checked first, in that order."""
+    # tables[k][id]: the letter clasp id reads as along a wanted component
+    # k that meets a clasp, so has a nonempty order; None for every other k
+    tables: list[dict[str, SignedLetter] | None] = [None] * (F.n + 1)
+    for k in components:
+        _require_component(F, k)
+        tables[k] = {} if F.orders[k - 1] else None
+    letters: dict[int, SignedLetter] = {}  # one shared letter per index * sign
+    for c in F.clasps:
+        a, b, sign = c.a, c.b, c.sign
+        ids = tables[a]
+        if ids is not None:
+            letter = letters.get(b * sign)
+            if letter is None:
+                letter = letters[b * sign] = SignedLetter(b, sign)
+            ids[c.id] = letter
+        ids = tables[b]
+        if ids is not None:
+            letter = letters.get(a * sign)
+            if letter is None:
+                letter = letters[a * sign] = SignedLetter(a, sign)
+            ids[c.id] = letter
+    words = []
+    for k in components:
+        ids, tables[k] = tables[k], None  # free each table once its word is read
+        words.append(ClaspWord(tuple(map(ids.__getitem__, F.orders[k - 1])) if ids else ()))
+    return words
+
+
 def clasp_word(F: CComplex, k: int) -> ClaspWord:
     """The word read along component k: one letter per clasp met, whose
     index is the component at the clasp's other end and whose sign is the
     clasp's sign."""
-    _require_component(F, k)
-    # At most 2*(n-1) distinct letters: one per (other end, sign), shared
-    # by every clasp id that reads as it.
-    letters: dict[tuple[int, int], SignedLetter] = {}
-    letter_of: dict[str, SignedLetter] = {}
-    for c in F.clasps:
-        if c.a == k:
-            other = c.b
-        elif c.b == k:
-            other = c.a
-        else:
-            continue
-        letter = letters.get((other, c.sign))
-        if letter is None:
-            letter = letters[other, c.sign] = SignedLetter(other, c.sign)
-        letter_of[c.id] = letter
-    return ClaspWord(tuple(letter_of[cid] for cid in F.orders[k - 1]))
+    return _read_words(F, (k,))[0]
 
 
 def clasp_words(F: CComplex) -> list[ClaspWord]:
-    """Every component's word, w1 first, each as :func:`clasp_word` reads
-    it, from one pass over the clasps rather than one pass per component."""
-    # letters[index * sign]: one shared letter per index and sign (index >= 1)
-    letters: dict[int, SignedLetter] = {}
-    # letter_of[k][id]: the letter that clasp id reads as along component k
-    letter_of: defaultdict[int, dict[str, SignedLetter]] = defaultdict(dict)
-    for c in F.clasps:
-        a, b, sign = c.a, c.b, c.sign
-        at_a = letters.get(b * sign)
-        if at_a is None:
-            at_a = letters[b * sign] = SignedLetter(b, sign)
-        at_b = letters.get(a * sign)
-        if at_b is None:
-            at_b = letters[a * sign] = SignedLetter(a, sign)
-        letter_of[a][c.id] = at_a
-        letter_of[b][c.id] = at_b
-    # pop() frees each component's table once its word is read
-    return [
-        ClaspWord(tuple(map(letter_of.pop(k, {}).__getitem__, order)))
-        for k, order in enumerate(F.orders, start=1)
-    ]
+    """Every component's word, w1 first, each as :func:`clasp_word` reads it."""
+    return _read_words(F, range(1, F.n + 1))
 
 
 def with_rotated_order(F: CComplex, k: int, r: int) -> CComplex:

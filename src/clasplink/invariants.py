@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ._record import FrozenRecord
+from ._record import FrozenRecord, clip
 
 if TYPE_CHECKING:
     from .complexes import CComplex
@@ -25,6 +25,9 @@ def e_ij(w: ClaspWord, i: int, j: int) -> int:
     """
     if i == j:
         raise ValueError("e_ij requires two distinct indices")
+    for index in (i, j):  # type(): bool is an int subclass
+        if type(index) is not int or index < 1:
+            raise ValueError(f"letter index must be a positive integer, got {clip(repr(index))}")
     running = 0
     total = 0
     for letter in w:
@@ -70,19 +73,15 @@ class TripleLinkingResult(FrozenRecord):
 def triple_linking(F: CComplex, i: int, j: int, k: int) -> TripleLinkingResult:
     """Milnor triple linking number of components (i, j, k) of F.
 
-    Computes e_ij(w_k) + e_jk(w_i) + e_ki(w_j) from the stored traversal
-    orders.  The value is reported even when the pairwise linking numbers
-    do not vanish; ``well_defined`` records whether they do.
+    Computes e_ij(w_k) + e_jk(w_i) + e_ki(w_j), reading the three words in
+    one pass over the clasps.  The value is reported even when the pairwise
+    linking numbers do not vanish; ``well_defined`` records whether they do.
     """
-    from .complexes import clasp_word  # here, so that e_ij alone loads no complex code
+    from .complexes import _read_words  # here, so that e_ij alone loads no complex code
 
     if len({i, j, k}) != 3:
         raise ValueError("triple linking requires three distinct components")
-    w_i, w_j, w_k = (clasp_word(F, c) for c in (i, j, k))
+    w_i, w_j, w_k = _read_words(F, (i, j, k))
     contributions = (e_ij(w_k, i, j), e_ij(w_i, j, k), e_ij(w_j, k, i))
-    well_defined = (
-        pairwise_linking(F, i, j) == 0
-        and pairwise_linking(F, j, k) == 0
-        and pairwise_linking(F, k, i) == 0
-    )
+    well_defined = not any(pairwise_linking(F, *pair) for pair in ((i, j), (j, k), (k, i)))
     return TripleLinkingResult(sum(contributions), contributions, well_defined)

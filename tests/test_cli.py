@@ -10,7 +10,7 @@ from clasplink._record import QUOTE_CHARS
 from clasplink.cli import main, render_curve_svg
 from clasplink.complexes import BRN_CAP, clasp_word, parse_complex
 from clasplink.curves import build_curve
-from clasplink.words import parse_word
+from clasplink.words import ClaspWord, parse_word
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 BORROMEAN = str(DATA / "borromean.cc")
@@ -109,6 +109,16 @@ def test_eij_error_paths(capsys):
     assert "distinct" in err
 
 
+@pytest.mark.parametrize("i, j, bad", [("0", "2", "0"), ("-1", "2", "-1"), ("1", "0", "0")])
+def test_eij_and_curve_refuse_an_index_below_one(capsys, tmp_path, i, j, bad):
+    error = f"error: letter index must be a positive integer, got {bad}\n"
+    for method in ("sum", "integral", "both"):
+        assert run(capsys, "eij", "x1 x2", i, j, "--method", method) == (2, "", error)
+    svg = tmp_path / "f.svg"
+    assert run(capsys, "curve", "x1 x2 x2^-1", i, j, "--out", str(svg)) == (2, "", error)
+    assert not svg.exists()
+
+
 def test_mu_golden(capsys):
     code, out, _ = run(capsys, "mu", BORROMEAN, "1", "2", "3")
     assert code == 0
@@ -181,6 +191,25 @@ def test_words_reads_a_long_chain_in_one_pass(capsys, tmp_path):
     # one clasp_word call per component, each over every clasp, took 55
     # times as long as validate on this file
     assert words_s < 5 * validate_s
+
+
+def test_mu_builds_only_the_three_words_it_reads(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "chain.cc"
+    path.write_text(chain_text(20_000))
+    built = []
+    init = ClaspWord.__init__
+
+    def counting_init(self, letters=()):
+        built.append(len(letters))
+        init(self, letters)
+
+    monkeypatch.setattr(ClaspWord, "__init__", counting_init)
+    code, out, _ = run(capsys, "mu", str(path), "1", "2", "3")
+    assert code == 0
+    assert out == "mu = 0\ne_12(w3) = 0\ne_23(w1) = 0\ne_31(w2) = 0\nNOT-WELL-DEFINED\n"
+    # w1, w2 and w3, of one, two and two letters: no word of the other
+    # 19,997 components is built
+    assert built == [1, 2, 2]
 
 
 def test_bounds_golden(capsys):

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import random
 import re
 import tracemalloc
@@ -23,8 +24,8 @@ from clasplink.complexes import (
     validate,
     with_rotated_order,
 )
-from clasplink.invariants import pairwise_linking
-from clasplink.words import ClaspWord, parse_word
+from clasplink.invariants import e_ij, pairwise_linking, triple_linking
+from clasplink.words import ClaspWord, SignedLetter, parse_word
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -335,6 +336,9 @@ def test_clasp_word_requires_validity_and_range():
     assert clasp_word(empty, 1) == ClaspWord()
     with pytest.raises(ValueError):
         clasp_word(empty, 2)
+    # bool is an int subclass, but True is not component 1
+    with pytest.raises(ValueError, match="^component True is not a component"):
+        clasp_word(empty, True)
 
 
 def test_handshake_identity():
@@ -346,12 +350,45 @@ def test_handshake_identity():
         assert 2 * len(F.clasps) == word_lengths
 
 
+def reference_clasp_word(F, k):
+    """The per-component loop that ``clasp_word`` ran before every word was
+    read through one pass over the clasps: a pass of its own for each word,
+    with one letter per (other end, sign)."""
+    letters = {}
+    letter_of = {}
+    for c in F.clasps:
+        if c.a == k:
+            other = c.b
+        elif c.b == k:
+            other = c.a
+        else:
+            continue
+        letter = letters.get((other, c.sign))
+        if letter is None:
+            letter = letters[other, c.sign] = SignedLetter(other, c.sign)
+        letter_of[c.id] = letter
+    return ClaspWord(tuple(letter_of[cid] for cid in F.orders[k - 1]))
+
+
 def test_clasp_words_read_each_word_as_clasp_word_does():
     rng = random.Random(5)
     complexes = [parse_complex(BORROMEAN_TEXT), generate_brn(4), CComplex(1, (), ((),))]
     complexes += [random_valid_complex(rng, n=rng.randint(1, 6), max_pairs=8) for _ in range(50)]
+    complexes += [random_valid_complex(rng, n=rng.randint(3, 6), max_pairs=12) for _ in range(50)]
     for F in complexes:
-        assert clasp_words(F) == [clasp_word(F, k) for k in range(1, F.n + 1)]
+        expected = [reference_clasp_word(F, k) for k in range(1, F.n + 1)]
+        assert [clasp_word(F, k) for k in range(1, F.n + 1)] == expected
+        assert clasp_words(F) == expected
+
+
+def test_triple_linking_reads_the_words_the_reference_reads():
+    rng = random.Random(17)
+    complexes = [random_valid_complex(rng, n=rng.randint(3, 6), max_pairs=12) for _ in range(40)]
+    for F in complexes:
+        w = [None] + [reference_clasp_word(F, k) for k in range(1, F.n + 1)]
+        for i, j, k in itertools.permutations(range(1, F.n + 1), 3):
+            expected = (e_ij(w[k], i, j), e_ij(w[i], j, k), e_ij(w[j], k, i))
+            assert triple_linking(F, i, j, k).contributions == expected
 
 
 def test_letter_multisets_match_clasp_signs():

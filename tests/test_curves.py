@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clasplink import curves
+from clasplink._record import QUOTE_CHARS
 from clasplink.bounds import ceil_two_sqrt
 from clasplink.curves import DOWN, LEFT, RIGHT, UP, LatticeCurve, build_curve
 from clasplink.invariants import e_ij
@@ -124,6 +125,20 @@ def test_build_curve_skips_other_indices():
 def test_build_curve_rejects_equal_indices():
     with pytest.raises(ValueError):
         build_curve(parse_word("x1"), 3, 3)
+    # the equal-index message comes first, even for indices below 1
+    with pytest.raises(ValueError, match="^curve construction requires two distinct indices$"):
+        build_curve(parse_word("x1"), 0, 0)
+
+
+@pytest.mark.parametrize(
+    "i, j, bad",
+    [(0, 2, 0), (2, -1, -1), (True, 2, True), (1, 2.0, 2.0), ("1", 2, "1"), pytest.param(-(10**100), 1, None, id="long")],
+)
+def test_build_curve_refuses_an_index_that_is_not_a_letter_index(i, j, bad):
+    with pytest.raises(ValueError) as caught:
+        build_curve(parse_word("x1 x2 x2^-1"), i, j)
+    quoted = repr(bad) if bad is not None else "-1" + "0" * (QUOTE_CHARS - 2) + "..."
+    assert str(caught.value) == f"letter index must be a positive integer, got {quoted}"
 
 
 def test_curve_validation():

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from clasplink._record import QUOTE_CHARS
 from clasplink.complexes import (
     CComplex,
     Clasp,
@@ -48,6 +49,25 @@ def test_worked_values():
 def test_rejects_equal_indices():
     with pytest.raises(ValueError):
         e_ij(parse_word("x1"), 2, 2)
+    # the equal-index message comes first, even for indices below 1
+    for index in (0, -1):
+        with pytest.raises(ValueError, match="^e_ij requires two distinct indices$"):
+            e_ij(parse_word("x1 x2"), index, index)
+
+
+# (i, j, the one refused): a letter index is an int from 1, so 0, a
+# negative one, a bool, a float and a string are refused as i or as j;
+# None stands for a long index, quoted clipped
+@pytest.mark.parametrize(
+    "i, j, bad",
+    [(0, 2, 0), (2, 0, 0), (-1, 2, -1), (1, -1, -1), (True, 2, True), (2, False, False), (1.0, 2, 1.0),
+     (1, "2", "2"), (0, -1, 0), pytest.param(-(10**100), 1, None, id="long")],
+)
+def test_rejects_an_index_that_is_not_a_letter_index(i, j, bad):
+    with pytest.raises(ValueError) as caught:
+        e_ij(parse_word("x1 x2"), i, j)
+    quoted = repr(bad) if bad is not None else "-1" + "0" * (QUOTE_CHARS - 2) + "..."
+    assert str(caught.value) == f"letter index must be a positive integer, got {quoted}"
 
 
 @given(words, st.integers(1, 3), st.integers(1, 3))
@@ -178,6 +198,11 @@ def test_triple_linking_rejects_bad_indices():
         triple_linking(BORROMEAN, 1, 2, 2)
     with pytest.raises(ValueError):
         triple_linking(BORROMEAN, 1, 2, 4)
+    # the first of i, j and k that is not a component is the one named
+    with pytest.raises(ValueError, match="^component 4 is not"):
+        triple_linking(BORROMEAN, 1, 4, 0)
+    with pytest.raises(ValueError, match="^component 0 is not"):
+        triple_linking(BORROMEAN, 0, 4, 1)
 
 
 def test_basepoint_rotations_preserve_mu():
