@@ -67,7 +67,11 @@ def _quote(value: object) -> str:
 
 
 class Clasp(FrozenRecord):
-    """A signed clasp joining components a and b, stored with a <= b."""
+    """A signed clasp joining components a and b, stored with a <= b.
+
+    A parse builds one per clasp line, so ``__init__`` stores the fields
+    through their slot descriptors, bound once, not ``object.__setattr__``.
+    """
 
     __slots__ = _fields = ("id", "a", "b", "sign")
     id: str
@@ -80,20 +84,24 @@ class Clasp(FrozenRecord):
         if not isinstance(id, str) or id.split() != [id]:
             raise ValueError(f"clasp id must be a nonempty token without whitespace, got {_quote(id)}")
         # type() rather than isinstance(): bool is an int subclass
-        for endpoint in (a, b):
-            if type(endpoint) is not int or endpoint < 1:
-                raise ValueError(f"clasp endpoints must be positive integers, got {_quote(endpoint)}")
+        if type(a) is not int or a < 1:
+            raise ValueError(f"clasp endpoints must be positive integers, got {_quote(a)}")
+        if type(b) is not int or b < 1:
+            raise ValueError(f"clasp endpoints must be positive integers, got {_quote(b)}")
         if type(sign) is not int or sign not in (1, -1):
             raise ValueError(f"clasp sign must be +1 or -1, got {_quote(sign)}")
         if a > b:
             a, b = b, a
-        # Parsing builds one clasp per line, so the stores are spelled out,
-        # not looped over _fields.
-        store = object.__setattr__
-        store(self, "id", id)
-        store(self, "a", a)
-        store(self, "b", b)
-        store(self, "sign", sign)
+        # each slot descriptor's __set__, bound once below, is the store
+        # object.__setattr__ makes without looking the name up: a third of
+        # the cost of a clasp
+        _store_id(self, id)
+        _store_a(self, a)
+        _store_b(self, b)
+        _store_sign(self, sign)
+
+
+_store_id, _store_a, _store_b, _store_sign = [Clasp.__dict__[name].__set__ for name in Clasp._fields]
 
 
 class CComplex(FrozenRecord):
@@ -113,11 +121,11 @@ class CComplex(FrozenRecord):
             raise ValueError(f"component count must be a nonnegative integer, got {n!r}")
         if len(orders) != n:
             raise ValueError(f"expected {n} traversal orders, got {len(orders)}")
-        for c in clasps:
-            if not isinstance(c, Clasp):
-                raise ValueError(f"clasps must be Clasp records, got {_quote(c)}")
-        # filter() tests each order and id in C, so only a bad one reaches a
-        # loop body; tuple() would split a string into one-character ids.
+        # filter() tests each clasp, order and id in C, so only a bad one
+        # reaches a loop body; tuple() would split a string into
+        # one-character ids.
+        for c in filterfalse(Clasp.__instancecheck__, clasps):
+            raise ValueError(f"clasps must be Clasp records, got {_quote(c)}")
         for order in filter(str.__instancecheck__, orders):
             raise ValueError(f"a traversal order must be a sequence of clasp ids, not a string, got {_quote(order)}")
         orders = tuple(map(tuple, orders))
@@ -129,6 +137,9 @@ class CComplex(FrozenRecord):
         self._set_fields(n, clasps, orders)
 
 
+_NO_IDS: frozenset[str] = frozenset()  # the incident ids of a component no clasp meets
+
+
 def validate(n: int, clasps: tuple[Clasp, ...], orders: tuple[tuple[str, ...], ...]) -> list[str]:
     """Check every structural invariant of the parts of a complex: n
     components, its clasps and one traversal order per component.
@@ -137,6 +148,10 @@ def validate(n: int, clasps: tuple[Clasp, ...], orders: tuple[tuple[str, ...], .
     They are descriptions, not exceptions, so malformed data is reported
     in full; ``CComplex(n, clasps, orders)`` raises them as one
     :class:`InvalidComplexError`.
+
+    A component's order is accepted with one set comparison when it lists
+    each incident clasp once and nothing else.  Only an order that fails
+    it is walked id by id, to word its violations in the order they occur.
     """
     violations: list[str] = []
     if n < 1:
@@ -146,24 +161,31 @@ def validate(n: int, clasps: tuple[Clasp, ...], orders: tuple[tuple[str, ...], .
     # incident[k]: ids of the well-formed clasps with an end on component k
     incident: defaultdict[int, set[str]] = defaultdict(set)
     for c in clasps:
-        if c.id in seen:
-            violations.append(f"duplicate clasp id {_quote(c.id)}")
+        cid, a, b = c.id, c.a, c.b
+        if cid in seen:
+            violations.append(f"duplicate clasp id {_quote(cid)}")
             continue
-        seen[c.id] = c
-        if c.a == c.b:
-            violations.append(f"clasp {_quote(c.id)} is a self-clasp (both ends on component {c.a})")
-        if c.b > n:  # a <= b, so no end is unknown unless b is
-            for endpoint in (c.a, c.b):
+        seen[cid] = c
+        if a == b:
+            violations.append(f"clasp {_quote(cid)} is a self-clasp (both ends on component {a})")
+        if b > n:  # a <= b, so no end is unknown unless b is
+            for endpoint in (a, b):
                 if endpoint > n:
-                    violations.append(f"clasp {_quote(c.id)} references unknown component {clip(str(endpoint))}")
-        elif c.a != c.b:
-            incident[c.a].add(c.id)
-            incident[c.b].add(c.id)
+                    violations.append(f"clasp {_quote(cid)} references unknown component {clip(str(endpoint))}")
+        elif a != b:
+            incident[a].add(cid)
+            incident[b].add(cid)
 
-    for k in range(1, n + 1):
-        expected = incident.get(k, set())
-        listed: set[str] = set()
-        for cid in orders[k - 1]:
+    if len(orders) != n:
+        violations.append(f"expected {n} traversal orders, got {len(orders)}")
+        return violations
+    for k, order in enumerate(orders, start=1):
+        expected = incident.get(k, _NO_IDS)
+        listed = set(order)
+        if len(listed) == len(order) and listed == expected:
+            continue
+        listed.clear()
+        for cid in order:
             if cid in listed:
                 violations.append(f"order for component {k} repeats clasp id {_quote(cid)}")
                 continue
@@ -285,6 +307,9 @@ def _ascii_int(text: str) -> int | None:
         return None
 
 
+_SIGNS = {"+": 1, "-": -1}
+
+
 def parse_complex(text: str) -> CComplex:
     """Parse the line-oriented complex format.
 
@@ -299,12 +324,36 @@ def parse_complex(text: str) -> CComplex:
     def fail(line_no: int, message: str) -> ComplexFormatError:
         return ComplexFormatError(f"line {line_no}: {message}")
 
+    # endpoint text -> its value: a file names few components, so each
+    # distinct text is read by _ascii_int once, and a refused one never
+    ints: dict[str, int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split()
-        if not fields or fields[0].startswith("#"):
+        if not fields:
             continue
         keyword = fields[0]
-        if keyword == "components":
+        if keyword == "clasp":  # nearly every line, so tested first
+            if n is None:
+                raise fail(line_no, "clasp line before components line")
+            if len(fields) != 5:
+                raise fail(line_no, "expected: clasp <id> <a> <b> <+|->")
+            _, cid, a_text, b_text, sign_text = fields
+            a, b = ints.get(a_text), ints.get(b_text)
+            if a is None or b is None:
+                a, b = _ascii_int(a_text), _ascii_int(b_text)
+                if a is None or b is None:
+                    raise fail(line_no, f"clasp endpoints must be integers, got {clip(a_text)!r} {clip(b_text)!r}")
+                ints[a_text], ints[b_text] = a, b
+            sign = _SIGNS.get(sign_text)
+            if sign is None:
+                raise fail(line_no, f"clasp sign must be + or -, got {clip(sign_text)!r}")
+            try:
+                clasps.append(Clasp(cid, a, b, sign))
+            except ValueError as exc:
+                raise fail(line_no, str(exc)) from None
+        elif keyword.startswith("#"):
+            continue
+        elif keyword == "components":
             if n is not None:
                 raise fail(line_no, "duplicate components line")
             n = _ascii_int(fields[1]) if len(fields) == 2 else None
@@ -312,21 +361,6 @@ def parse_complex(text: str) -> CComplex:
                 raise fail(line_no, "expected: components <n>")
             if n > COMPONENT_CAP:
                 raise fail(line_no, f"component count {clip(str(n))} exceeds the limit {COMPONENT_CAP}")
-        elif keyword == "clasp":
-            if n is None:
-                raise fail(line_no, "clasp line before components line")
-            if len(fields) != 5:
-                raise fail(line_no, "expected: clasp <id> <a> <b> <+|->")
-            cid, a_text, b_text, sign_text = fields[1:]
-            a, b = _ascii_int(a_text), _ascii_int(b_text)
-            if a is None or b is None:
-                raise fail(line_no, f"clasp endpoints must be integers, got {clip(a_text)!r} {clip(b_text)!r}")
-            if sign_text not in ("+", "-"):
-                raise fail(line_no, f"clasp sign must be + or -, got {clip(sign_text)!r}")
-            try:
-                clasps.append(Clasp(cid, a, b, 1 if sign_text == "+" else -1))
-            except ValueError as exc:
-                raise fail(line_no, str(exc)) from None
         elif keyword == "order":
             if n is None:
                 raise fail(line_no, "order line before components line")

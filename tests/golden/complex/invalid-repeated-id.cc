@@ -1,0 +1,8 @@
+# Invalid: the order of component 2 lists clasp b twice.
+components 3
+clasp a 1 2 +
+clasp b 2 3 -
+clasp c 1 3 +
+order 1 a c
+order 2 a b b
+order 3 b c

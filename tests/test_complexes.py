@@ -3,12 +3,15 @@ import itertools
 import random
 import re
 import tracemalloc
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from clasplink import complexes
-from clasplink._record import QUOTE_CHARS
+from clasplink._record import QUOTE_CHARS, clip
 from clasplink.cli import main
 from clasplink.complexes import (
     BRN_CAP,
@@ -251,6 +254,118 @@ def test_validate_component_count():
     assert any("at least 1" in v for v in validate(0, (), ()))
     with pytest.raises(InvalidComplexError, match="^invalid complex: component count must be at least 1, got 0$"):
         CComplex(0, (), ())
+
+
+@pytest.mark.parametrize(
+    "n, clasps, orders, violations",
+    [
+        (1, (), ((), ("zz",)), []),  # the extra order was never read
+        (2, (), ((),), []),  # the missing one raised IndexError
+        (0, (), ((),), ["component count must be at least 1, got 0"]),
+        (2, (Clasp("a", 1, 1, 1),), ((),), ["clasp 'a' is a self-clasp (both ends on component 1)"]),
+    ],
+)
+def test_validate_reports_a_wrong_number_of_orders(n, clasps, orders, violations):
+    # the clasps are still checked; the orders, which match no component, are not
+    message = f"expected {n} traversal orders, got {len(orders)}"
+    assert validate(n, clasps, orders) == [*violations, message]
+    with pytest.raises(ValueError) as excinfo:
+        CComplex(n, clasps, orders)
+    assert type(excinfo.value) is ValueError and str(excinfo.value) == message
+
+
+# --- validate: the set comparison against the id-by-id walk ----------------
+
+
+def reference_validate(n, clasps, orders):
+    """The ``validate`` that walked every id of every order, before a
+    well-formed order was accepted with one set comparison."""
+    violations = []
+    if n < 1:
+        violations.append(f"component count must be at least 1, got {n}")
+
+    seen = {}
+    incident = defaultdict(set)
+    for c in clasps:
+        if c.id in seen:
+            violations.append(f"duplicate clasp id {complexes._quote(c.id)}")
+            continue
+        seen[c.id] = c
+        if c.a == c.b:
+            violations.append(f"clasp {complexes._quote(c.id)} is a self-clasp (both ends on component {c.a})")
+        if c.b > n:
+            for endpoint in (c.a, c.b):
+                if endpoint > n:
+                    violations.append(f"clasp {complexes._quote(c.id)} references unknown component {clip(str(endpoint))}")
+        elif c.a != c.b:
+            incident[c.a].add(c.id)
+            incident[c.b].add(c.id)
+
+    for k in range(1, n + 1):
+        expected = incident.get(k, set())
+        listed = set()
+        for cid in orders[k - 1]:
+            if cid in listed:
+                violations.append(f"order for component {k} repeats clasp id {complexes._quote(cid)}")
+                continue
+            listed.add(cid)
+            if cid not in seen:
+                violations.append(f"order for component {k} references unknown clasp id {complexes._quote(cid)}")
+            elif cid not in expected:
+                violations.append(f"order for component {k} lists non-incident clasp {complexes._quote(cid)}")
+        for cid in sorted(expected - listed):
+            violations.append(f"order for component {k} is incomplete: missing clasp id {complexes._quote(cid)}")
+    return violations
+
+
+CLASP_IDS = ("a", "b", "c", "d", "e", "f")  # few, so ids repeat
+UNKNOWN_IDS = ("y", "z")  # never a clasp's
+
+
+@st.composite
+def complex_parts(draw):
+    """n, clasps and orders: each order lists the true incidences of its
+    component, shuffled, and then a few orders are corrupted."""
+    n = draw(st.integers(1, 5))
+    ends = st.integers(1, n + 1)  # n + 1 is an unknown component
+    clasp = st.builds(Clasp, st.sampled_from(CLASP_IDS), ends, ends, st.sampled_from((1, -1)))
+    clasps = tuple(draw(st.lists(clasp, max_size=8)))
+    orders = [[] for _ in range(n)]
+    first = set()
+    for c in clasps:  # the first clasp of an id is the one validate keeps
+        if c.id not in first and c.a != c.b and c.b <= n:
+            orders[c.a - 1].append(c.id)
+            orders[c.b - 1].append(c.id)
+        first.add(c.id)
+    orders = [draw(st.permutations(order)) for order in orders]
+    for _ in range(draw(st.integers(0, 3))):
+        order = orders[draw(st.integers(0, n - 1))]
+        edit = draw(st.sampled_from(("repeat", "drop", "unknown", "other")))
+        if edit in ("repeat", "drop") and order:
+            at = draw(st.integers(0, len(order) - 1))
+            if edit == "repeat":
+                order.insert(draw(st.integers(0, len(order))), order[at])
+            else:
+                del order[at]
+        elif edit in ("unknown", "other"):
+            cid = draw(st.sampled_from(UNKNOWN_IDS if edit == "unknown" else CLASP_IDS))
+            if order:
+                order[draw(st.integers(0, len(order) - 1))] = cid
+            else:
+                order.append(cid)
+    return n, clasps, tuple(map(tuple, orders))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(complex_parts())
+# a repeat that keeps the length: the order of 1 lists a twice and never b
+@example((2, (Clasp("a", 1, 2, 1), Clasp("b", 1, 2, -1)), (("a", "a"), ("a", "b"))))
+# a duplicate clasp id, listed in the orders of both clasps that carry it
+@example((3, (Clasp("a", 1, 2, 1), Clasp("a", 1, 3, 1)), (("a",), ("a",), ("a",))))
+# b moved from component 2's order to component 1's
+@example((3, (Clasp("a", 1, 2, 1), Clasp("b", 2, 3, -1)), (("a", "b"), ("a",), ("b",))))
+def test_validate_agrees_with_the_walk(parts):
+    assert validate(*parts) == reference_validate(*parts)
 
 
 def test_clasp_constructor():

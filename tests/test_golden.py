@@ -12,7 +12,12 @@ next to the outputs, and gen-brn N piped into bounds and mu for N = 1..6.
 The five-component cases there (words, validate, bounds, lk 2 5 and mu on
 1 2 3, 5 2 4 and the bad 1 2 6, on five-component.cc) were captured
 before clasp_word, clasp_words and triple_linking read their words
-through one loop.
+through one loop.  Six more invalid complexes, one for each remaining kind
+of violation (duplicate clasp id, unknown component, an order that repeats
+an id, lists an unknown id or lists a non-incident clasp) and one with
+several kinds at once that pins the order of the lines, were captured
+through all five subcommands before validate accepted a well-formed order
+with one set comparison.
 
 The files in tests/golden/words/ were captured from eij (all three
 methods) and curve (with and without --grid) before parse_word read each
@@ -60,11 +65,13 @@ def test_oracle_matches_golden(capsys, name):
 
 DATA = GOLDEN.parents[1] / "data"
 COMPLEX = GOLDEN / "complex"
-# the five-component cases were captured later, with their exit codes in
-# a file of their own, so the earlier captures stay byte for byte as taken
+# the five-component and the later invalid cases were captured later, with
+# their exit codes in files of their own, so the earlier captures stay byte
+# for byte as taken
 COMPLEX_EXIT_CODES = {
     **json.loads((COMPLEX / "exit_codes.json").read_text()),
     **json.loads((COMPLEX / "five-component-exit_codes.json").read_text()),
+    **json.loads((COMPLEX / "invalid-kinds-exit_codes.json").read_text()),
 }
 SUBCOMMANDS = {
     "bounds": [],
@@ -107,7 +114,7 @@ def test_complex_golden_set_is_complete():
     assert set(CASES) == set(COMPLEX_EXIT_CODES)
     assert {p.stem for p in COMPLEX.glob("*.out")} == set(CASES)
     assert {p.stem for p in COMPLEX.glob("*.err")} == set(CASES)
-    assert len(CASES) == 38
+    assert len(CASES) == 68
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
