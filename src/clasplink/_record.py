@@ -8,8 +8,8 @@ and deletion.  The text of ``repr`` is ``Name(field=value, ...)``.  This is
 what ``@dataclass(frozen=True)`` gives, without importing :mod:`dataclasses`
 (and with it :mod:`inspect`) on every start of the command line.
 
-An error message quotes input through :func:`clip`, so that no error line
-grows with its input.
+An error message quotes input through :func:`clip`, and a caller's value
+through :func:`quote`, so that no error line grows with its input.
 """
 
 from __future__ import annotations
@@ -23,6 +23,12 @@ def clip(text: str) -> str:
     """``text`` as an error message quotes it: its first ``QUOTE_CHARS``
     characters, then ``...`` if it was longer."""
     return text if len(text) <= QUOTE_CHARS else text[:QUOTE_CHARS] + "..."
+
+
+def quote(value: object) -> str:
+    """``value`` as an error message quotes it: a string's repr of at most
+    ``QUOTE_CHARS`` of its characters, else at most that much of its repr."""
+    return repr(clip(value)) if isinstance(value, str) else clip(repr(value))
 
 
 class FrozenRecord:

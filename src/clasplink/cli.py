@@ -229,14 +229,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         raise ValueError("--max-area does not apply to oracle words")
     from . import oracles
 
-    if args.kind == "polyomino":
-        cap = args.cap if args.cap is not None else oracles.POLYOMINO_AREA_CAP
-        max_area = args.max_area if args.max_area is not None else oracles.POLYOMINO_AREA_CAP
-        reports = oracles.verify_min_perimeter(max_area, cap)
-    else:
-        cap = args.cap if args.cap is not None else oracles.WORD_LENGTH_CAP
-        max_len = args.max_len if args.max_len is not None else oracles.WORD_LENGTH_CAP
-        reports = oracles.verify_word_length_bound(max_len, cap)
+    verify = oracles.verify_min_perimeter if args.kind == "polyomino" else oracles.verify_word_length_bound
+    # a bound not given is left to the oracle, which defaults it to its cap
+    bounds = {name: getattr(args, name) for name in ("max_area", "max_len", "cap") if getattr(args, name) is not None}
+    reports = verify(**bounds)
     sys.stdout.write(oracles.format_reports(reports))
     return 0 if all(r.agree for r in reports) else 1
 
@@ -251,9 +247,9 @@ def _integer(text: str) -> int:
             return int(text)
         except ValueError:
             pass
-    from ._record import clip
+    from ._record import quote
 
-    raise argparse.ArgumentTypeError(f"invalid int value: {clip(text)!r}")
+    raise argparse.ArgumentTypeError(f"invalid int value: {quote(text)}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -26,7 +26,7 @@ make one (:func:`parse_complex`, :func:`generate_brn`,
 ``Clasp(...)`` is the one way to make a clasp, and every caller, the
 parser and :func:`generate_brn` included, gets every check of its fields.
 Error messages quote an id or a bad field, or an integer argument, through
-:func:`~clasplink._record.clip`, so no line grows with its input.
+:func:`~clasplink._record.quote`, so no line grows with its input.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from __future__ import annotations
 from collections import defaultdict
 from itertools import chain, filterfalse
 
-from ._record import FrozenRecord, clip
-from .words import ClaspWord, SignedLetter
+from ._record import FrozenRecord, quote
+from .words import ClaspWord, SignedLetter, _SharedLetters
 
 
 # A complex holds one traversal order per component, so a file's component
@@ -60,12 +60,6 @@ class InvalidComplexError(ValueError):
         return self.__class__, (self.violations,)
 
 
-def _quote(value: object) -> str:
-    """``value`` as an error message quotes it: a string's repr of at most
-    ``QUOTE_CHARS`` of its characters, else at most that much of its repr."""
-    return repr(clip(value)) if isinstance(value, str) else clip(repr(value))
-
-
 class Clasp(FrozenRecord):
     """A signed clasp joining components a and b, stored with a <= b.
 
@@ -82,14 +76,14 @@ class Clasp(FrozenRecord):
     def __init__(self, id: str, a: int, b: int, sign: int) -> None:
         # str.split() splits on exactly the characters str.isspace() accepts
         if not isinstance(id, str) or id.split() != [id]:
-            raise ValueError(f"clasp id must be a nonempty token without whitespace, got {_quote(id)}")
+            raise ValueError(f"clasp id must be a nonempty token without whitespace, got {quote(id)}")
         # type() rather than isinstance(): bool is an int subclass
         if type(a) is not int or a < 1:
-            raise ValueError(f"clasp endpoints must be positive integers, got {_quote(a)}")
+            raise ValueError(f"clasp endpoints must be positive integers, got {quote(a)}")
         if type(b) is not int or b < 1:
-            raise ValueError(f"clasp endpoints must be positive integers, got {_quote(b)}")
+            raise ValueError(f"clasp endpoints must be positive integers, got {quote(b)}")
         if type(sign) is not int or sign not in (1, -1):
-            raise ValueError(f"clasp sign must be +1 or -1, got {_quote(sign)}")
+            raise ValueError(f"clasp sign must be +1 or -1, got {quote(sign)}")
         if a > b:
             a, b = b, a
         # each slot descriptor's __set__, bound once below, is the store
@@ -118,19 +112,19 @@ class CComplex(FrozenRecord):
         clasps = tuple(clasps)
         orders = tuple(orders)
         if type(n) is not int or n < 0:
-            raise ValueError(f"component count must be a nonnegative integer, got {n!r}")
+            raise ValueError(f"component count must be a nonnegative integer, got {quote(n)}")
         if len(orders) != n:
             raise ValueError(f"expected {n} traversal orders, got {len(orders)}")
         # filter() tests each clasp, order and id in C, so only a bad one
         # reaches a loop body; tuple() would split a string into
         # one-character ids.
         for c in filterfalse(Clasp.__instancecheck__, clasps):
-            raise ValueError(f"clasps must be Clasp records, got {_quote(c)}")
+            raise ValueError(f"clasps must be Clasp records, got {quote(c)}")
         for order in filter(str.__instancecheck__, orders):
-            raise ValueError(f"a traversal order must be a sequence of clasp ids, not a string, got {_quote(order)}")
+            raise ValueError(f"a traversal order must be a sequence of clasp ids, not a string, got {quote(order)}")
         orders = tuple(map(tuple, orders))
         for cid in filterfalse(str.__instancecheck__, chain.from_iterable(orders)):
-            raise ValueError(f"clasp ids in a traversal order must be strings, got {_quote(cid)}")
+            raise ValueError(f"clasp ids in a traversal order must be strings, got {quote(cid)}")
         violations = validate(n, clasps, orders)
         if violations:
             raise InvalidComplexError(violations)
@@ -163,15 +157,15 @@ def validate(n: int, clasps: tuple[Clasp, ...], orders: tuple[tuple[str, ...], .
     for c in clasps:
         cid, a, b = c.id, c.a, c.b
         if cid in seen:
-            violations.append(f"duplicate clasp id {_quote(cid)}")
+            violations.append(f"duplicate clasp id {quote(cid)}")
             continue
         seen[cid] = c
         if a == b:
-            violations.append(f"clasp {_quote(cid)} is a self-clasp (both ends on component {a})")
+            violations.append(f"clasp {quote(cid)} is a self-clasp (both ends on component {a})")
         if b > n:  # a <= b, so no end is unknown unless b is
             for endpoint in (a, b):
                 if endpoint > n:
-                    violations.append(f"clasp {_quote(cid)} references unknown component {clip(str(endpoint))}")
+                    violations.append(f"clasp {quote(cid)} references unknown component {quote(endpoint)}")
         elif a != b:
             incident[a].add(cid)
             incident[b].add(cid)
@@ -187,22 +181,22 @@ def validate(n: int, clasps: tuple[Clasp, ...], orders: tuple[tuple[str, ...], .
         listed.clear()
         for cid in order:
             if cid in listed:
-                violations.append(f"order for component {k} repeats clasp id {_quote(cid)}")
+                violations.append(f"order for component {k} repeats clasp id {quote(cid)}")
                 continue
             listed.add(cid)
             if cid not in seen:
-                violations.append(f"order for component {k} references unknown clasp id {_quote(cid)}")
+                violations.append(f"order for component {k} references unknown clasp id {quote(cid)}")
             elif cid not in expected:
-                violations.append(f"order for component {k} lists non-incident clasp {_quote(cid)}")
+                violations.append(f"order for component {k} lists non-incident clasp {quote(cid)}")
         for cid in sorted(expected - listed):
-            violations.append(f"order for component {k} is incomplete: missing clasp id {_quote(cid)}")
+            violations.append(f"order for component {k} is incomplete: missing clasp id {quote(cid)}")
     return violations
 
 
 def _require_component(F: CComplex, k: int) -> None:
     """Raise ValueError unless k is one of F's components 1..n."""
     if type(k) is not int or not 1 <= k <= F.n:
-        raise ValueError(f"component {clip(str(k))} is not a component of this complex (n={F.n})")
+        raise ValueError(f"component {quote(k)} is not a component of this complex (n={F.n})")
 
 
 def _read_words(F: CComplex, components: range | tuple[int, ...]) -> list[ClaspWord]:
@@ -214,21 +208,15 @@ def _read_words(F: CComplex, components: range | tuple[int, ...]) -> list[ClaspW
     for k in components:
         _require_component(F, k)
         tables[k] = {} if F.orders[k - 1] else None
-    letters: dict[int, SignedLetter] = {}  # one shared letter per index * sign
+    letters = _SharedLetters()
     for c in F.clasps:
         a, b, sign = c.a, c.b, c.sign
         ids = tables[a]
         if ids is not None:
-            letter = letters.get(b * sign)
-            if letter is None:
-                letter = letters[b * sign] = SignedLetter(b, sign)
-            ids[c.id] = letter
+            ids[c.id] = letters[b * sign]
         ids = tables[b]
         if ids is not None:
-            letter = letters.get(a * sign)
-            if letter is None:
-                letter = letters[a * sign] = SignedLetter(a, sign)
-            ids[c.id] = letter
+            ids[c.id] = letters[a * sign]
     words = []
     for k in components:
         ids, tables[k] = tables[k], None  # free each table once its word is read
@@ -252,7 +240,7 @@ def with_rotated_order(F: CComplex, k: int, r: int) -> CComplex:
     """Move component k's basepoint: rotate its traversal order left by r."""
     _require_component(F, k)
     if type(r) is not int:
-        raise ValueError(f"rotation must be an integer, got {_quote(r)}")
+        raise ValueError(f"rotation must be an integer, got {quote(r)}")
     order = F.orders[k - 1]
     if order:
         r %= len(order)
@@ -272,11 +260,11 @@ def generate_brn(n: int) -> CComplex:
     larger one is refused before anything is built.
     """
     if type(n) is not int:  # bool is an int subclass
-        raise ValueError(f"n must be an integer, got {_quote(n)}")
+        raise ValueError(f"n must be an integer, got {quote(n)}")
     if n < 1:
-        raise ValueError(f"n must be at least 1, got {clip(str(n))}")
+        raise ValueError(f"n must be at least 1, got {quote(n)}")
     if n > BRN_CAP:
-        raise ValueError(f"n may be at most {BRN_CAP}, got {clip(str(n))}")
+        raise ValueError(f"n may be at most {BRN_CAP}, got {quote(n)}")
     p = [f"p{m}" for m in range(1, n + 1)]  # 1-2 positive
     q = [f"q{m}" for m in range(1, n + 1)]  # 1-2 negative
     r = [f"r{m}" for m in range(1, n + 1)]  # 1-3 positive
@@ -342,11 +330,11 @@ def parse_complex(text: str) -> CComplex:
             if a is None or b is None:
                 a, b = _ascii_int(a_text), _ascii_int(b_text)
                 if a is None or b is None:
-                    raise fail(line_no, f"clasp endpoints must be integers, got {clip(a_text)!r} {clip(b_text)!r}")
+                    raise fail(line_no, f"clasp endpoints must be integers, got {quote(a_text)} {quote(b_text)}")
                 ints[a_text], ints[b_text] = a, b
             sign = _SIGNS.get(sign_text)
             if sign is None:
-                raise fail(line_no, f"clasp sign must be + or -, got {clip(sign_text)!r}")
+                raise fail(line_no, f"clasp sign must be + or -, got {quote(sign_text)}")
             try:
                 clasps.append(Clasp(cid, a, b, sign))
             except ValueError as exc:
@@ -360,7 +348,7 @@ def parse_complex(text: str) -> CComplex:
             if n is None:
                 raise fail(line_no, "expected: components <n>")
             if n > COMPONENT_CAP:
-                raise fail(line_no, f"component count {clip(str(n))} exceeds the limit {COMPONENT_CAP}")
+                raise fail(line_no, f"component count {quote(n)} exceeds the limit {COMPONENT_CAP}")
         elif keyword == "order":
             if n is None:
                 raise fail(line_no, "order line before components line")
@@ -368,12 +356,12 @@ def parse_complex(text: str) -> CComplex:
             if k is None:
                 raise fail(line_no, "expected: order <k> <id> ...")
             if not 1 <= k <= n:
-                raise fail(line_no, f"order refers to component {clip(str(k))}, but there are {n} components")
+                raise fail(line_no, f"order refers to component {quote(k)}, but there are {n} components")
             if k in orders:
                 raise fail(line_no, f"duplicate order line for component {k}")
             orders[k] = tuple(fields[2:])
         else:
-            raise fail(line_no, f"unknown keyword {clip(keyword)!r}")
+            raise fail(line_no, f"unknown keyword {quote(keyword)}")
 
     if n is None:
         raise ComplexFormatError("missing components line")

@@ -23,8 +23,8 @@ from itertools import accumulate, islice
 from operator import eq
 from typing import Iterator
 
-from ._record import FrozenRecord, clip
-from .words import ClaspWord
+from ._record import FrozenRecord
+from .words import ClaspWord, _require_letter_index
 
 Point = tuple[int, int]
 
@@ -195,9 +195,8 @@ def build_curve(w: ClaspWord, i: int, j: int) -> LatticeCurve:
     """
     if i == j:
         raise ValueError("curve construction requires two distinct indices")
-    for index in (i, j):  # type(): bool is an int subclass
-        if type(index) is not int or index < 1:
-            raise ValueError(f"letter index must be a positive integer, got {clip(repr(index))}")
+    _require_letter_index(i)
+    _require_letter_index(j)
     steps = bytearray()
     append = steps.append
     for letter in w:

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ._record import FrozenRecord, clip
+from ._record import FrozenRecord
+from .words import ClaspWord, _require_letter_index
 
 if TYPE_CHECKING:
     from .complexes import CComplex
-    from .words import ClaspWord
 
 
 def e_ij(w: ClaspWord, i: int, j: int) -> int:
@@ -25,9 +25,8 @@ def e_ij(w: ClaspWord, i: int, j: int) -> int:
     """
     if i == j:
         raise ValueError("e_ij requires two distinct indices")
-    for index in (i, j):  # type(): bool is an int subclass
-        if type(index) is not int or index < 1:
-            raise ValueError(f"letter index must be a positive integer, got {clip(repr(index))}")
+    _require_letter_index(i)
+    _require_letter_index(j)
     running = 0
     total = 0
     for letter in w:

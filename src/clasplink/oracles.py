@@ -21,7 +21,7 @@ from __future__ import annotations
 import sys
 from typing import Iterator
 
-from ._record import FrozenRecord, clip
+from ._record import FrozenRecord, quote
 from .bounds import ceil_two_sqrt, min_polyomino_perimeter
 
 POLYOMINO_AREA_CAP = 10
@@ -82,7 +82,7 @@ def _redelmeier(max_area: int) -> tuple[list[int], list[int]]:
         depth, frame = depth + 1, frame.f_back
     if max_area + depth + _SPARE_FRAMES > sys.getrecursionlimit():
         raise CapExceededError(
-            f"max_area {clip(str(max_area))} needs a deeper recursion than the limit {sys.getrecursionlimit()} allows"
+            f"max_area {quote(max_area)} needs a deeper recursion than the limit {sys.getrecursionlimit()} allows"
         )
     counts = [0] * (max_area + 1)
     min_perimeter = [4 * area for area in range(max_area + 1)]
@@ -119,31 +119,30 @@ def _redelmeier(max_area: int) -> tuple[list[int], list[int]]:
     return counts, min_perimeter
 
 
-def _require_ints(**counts: object) -> None:
-    """Refuse a count that is not exactly an int: type() rather than
-    isinstance(), since bool is an int subclass."""
-    for name, value in counts.items():
-        if type(value) is not int:
-            raise ValueError(f"{name} must be an integer, got {clip(repr(value))}")
+def _check_bound(name: str, value: int, *cap: int) -> None:
+    """Refuse the sweep bound ``name`` unless it is an int of at least 1
+    and at most the cap, if one is given.  Both must be ints, and are checked
+    first: type() rather than isinstance(), since bool is an int subclass."""
+    for label, number in zip((name, "cap"), (value, *cap)):
+        if type(number) is not int:
+            raise ValueError(f"{label} must be an integer, got {quote(number)}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {quote(value)}")
+    if cap and value > cap[0]:
+        raise CapExceededError(f"{name} {quote(value)} exceeds the cap {quote(cap[0])}")
 
 
 def count_fixed_polyominoes(max_area: int) -> list[int]:
     """Counts of fixed polyominoes for areas 1..max_area, by Redelmeier's
     method (see :func:`_redelmeier`)."""
-    _require_ints(max_area=max_area)
-    if max_area < 1:
-        raise ValueError(f"max_area must be at least 1, got {clip(str(max_area))}")
+    _check_bound("max_area", max_area)
     return _redelmeier(max_area)[0][1:]
 
 
-def verify_min_perimeter(max_area: int, cap: int = POLYOMINO_AREA_CAP) -> list[OracleReport]:
+def verify_min_perimeter(max_area: int = POLYOMINO_AREA_CAP, cap: int = POLYOMINO_AREA_CAP) -> list[OracleReport]:
     """Compare the minimal perimeter over every fixed polyomino against
     2*ceil(2*sqrt(A)) for every area 1..max_area."""
-    _require_ints(max_area=max_area, cap=cap)
-    if max_area < 1:
-        raise ValueError(f"max_area must be at least 1, got {clip(str(max_area))}")
-    if max_area > cap:
-        raise CapExceededError(f"max_area {clip(str(max_area))} exceeds the cap {clip(str(cap))}")
+    _check_bound("max_area", max_area, cap)
     min_perimeter = _redelmeier(max_area)[1]
     return [
         OracleReport(area, min_perimeter[area], min_polyomino_perimeter(area))
@@ -151,7 +150,7 @@ def verify_min_perimeter(max_area: int, cap: int = POLYOMINO_AREA_CAP) -> list[O
     ]
 
 
-def verify_word_length_bound(max_len: int, cap: int = WORD_LENGTH_CAP) -> list[OracleReport]:
+def verify_word_length_bound(max_len: int = WORD_LENGTH_CAP, cap: int = WORD_LENGTH_CAP) -> list[OracleReport]:
     """Exhaust all balanced words over {x1^±1, x2^±1} of length <= max_len.
 
     A balanced word (both signed letter counts zero) traces a closed curve
@@ -169,11 +168,7 @@ def verify_word_length_bound(max_len: int, cap: int = WORD_LENGTH_CAP) -> list[O
     balanced continuation, so nothing in scope is skipped).  The minimal
     length for A is the first length at which a state (0, 0, ±A) appears.
     """
-    _require_ints(max_len=max_len, cap=cap)
-    if max_len < 1:
-        raise ValueError(f"max_len must be at least 1, got {clip(str(max_len))}")
-    if max_len > cap:
-        raise CapExceededError(f"max_len {clip(str(max_len))} exceeds the cap {clip(str(cap))}")
+    _check_bound("max_len", max_len, cap)
     min_len: dict[int, int] = {}
     for length, states in enumerate(_word_states(max_len)):
         for x, y, acc in states:

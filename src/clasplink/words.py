@@ -16,7 +16,8 @@ Text grammar (word files may also contain ``#`` comment lines):
 ``x3^-2`` expands at parse time to two copies of ``x3^-1``; the in-memory
 form is always the fully expanded letter sequence.  A parsed word holds one
 shared :class:`SignedLetter` per ``(index, sign)``: each distinct term is
-read once and its run of letters reused wherever the term recurs.
+read once and its run of letters reused wherever the term recurs.  A
+complex's clasp words share their letters through the same table.
 
 A parsed word may hold at most ``WORD_LETTER_CAP`` letters.  An exponent
 writes many letters in a few characters (``x1^1000000000``), so the cap is
@@ -30,9 +31,10 @@ error message quotes at most ``QUOTE_CHARS`` characters of the bad term.
 from __future__ import annotations
 
 import re
+from itertools import chain
 from typing import Iterable, Iterator
 
-from ._record import FrozenRecord, clip
+from ._record import FrozenRecord, clip, quote
 
 
 class WordSyntaxError(ValueError):
@@ -44,6 +46,13 @@ class WordSyntaxError(ValueError):
         self.column = column
 
 
+def _require_letter_index(index: int) -> None:
+    """Raise ValueError unless ``index`` is a letter index: an int from 1.
+    type() rather than isinstance(): True, a bool, would pass as index 1."""
+    if type(index) is not int or index < 1:
+        raise ValueError(f"letter index must be a positive integer, got {quote(index)}")
+
+
 class SignedLetter(FrozenRecord):
     """A single letter x_i or x_i^-1."""
 
@@ -52,20 +61,19 @@ class SignedLetter(FrozenRecord):
     sign: int
 
     def __init__(self, index: int, sign: int) -> None:
-        # type() rather than isinstance(): bool is an int subclass, and
-        # True would otherwise pass as index 1 or sign +1
-        if type(index) is not int or index < 1:
-            raise ValueError(f"letter index must be a positive integer, got {index!r}")
+        _require_letter_index(index)
         if type(sign) is not int or sign not in (1, -1):
-            raise ValueError(f"letter sign must be +1 or -1, got {sign!r}")
-        # A complex's words build two letters a clasp, so the stores are
-        # spelled out, not looped over _fields.
-        store = object.__setattr__
-        store(self, "index", index)
-        store(self, "sign", sign)
+            raise ValueError(f"letter sign must be +1 or -1, got {quote(sign)}")
+        # A complex's words can build two letters a clasp, so the fields are
+        # stored through their slot descriptors, bound once, as Clasp does.
+        _store_index(self, index)
+        _store_sign(self, sign)
 
     def __str__(self) -> str:
         return f"x{self.index}" if self.sign == 1 else f"x{self.index}^-1"
+
+
+_store_index, _store_sign = [SignedLetter.__dict__[name].__set__ for name in SignedLetter._fields]
 
 
 class ClaspWord(FrozenRecord):
@@ -95,6 +103,15 @@ class ClaspWord(FrozenRecord):
         return " ".join(str(letter) for letter in self.letters)
 
 
+class _SharedLetters(dict):
+    """The one letter of each ``(index, sign)``, keyed by ``index * sign``
+    and built on first use, so every word read through a table shares it."""
+
+    def __missing__(self, key: int) -> SignedLetter:
+        letter = self[key] = SignedLetter(abs(key), 1 if key > 0 else -1)
+        return letter
+
+
 WORD_LETTER_CAP = 10_000_000  # letters in one parsed word
 # Digits in a component index: far more than any complex has components,
 # and fewer than the least limit int() can be set to convert (640).
@@ -122,7 +139,7 @@ def _term_error(token: str) -> str:
             if not exp_text.lstrip("-").strip("0"):
                 return "exponent must be nonzero"
             return f"exponent may not have a leading zero: {clip(exp_text)}"
-    return f"malformed term {clip(token)!r} (expected x<INT> or x<INT>^<SIGNEDINT>)"
+    return f"malformed term {quote(token)} (expected x<INT> or x<INT>^<SIGNEDINT>)"
 
 
 def _stop_column(line: str, runs: dict[str, tuple[SignedLetter, ...]], before: int) -> int:
@@ -148,13 +165,14 @@ def parse_word(text: str) -> ClaspWord:
     input or on a word longer than ``WORD_LETTER_CAP`` letters.  Lines
     starting with ``#`` are ignored.
     """
-    letters: list[SignedLetter] = []
+    runs_read: list[tuple[SignedLetter, ...]] = []  # the word, a run per term
+    total = 0  # letters in runs_read
     runs: dict[str, tuple[SignedLetter, ...]] = {}  # term text -> its letters
-    shared: dict[tuple[int, int], SignedLetter] = {}
+    letters = _SharedLetters()
     for line_no, line in enumerate(text.splitlines() or [""], start=1):
         if line.lstrip().startswith("#"):
             continue
-        line_start = len(letters)
+        line_start = total
         for token in _TOKEN_RE.findall(line):
             run = runs.get(token)
             if run is None:
@@ -168,16 +186,14 @@ def parse_word(text: str) -> ClaspWord:
             else:
                 count = len(run)
             # checked before the run is built: x1^999999999999 never expands
-            if len(letters) + count > WORD_LETTER_CAP:
+            if total + count > WORD_LETTER_CAP:
                 column = _stop_column(line, runs, line_start)
                 raise WordSyntaxError(
                     f"term {clip(token)} takes the word past {WORD_LETTER_CAP} letters", line_no, column
                 )
             if run is None:
-                key = (int(term.group(1)), -1 if exponent[0] == "-" else 1)
-                letter = shared.get(key)
-                if letter is None:
-                    letter = shared[key] = SignedLetter(*key)
-                run = runs[token] = (letter,) * count
-            letters.extend(run)
-    return ClaspWord(tuple(letters))
+                index = int(term.group(1))
+                run = runs[token] = (letters[-index if exponent[0] == "-" else index],) * count
+            runs_read.append(run)
+            total += count
+    return ClaspWord(tuple(chain.from_iterable(runs_read)))

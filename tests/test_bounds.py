@@ -106,6 +106,14 @@ def test_bound_report_three_component_exact():
     assert report.summary() == "C = 4 (exact)"
 
 
+def test_bound_report_without_exact_c_is_exact_when_its_bounds_meet():
+    # bound_report always sets exact_C when the bounds meet; a report built
+    # by hand need not
+    report = BoundReport(3, 4, 4, 0, 4)
+    assert report.summary() == "C = 4 (exact)"
+    assert report.format() == "C = 4 (exact)\nlower_C = 4\nupper_C = 4\nlower_B = 0\nupper_B = 4\n"
+
+
 def test_bound_report_three_component_gap():
     report = bound_report(generate_brn(2))
     assert (report.lower_C, report.upper_C) == (6, 8)

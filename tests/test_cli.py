@@ -1,14 +1,14 @@
 import argparse
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
 
+from clasplink import complexes
 from clasplink._record import QUOTE_CHARS
 from clasplink.cli import main, render_curve_svg
-from clasplink.complexes import BRN_CAP, clasp_word, parse_complex
+from clasplink.complexes import BRN_CAP, Clasp, clasp_word, parse_complex
 from clasplink.curves import build_curve
 from clasplink.words import ClaspWord, parse_word
 
@@ -155,23 +155,44 @@ def chain_text(n):
     return "\n".join(lines) + "\n"
 
 
-def test_words_reads_a_long_chain_in_one_pass(capsys, tmp_path):
+def test_words_reads_a_long_chain_in_one_pass(capsys, monkeypatch, tmp_path):
     n = 20_000
     text = chain_text(n)
     path = tmp_path / "chain.cc"
     path.write_text(text)
+    # the _read_words calls, and the clasp ends they read as (clasp id, end);
+    # a second call or a second read of an end fails at once, so a reader
+    # that makes n passes fails in one, not after n passes
+    calls, ends = [], set()
+    read_words = complexes._read_words
+    slots = {end: Clasp.__dict__[end] for end in ("a", "b")}
 
-    def best_of_two(command):
-        times = []
-        for _ in range(2):
-            start = time.perf_counter()
-            code = main([command, str(path)])
-            times.append(time.perf_counter() - start)
-            out = capsys.readouterr().out
-        assert code == 0
-        return out, min(times)
+    def counted(end):
+        slot = slots[end]
 
-    out, words_s = best_of_two("words")
+        def get(clasp):
+            assert (clasp.id, end) not in ends, f"clasp {clasp.id}'s end {end} read twice"
+            ends.add((clasp.id, end))
+            return slot.__get__(clasp, Clasp)
+
+        return property(get)
+
+    def counting_read_words(F, components):
+        assert not calls, "the words are read by a second _read_words call"
+        calls.append(components)
+        with monkeypatch.context() as patch:
+            for end in slots:
+                patch.setattr(Clasp, end, counted(end))
+            return read_words(F, components)
+
+    monkeypatch.setattr(complexes, "_read_words", counting_read_words)
+    code, out, _ = run(capsys, "words", str(path))
+    assert code == 0
+    # one pass: all n words from one call, which reads each clasp's ends
+    # once; one clasp_word call per component read every clasp n times
+    assert calls == [range(1, n + 1)]
+    assert ends == {(f"c{k}", end) for k in range(1, n) for end in "ab"}
+    monkeypatch.undo()
     lines = out.splitlines()
 
     def letter(k, sign):
@@ -187,10 +208,6 @@ def test_words_reads_a_long_chain_in_one_pass(capsys, tmp_path):
     F = parse_complex(text)
     for k in [*range(1, n + 1, 997), n]:
         assert lines[k - 1] == f"w{k} = {clasp_word(F, k)}"
-    _, validate_s = best_of_two("validate")
-    # one clasp_word call per component, each over every clasp, took 55
-    # times as long as validate on this file
-    assert words_s < 5 * validate_s
 
 
 def test_mu_builds_only_the_three_words_it_reads(capsys, monkeypatch, tmp_path):
@@ -311,7 +328,7 @@ def test_oracle_disagreement_exit_code(capsys, monkeypatch):
     from clasplink.oracles import OracleReport
 
     monkeypatch.setattr(
-        oracles, "verify_min_perimeter", lambda max_area, cap: [OracleReport(1, 4, 6)]
+        oracles, "verify_min_perimeter", lambda **bounds: [OracleReport(1, 4, 6)]
     )
     code, out, _ = run(capsys, "oracle", "polyomino", "--max-area", "1")
     assert code == 1

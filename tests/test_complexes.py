@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clasplink import complexes
-from clasplink._record import QUOTE_CHARS, clip
+from clasplink._record import QUOTE_CHARS, clip, quote
 from clasplink.cli import main
 from clasplink.complexes import (
     BRN_CAP,
@@ -288,15 +288,15 @@ def reference_validate(n, clasps, orders):
     incident = defaultdict(set)
     for c in clasps:
         if c.id in seen:
-            violations.append(f"duplicate clasp id {complexes._quote(c.id)}")
+            violations.append(f"duplicate clasp id {quote(c.id)}")
             continue
         seen[c.id] = c
         if c.a == c.b:
-            violations.append(f"clasp {complexes._quote(c.id)} is a self-clasp (both ends on component {c.a})")
+            violations.append(f"clasp {quote(c.id)} is a self-clasp (both ends on component {c.a})")
         if c.b > n:
             for endpoint in (c.a, c.b):
                 if endpoint > n:
-                    violations.append(f"clasp {complexes._quote(c.id)} references unknown component {clip(str(endpoint))}")
+                    violations.append(f"clasp {quote(c.id)} references unknown component {clip(str(endpoint))}")
         elif c.a != c.b:
             incident[c.a].add(c.id)
             incident[c.b].add(c.id)
@@ -306,15 +306,15 @@ def reference_validate(n, clasps, orders):
         listed = set()
         for cid in orders[k - 1]:
             if cid in listed:
-                violations.append(f"order for component {k} repeats clasp id {complexes._quote(cid)}")
+                violations.append(f"order for component {k} repeats clasp id {quote(cid)}")
                 continue
             listed.add(cid)
             if cid not in seen:
-                violations.append(f"order for component {k} references unknown clasp id {complexes._quote(cid)}")
+                violations.append(f"order for component {k} references unknown clasp id {quote(cid)}")
             elif cid not in expected:
-                violations.append(f"order for component {k} lists non-incident clasp {complexes._quote(cid)}")
+                violations.append(f"order for component {k} lists non-incident clasp {quote(cid)}")
         for cid in sorted(expected - listed):
-            violations.append(f"order for component {k} is incomplete: missing clasp id {complexes._quote(cid)}")
+            violations.append(f"order for component {k} is incomplete: missing clasp id {quote(cid)}")
     return violations
 
 

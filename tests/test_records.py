@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import pytest
 
 import clasplink
+from clasplink._record import QUOTE_CHARS
 from clasplink.bounds import BoundReport
 from clasplink.complexes import CComplex, Clasp, generate_brn, parse_complex, validate
 from clasplink.invariants import TripleLinkingResult
@@ -239,6 +240,21 @@ def test_construction_errors_match_the_dataclass(record, reference, args):
     with pytest.raises(ValueError) as actual:
         record(*args)
     assert str(actual.value) == str(expected.value)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda value: SignedLetter(value, 1), "letter index must be a positive integer, got "),
+        (lambda value: SignedLetter(1, value), "letter sign must be +1 or -1, got "),
+        (lambda value: CComplex(value, (), ()), "component count must be a nonnegative integer, got "),
+    ],
+)
+def test_construction_errors_quote_a_bounded_prefix_of_a_long_value(build, message):
+    # the dataclasses above quoted the whole value: 100,047 characters here
+    with pytest.raises(ValueError) as caught:
+        build("x" * 100_000)
+    assert str(caught.value) == message + repr("x" * QUOTE_CHARS + "...")
 
 
 def test_parsed_and_generated_clasps_equal_public_ones():
