@@ -27,8 +27,16 @@ def clip(text: str) -> str:
 
 def quote(value: object) -> str:
     """``value`` as an error message quotes it: a string's repr of at most
-    ``QUOTE_CHARS`` of its characters, else at most that much of its repr."""
-    return repr(clip(value)) if isinstance(value, str) else clip(repr(value))
+    ``QUOTE_CHARS`` of its characters, else at most that much of its repr,
+    or the sign and bit length of an int too long for repr."""
+    if isinstance(value, str):
+        return repr(clip(value))
+    try:
+        return clip(repr(value))
+    except ValueError:  # repr converts at most sys.get_int_max_str_digits() digits
+        if not isinstance(value, int):
+            raise
+        return f"<{'negative ' if value < 0 else ''}int of {value.bit_length()} bits>"
 
 
 class FrozenRecord:

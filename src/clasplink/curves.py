@@ -9,11 +9,12 @@ A curve is its steps from (0, 0), one byte a step: ``RIGHT`` (0) for +x,
 bytes are the one field of the frozen record ``LatticeCurve(steps)``, and
 the vertices are built only when asked for.  ``length``, ``is_closed``,
 ``reversed``, ``==`` and ``hash`` work on the bytes at C level.  The line
-integral and the bounding box walk the curve's straight segments, one step
-of Python per segment and none per vertex.  ``is_simple`` marks the
-vertices in a bitmap of the bounding box, one byte a cell and one slice a
-segment, unless that box is large for the curve's length.  No coordinate
-can overflow: a curve of n steps from (0, 0) stays within n of it.
+integral and the bounding box come from one walk of the curve's straight
+segments, one step of Python per segment and none per vertex.
+``is_simple`` marks the vertices in a bitmap of the bounding box, one byte
+a cell and one slice a segment, unless that box is large for the curve's
+length.  No coordinate can overflow: a curve of n steps from (0, 0) stays
+within n of it.
 """
 
 from __future__ import annotations
@@ -138,30 +139,11 @@ class LatticeCurve(FrozenRecord):
             at = end
         return True
 
-    def line_integral_x_dy(self) -> int:
-        """Exact value of the line integral of x dy along the path.
-
-        Each upward step at column x contributes +x, each downward step -x,
-        horizontal steps contribute nothing; so a vertical segment of n
-        steps contributes n times its column.
-        """
-        x = total = 0
-        for run in self.segments():
-            code = run[0]
-            if code == RIGHT:
-                x += len(run)
-            elif code == LEFT:
-                x -= len(run)
-            elif code == UP:
-                total += x * len(run)
-            else:
-                total -= x * len(run)
-        return total
-
-    def bounding_box(self) -> tuple[int, int, int, int]:
-        """``(min_x, max_x, min_y, max_y)`` over the vertices.  An extreme
-        is met at the end of a segment, so only segment ends are visited."""
-        x = y = min_x = max_x = min_y = max_y = 0
+    def _walk(self) -> tuple[tuple[int, int, int, int], int]:
+        """The bounding box and the line integral of x dy, from one walk of
+        the straight segments.  An extreme is met at the end of a segment,
+        and a vertical segment of n steps adds n times its column."""
+        x = y = min_x = max_x = min_y = max_y = total = 0
         for run in self.segments():
             code = run[0]
             if code == RIGHT:
@@ -173,14 +155,25 @@ class LatticeCurve(FrozenRecord):
                 if x < min_x:
                     min_x = x
             elif code == UP:
+                total += x * len(run)
                 y += len(run)
                 if y > max_y:
                     max_y = y
             else:
+                total -= x * len(run)
                 y -= len(run)
                 if y < min_y:
                     min_y = y
-        return min_x, max_x, min_y, max_y
+        return (min_x, max_x, min_y, max_y), total
+
+    def line_integral_x_dy(self) -> int:
+        """Exact value of the line integral of x dy along the path: +x for
+        each step up at column x, -x for each step down."""
+        return self._walk()[1]
+
+    def bounding_box(self) -> tuple[int, int, int, int]:
+        """``(min_x, max_x, min_y, max_y)`` over the vertices."""
+        return self._walk()[0]
 
     def reversed(self) -> "LatticeCurve":
         """The same path traversed backwards, translated to start at (0, 0)."""

@@ -16,22 +16,25 @@ Text grammar (word files may also contain ``#`` comment lines):
 ``x3^-2`` expands at parse time to two copies of ``x3^-1``; the in-memory
 form is always the fully expanded letter sequence.  A parsed word holds one
 shared :class:`SignedLetter` per ``(index, sign)``: each distinct term is
-read once and its run of letters reused wherever the term recurs.  A
-complex's clasp words share their letters through the same table.
+read once, by the one function that judges a term against the grammar,
+and its run of letters reused wherever the term recurs.  A complex's clasp
+words share their letters through the same table.
 
 A parsed word may hold at most ``WORD_LETTER_CAP`` letters.  An exponent
 writes many letters in a few characters (``x1^1000000000``), so the cap is
 checked before a term is expanded; the term that would cross it raises
 :class:`WordSyntaxError` with its line and column, instead of the parse
 running out of memory.  An exponent too long to convert is such a term, and
-an index longer than ``WORD_INDEX_DIGITS`` digits is a malformed one.  An
-error message quotes at most ``QUOTE_CHARS`` characters of the bad term.
+an index longer than ``WORD_INDEX_DIGITS`` digits is a malformed one.  The
+parse appends one run a token, so the runs since a line began number the
+token it stops at.  An error message quotes at most ``QUOTE_CHARS``
+characters of the bad term.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterable, Iterator
 
 from ._record import FrozenRecord, clip, quote
@@ -120,42 +123,40 @@ WORD_INDEX_DIGITS = 100
 # the cap allows, whatever the digits are, so it is never converted.
 _CAP_DIGITS = len(str(WORD_LETTER_CAP))
 
-_TERM_RE = re.compile(rf"x([1-9][0-9]{{0,{WORD_INDEX_DIGITS - 1}}})(?:\^(-?[1-9][0-9]*))?\Z")
+_TERM_RE = re.compile(r"x(-?[0-9]+)(?:\^(-?[0-9]+))?\Z")  # a term, or a near miss of one
 _TOKEN_RE = re.compile(r"[^\s.]+")
 
 
-def _term_error(token: str) -> str:
-    # digits are compared as text: int() refuses very long digit strings
-    m = re.match(r"x(-?[0-9]+)(?:\^(-?[0-9]+))?\Z", token)
-    if m:
-        index_text, exp_text = m.group(1), m.group(2)
-        if index_text.startswith("-") or not index_text.strip("0"):
-            return f"component index must be at least 1, got {clip(index_text)}"
-        if index_text.startswith("0"):
-            return f"component index may not have a leading zero: {clip(index_text)}"
-        if len(index_text) > WORD_INDEX_DIGITS:
-            return f"component index has more than {WORD_INDEX_DIGITS} digits"
-        if exp_text is not None:
-            if not exp_text.lstrip("-").strip("0"):
-                return "exponent must be nonzero"
-            return f"exponent may not have a leading zero: {clip(exp_text)}"
-    return f"malformed term {quote(token)} (expected x<INT> or x<INT>^<SIGNEDINT>)"
+def _read_term(token: str) -> tuple[int, int]:
+    """The letter key (``index * sign``) and letter count of the term
+    ``token``, or ValueError with the message of a bad term.  Digits are
+    compared as text: int() refuses very long digit strings."""
+    m = _TERM_RE.match(token)
+    if m is None:
+        raise ValueError(f"malformed term {quote(token)} (expected x<INT> or x<INT>^<SIGNEDINT>)")
+    index_text, exponent = m.groups()
+    if index_text.startswith("-") or not index_text.strip("0"):
+        raise ValueError(f"component index must be at least 1, got {clip(index_text)}")
+    if index_text.startswith("0"):
+        raise ValueError(f"component index may not have a leading zero: {clip(index_text)}")
+    if len(index_text) > WORD_INDEX_DIGITS:
+        raise ValueError(f"component index has more than {WORD_INDEX_DIGITS} digits")
+    index = int(index_text)
+    if exponent is None:
+        return index, 1
+    digits = exponent.lstrip("-")
+    if not digits.strip("0"):
+        raise ValueError("exponent must be nonzero")
+    if digits.startswith("0"):
+        raise ValueError(f"exponent may not have a leading zero: {clip(exponent)}")
+    count = int(digits) if len(digits) <= _CAP_DIGITS else WORD_LETTER_CAP + 1
+    return (-index if exponent[0] == "-" else index), count
 
 
-def _stop_column(line: str, runs: dict[str, tuple[SignedLetter, ...]], before: int) -> int:
-    """1-based column of the token the parse stopped at on ``line``.
-
-    Every token before it is a known good term that kept the word, which
-    held ``before`` letters at the start of the line, within the cap.  So it
-    is the first token that is not a known term or whose run crosses the cap.
-    """
-    total = before
-    for match in _TOKEN_RE.finditer(line):
-        run = runs.get(match.group())
-        if run is None or total + len(run) > WORD_LETTER_CAP:
-            return match.start() + 1
-        total += len(run)
-    raise AssertionError(f"no token on {line!r} stops the parse")
+def _error_at(message: str, line_no: int, line: str, token_number: int) -> WordSyntaxError:
+    """``message`` at the ``token_number``-th token of ``line``, from 0."""
+    token = next(islice(_TOKEN_RE.finditer(line), token_number, None))
+    return WordSyntaxError(message, line_no, token.start() + 1)
 
 
 def parse_word(text: str) -> ClaspWord:
@@ -169,31 +170,25 @@ def parse_word(text: str) -> ClaspWord:
     total = 0  # letters in runs_read
     runs: dict[str, tuple[SignedLetter, ...]] = {}  # term text -> its letters
     letters = _SharedLetters()
-    for line_no, line in enumerate(text.splitlines() or [""], start=1):
+    for line_no, line in enumerate(text.splitlines(), start=1):
         if line.lstrip().startswith("#"):
             continue
-        line_start = total
+        first = len(runs_read)  # an error's token is numbered from this run
         for token in _TOKEN_RE.findall(line):
             run = runs.get(token)
             if run is None:
-                term = _TERM_RE.match(token)
-                if term is None:
-                    column = _stop_column(line, runs, line_start)
-                    raise WordSyntaxError(_term_error(token), line_no, column)
-                exponent = term.group(2) or "1"
-                digits = exponent.lstrip("-")
-                count = int(digits) if len(digits) <= _CAP_DIGITS else WORD_LETTER_CAP + 1
+                try:
+                    key, count = _read_term(token)
+                except ValueError as exc:
+                    raise _error_at(str(exc), line_no, line, len(runs_read) - first) from None
             else:
                 count = len(run)
             # checked before the run is built: x1^999999999999 never expands
             if total + count > WORD_LETTER_CAP:
-                column = _stop_column(line, runs, line_start)
-                raise WordSyntaxError(
-                    f"term {clip(token)} takes the word past {WORD_LETTER_CAP} letters", line_no, column
-                )
+                message = f"term {clip(token)} takes the word past {WORD_LETTER_CAP} letters"
+                raise _error_at(message, line_no, line, len(runs_read) - first)
             if run is None:
-                index = int(term.group(1))
-                run = runs[token] = (letters[-index if exponent[0] == "-" else index],) * count
+                run = runs[token] = (letters[key],) * count
             runs_read.append(run)
             total += count
     return ClaspWord(tuple(chain.from_iterable(runs_read)))

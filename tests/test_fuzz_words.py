@@ -3,6 +3,8 @@ and curve.
 
 ``reference_parse_word`` is the per-token parser that ``parse_word``
 replaced: it builds one letter per token and expands each term in place.
+It holds its own copy of that parser's grammar, so it shares none with the
+code it checks.
 On any text whose expansion stays small the two must return equal words or
 raise identical ``WordSyntaxError``s, line and column included.
 
@@ -21,16 +23,9 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clasplink._record import clip, quote
 from clasplink.cli import main
-from clasplink.words import (
-    _TERM_RE,
-    _TOKEN_RE,
-    ClaspWord,
-    SignedLetter,
-    WordSyntaxError,
-    _term_error,
-    parse_word,
-)
+from clasplink.words import WORD_INDEX_DIGITS, ClaspWord, SignedLetter, WordSyntaxError, parse_word
 
 ROOT = Path(__file__).resolve().parents[1]
 SHIPPED = [
@@ -38,6 +33,30 @@ SHIPPED = [
     for path in [ROOT / "data" / "staircase.word", *sorted((ROOT / "tests" / "golden" / "words").glob("*.word"))]
 ]
 FUZZ = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+# the grammar as the replaced parser read it: a strict term, and a second
+# match that words the error of a rejected one
+_TERM_RE = re.compile(rf"x([1-9][0-9]{{0,{WORD_INDEX_DIGITS - 1}}})(?:\^(-?[1-9][0-9]*))?\Z")
+_TOKEN_RE = re.compile(r"[^\s.]+")
+
+
+def _term_error(token: str) -> str:
+    # digits are compared as text: int() refuses very long digit strings
+    m = re.match(r"x(-?[0-9]+)(?:\^(-?[0-9]+))?\Z", token)
+    if m:
+        index_text, exp_text = m.group(1), m.group(2)
+        if index_text.startswith("-") or not index_text.strip("0"):
+            return f"component index must be at least 1, got {clip(index_text)}"
+        if index_text.startswith("0"):
+            return f"component index may not have a leading zero: {clip(index_text)}"
+        if len(index_text) > WORD_INDEX_DIGITS:
+            return f"component index has more than {WORD_INDEX_DIGITS} digits"
+        if exp_text is not None:
+            if not exp_text.lstrip("-").strip("0"):
+                return "exponent must be nonzero"
+            return f"exponent may not have a leading zero: {clip(exp_text)}"
+    return f"malformed term {quote(token)} (expected x<INT> or x<INT>^<SIGNEDINT>)"
 
 
 def reference_parse_word(text: str) -> ClaspWord:

@@ -1,9 +1,14 @@
 """Run README's "Library quickstart" block from the repository root and
-check each ``# value`` comment against the value its line computes."""
+check each ``# value`` comment against the value its line computes; run
+the CLI section's example commands and check the lines they print."""
 
 import ast
 import io
+import os
 import re
+import shlex
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
 
@@ -64,3 +69,52 @@ def test_readme_quickstart_values(monkeypatch):
     # e_ij, the closed and simple pair, the area, mu, the bound summary and
     # the violations: every commented expression in the block
     assert len(checked) == 6
+
+
+def cli_examples():
+    """The ``$ clasplink ...`` lines of README's CLI section, each with the
+    lines shown after it."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    match = re.search(r"^## CLI\n.*?^```sh\n(.*?)^```$", readme, re.M | re.S)
+    assert match, "README's CLI section has no sh block"
+    examples = []
+    for line in match.group(1).splitlines():
+        if line.startswith("$ "):
+            examples.append((line[2:], []))
+        else:
+            examples[-1][1].append(line)
+    return examples
+
+
+def run_shell_line(line, svg):
+    """Run ``clasplink`` commands joined by ``|``, the first perhaps reading
+    ``< FILE``, and return what the last one prints.  An ``.svg`` argument
+    is replaced by ``svg``."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    pipeline, _, source = line.partition(" < ")
+    stdin = (ROOT / source).read_text() if source else ""
+    for command in pipeline.split(" | "):
+        program, *argv = shlex.split(command)
+        assert program == "clasplink", command
+        argv = [str(svg) if arg.endswith(".svg") else arg for arg in argv]
+        result = subprocess.run(
+            [sys.executable, "-m", "clasplink.cli", *argv],
+            input=stdin, capture_output=True, text=True, cwd=ROOT, env=env,
+        )
+        assert (result.returncode, result.stderr) == (0, ""), command
+        stdin = result.stdout
+    return stdin
+
+
+def test_readme_cli_examples(tmp_path):
+    examples = cli_examples()
+    assert [shlex.split(line)[1] for line, _ in examples] == ["eij", "mu", "gen-brn", "curve"]
+    svg = tmp_path / "stair.svg"
+    for line, shown in examples:
+        printed = run_shell_line(line, svg).splitlines()
+        # "..." stands for the rest of the output
+        if "..." in shown:
+            shown = shown[: shown.index("...")]
+            printed = printed[: len(shown)]
+        assert printed == shown, line
+    assert svg.read_bytes() == (ROOT / "tests" / "golden" / "words" / "staircase-curve-grid.svg").read_bytes()

@@ -16,7 +16,7 @@ from clasplink._record import QUOTE_CHARS
 from clasplink.bounds import BoundReport
 from clasplink.complexes import CComplex, Clasp, generate_brn, parse_complex, validate
 from clasplink.invariants import TripleLinkingResult
-from clasplink.oracles import OracleReport
+from clasplink.oracles import OracleReport, count_fixed_polyominoes, verify_min_perimeter
 from clasplink.words import ClaspWord, SignedLetter
 
 
@@ -242,19 +242,41 @@ def test_construction_errors_match_the_dataclass(record, reference, args):
     assert str(actual.value) == str(expected.value)
 
 
+LONG_TEXT = "x" * 100_000  # the dataclasses above quoted all 100,047 characters
+HUGE = 10**5000  # more digits than repr converts: 4,300 by default
+
+
+def quoting(build, value, message, quoted):
+    """``build(value)`` raises ``message`` with ``quoted`` in place of its
+    ``{}``.  The case is named by the builder and the message, with the
+    bit length of an int value in place of the quote."""
+    kind = "" if isinstance(value, str) else f"{value.bit_length()}-bit int"
+    return pytest.param(build, value, message.format(quoted), id=f"{build.__name__}-{message.format(kind)}")
+
+
 @pytest.mark.parametrize(
-    "build, message",
+    "build, value, message",
     [
-        (lambda value: SignedLetter(value, 1), "letter index must be a positive integer, got "),
-        (lambda value: SignedLetter(1, value), "letter sign must be +1 or -1, got "),
-        (lambda value: CComplex(value, (), ()), "component count must be a nonnegative integer, got "),
+        quoting(lambda value: SignedLetter(value, 1), LONG_TEXT, "letter index must be a positive integer, got {}",
+                repr("x" * QUOTE_CHARS + "...")),
+        quoting(lambda value: SignedLetter(1, value), LONG_TEXT, "letter sign must be +1 or -1, got {}",
+                repr("x" * QUOTE_CHARS + "...")),
+        quoting(lambda value: CComplex(value, (), ()), LONG_TEXT, "component count must be a nonnegative integer, got {}",
+                repr("x" * QUOTE_CHARS + "...")),
+        # repr refuses these ints, so they are shown by their bit length
+        quoting(lambda value: SignedLetter(value, 1), -HUGE, "letter index must be a positive integer, got {}",
+                "<negative int of 16610 bits>"),
+        quoting(generate_brn, HUGE, "n may be at most 100000, got {}", "<int of 16610 bits>"),
+        quoting(verify_min_perimeter, HUGE, "max_area {} exceeds the cap 10", "<int of 16610 bits>"),
+        quoting(count_fixed_polyominoes, -HUGE, "max_area must be at least 1, got {}", "<negative int of 16610 bits>"),
+        # the longest int that repr converts keeps its text
+        quoting(generate_brn, 10**4299, "n may be at most 100000, got {}", "1" + "0" * (QUOTE_CHARS - 1) + "..."),
     ],
 )
-def test_construction_errors_quote_a_bounded_prefix_of_a_long_value(build, message):
-    # the dataclasses above quoted the whole value: 100,047 characters here
+def test_construction_errors_quote_a_bounded_prefix_of_a_long_value(build, value, message):
     with pytest.raises(ValueError) as caught:
-        build("x" * 100_000)
-    assert str(caught.value) == message + repr("x" * QUOTE_CHARS + "...")
+        build(value)
+    assert str(caught.value) == message
 
 
 def test_parsed_and_generated_clasps_equal_public_ones():

@@ -92,6 +92,12 @@ def test_parse_error_reports_position():
     with pytest.raises(WordSyntaxError) as excinfo:
         parse_word("x1 x2\n# fine\nx2 x0")
     assert (excinfo.value.line, excinfo.value.column) == (3, 4)
+    # the stop is the token after those read, not the first place its text
+    # occurs: x1^ is also the start of x1^2
+    for text, column in [("x1^2 x1^", 6), ("x1.x2.x0", 7), ("y1 x1 y1", 1)]:
+        with pytest.raises(WordSyntaxError) as excinfo:
+            parse_word(text)
+        assert (excinfo.value.line, excinfo.value.column) == (1, column), text
 
 
 def test_signed_letter_validation():
