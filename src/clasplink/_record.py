@@ -27,16 +27,17 @@ def clip(text: str) -> str:
 
 def quote(value: object) -> str:
     """``value`` as an error message quotes it: a string's repr of at most
-    ``QUOTE_CHARS`` of its characters, else at most that much of its repr,
-    or the sign and bit length of an int too long for repr."""
+    ``QUOTE_CHARS`` of its characters, else at most that much of its repr.
+    repr refuses an int too long for it, and a container that holds one: such
+    an int is shown by its sign and bit length, anything else by its type."""
     if isinstance(value, str):
         return repr(clip(value))
     try:
         return clip(repr(value))
     except ValueError:  # repr converts at most sys.get_int_max_str_digits() digits
-        if not isinstance(value, int):
-            raise
-        return f"<{'negative ' if value < 0 else ''}int of {value.bit_length()} bits>"
+        if isinstance(value, int):
+            return f"<{'negative ' if value < 0 else ''}int of {value.bit_length()} bits>"
+        return f"<{clip(type(value).__qualname__)} that repr refuses>"
 
 
 class FrozenRecord:

@@ -8,13 +8,13 @@ A curve is its steps from (0, 0), one byte a step: ``RIGHT`` (0) for +x,
 ``LEFT`` (1) for -x, ``UP`` (2) for +y and ``DOWN`` (3) for -y.  Those
 bytes are the one field of the frozen record ``LatticeCurve(steps)``, and
 the vertices are built only when asked for.  ``length``, ``is_closed``,
-``reversed``, ``==`` and ``hash`` work on the bytes at C level.  The line
-integral and the bounding box come from one walk of the curve's straight
-segments, one step of Python per segment and none per vertex.
-``is_simple`` marks the vertices in a bitmap of the bounding box, one byte
-a cell and one slice a segment, unless that box is large for the curve's
-length.  No coordinate can overflow: a curve of n steps from (0, 0) stays
-within n of it.
+``reversed``, ``==`` and ``hash`` work on the bytes at C level.  A curve
+walks its straight segments once, when it is built, one step of Python per
+segment and none per vertex, and keeps the line integral and the bounding
+box that walk gives.  ``is_simple`` marks the vertices in a bitmap of that
+box, one byte a cell and one slice a segment, unless the box is large for
+the curve's length.  No coordinate can overflow: a curve of n steps from
+(0, 0) stays within n of it.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .words import ClaspWord, _require_letter_index
 
 Point = tuple[int, int]
 
-_PROBE = 4096  # interior vertices is_simple checks before all of them
 _BOX_CELLS_PER_STEP = 8  # the largest bounding box is_simple maps, per step
 
 RIGHT, LEFT, UP, DOWN = range(4)  # the step codes
@@ -49,32 +48,47 @@ class LatticeCurve(FrozenRecord):
     ``steps`` holds one code byte per step (see the module docstring).
     ``vertices`` builds the coordinates on each access.  As a frozen record
     a curve compares, hashes, shows, copies and pickles by its steps, which
-    fix its vertices, and refuses assignment and deletion.
+    fix its vertices, and refuses assignment and deletion.  The bounding box
+    and the line integral are kept beside the steps, from the one walk of
+    the straight segments that builds the curve: an extreme is met at the
+    end of a segment, and a vertical segment of n steps adds n times its
+    column.
     """
 
-    __slots__ = _fields = ("steps",)
+    __slots__ = ("steps", "_box", "_integral")
+    _fields = ("steps",)
 
     def __init__(self, steps: bytes) -> None:
         # one C-level pass: deleting every valid code leaves nothing
         if type(steps) is not bytes or steps.translate(None, _CODES):
             raise ValueError("steps must be a bytes object of step codes 0 to 3")
         object.__setattr__(self, "steps", steps)
+        x = y = min_x = max_x = min_y = max_y = total = 0
+        for run in self.segments():
+            code = run[0]
+            if code == RIGHT:
+                x += len(run)
+                if x > max_x:
+                    max_x = x
+            elif code == LEFT:
+                x -= len(run)
+                if x < min_x:
+                    min_x = x
+            elif code == UP:
+                total += x * len(run)
+                y += len(run)
+                if y > max_y:
+                    max_y = y
+            else:
+                total -= x * len(run)
+                y -= len(run)
+                if y < min_y:
+                    min_y = y
+        object.__setattr__(self, "_box", (min_x, max_x, min_y, max_y))
+        object.__setattr__(self, "_integral", total)
 
     def _coordinates(self, delta: list[int]) -> Iterator[int]:
         return accumulate(map(delta.__getitem__, self.steps), initial=0)
-
-    def _repeats(self, count: int) -> bool:
-        """Whether two of the first ``count`` vertices coincide.
-
-        Each vertex is coded as ``x * span + y``, the running sum of each
-        step's change of code (``span`` along x, 1 along y), and a repeat
-        shows as equal sorted neighbours.  n vertices from (0, 0) by unit
-        steps keep every y within n - 1 of 0, so fewer than ``span`` values
-        apart.
-        """
-        span = 2 * len(self.steps) + 1
-        codes = sorted(islice(self._coordinates([span, -span, 1, -1]), count))
-        return any(map(eq, codes, islice(codes, 1, None)))
 
     @property
     def vertices(self) -> tuple[Point, ...]:
@@ -102,10 +116,7 @@ class LatticeCurve(FrozenRecord):
     def is_simple(self) -> bool:
         """True iff no grid point is revisited, apart from start = end.
 
-        Only defined for closed curves.  A walk that revisits a point mostly
-        does so soon after it starts, so the first ``_PROBE`` vertices are
-        checked first, which on a curve of at most ``_PROBE`` steps is all
-        of them.  Then, if the bounding box holds at most
+        Only defined for closed curves.  If the bounding box holds at most
         ``_BOX_CELLS_PER_STEP`` cells a step, the vertices mark a bitmap of
         the box, one byte a cell.  Each straight run reads its cells with
         one strided slice (stride 1 along a row, the box width along a
@@ -113,20 +124,22 @@ class LatticeCurve(FrozenRecord):
         including, its last, which the next run takes; so every vertex is
         marked once, apart from the closing one.  A bigger box, such as the
         n**2 / 16 cells of a closed diagonal staircase of n steps, falls
-        back to sorting every vertex's code.
+        back to sorting the interior vertices, each coded as
+        ``x * span + y``: the running sum of each step's change of code
+        (``span`` along x, 1 along y).  A repeat shows as equal sorted
+        neighbours.  n vertices from (0, 0) by unit steps keep every y
+        within n - 1 of 0, so fewer than ``span`` values apart.
         """
         if not self.is_closed():
             raise ValueError("simplicity is only defined for closed curves")
         interior = len(self.steps)
-        if self._repeats(min(interior, _PROBE)):
-            return False
-        if interior <= _PROBE:
-            return True
-        min_x, max_x, min_y, max_y = self.bounding_box()
+        min_x, max_x, min_y, max_y = self._box
         width = max_x - min_x + 1
         cells = width * (max_y - min_y + 1)
         if cells > _BOX_CELLS_PER_STEP * interior:
-            return not self._repeats(interior)
+            span = 2 * interior + 1
+            codes = sorted(islice(self._coordinates([span, -span, 1, -1]), interior))
+            return not any(map(eq, codes, islice(codes, 1, None)))
         seen = bytearray(cells)
         stride = [1, -1, width, -width]  # change of cell index of each step code
         at = -min_y * width - min_x  # the cell of (0, 0)
@@ -139,41 +152,14 @@ class LatticeCurve(FrozenRecord):
             at = end
         return True
 
-    def _walk(self) -> tuple[tuple[int, int, int, int], int]:
-        """The bounding box and the line integral of x dy, from one walk of
-        the straight segments.  An extreme is met at the end of a segment,
-        and a vertical segment of n steps adds n times its column."""
-        x = y = min_x = max_x = min_y = max_y = total = 0
-        for run in self.segments():
-            code = run[0]
-            if code == RIGHT:
-                x += len(run)
-                if x > max_x:
-                    max_x = x
-            elif code == LEFT:
-                x -= len(run)
-                if x < min_x:
-                    min_x = x
-            elif code == UP:
-                total += x * len(run)
-                y += len(run)
-                if y > max_y:
-                    max_y = y
-            else:
-                total -= x * len(run)
-                y -= len(run)
-                if y < min_y:
-                    min_y = y
-        return (min_x, max_x, min_y, max_y), total
-
     def line_integral_x_dy(self) -> int:
         """Exact value of the line integral of x dy along the path: +x for
         each step up at column x, -x for each step down."""
-        return self._walk()[1]
+        return self._integral
 
     def bounding_box(self) -> tuple[int, int, int, int]:
         """``(min_x, max_x, min_y, max_y)`` over the vertices."""
-        return self._walk()[0]
+        return self._box
 
     def reversed(self) -> "LatticeCurve":
         """The same path traversed backwards, translated to start at (0, 0)."""

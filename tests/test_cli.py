@@ -7,9 +7,9 @@ import pytest
 
 from clasplink import complexes
 from clasplink._record import QUOTE_CHARS
-from clasplink.cli import main, render_curve_svg
+from clasplink.cli import SVG_SCALE, main, render_curve_svg
 from clasplink.complexes import BRN_CAP, Clasp, clasp_word, parse_complex
-from clasplink.curves import build_curve
+from clasplink.curves import LatticeCurve, build_curve
 from clasplink.words import ClaspWord, parse_word
 
 DATA = Path(__file__).resolve().parents[1] / "data"
@@ -208,6 +208,47 @@ def test_words_reads_a_long_chain_in_one_pass(capsys, monkeypatch, tmp_path):
     F = parse_complex(text)
     for k in [*range(1, n + 1, 997), n]:
         assert lines[k - 1] == f"w{k} = {clasp_word(F, k)}"
+
+
+TEETH, HEIGHT = 30, 100
+# a closed simple comb of 6,122 steps: each tooth goes up one column and
+# down the next, and a base line one step below closes it
+COMB_TEXT = f"x2^{HEIGHT} x1 x2^-{HEIGHT} x1 " * TEETH + f"x2^-1 x1^-{2 * TEETH} x2"
+
+
+@pytest.mark.parametrize(
+    "text, line, walks",
+    [
+        # the curve is built, the SVG drawn and is_simple's bitmap marked
+        (COMB_TEXT, f"length={TEETH * (2 * HEIGHT + 2) + 2 + 2 * TEETH} closed simple "
+                    f"area={-TEETH * HEIGHT - 2 * TEETH}\n", 3),
+        # the curve is built and the SVG drawn
+        ("x1 x2^5000 x1", "length=5002 open area=5000\n", 2),
+    ],
+    ids=["closed-comb", "open"],
+)
+def test_curve_walks_the_segments_once_a_use(capsys, monkeypatch, tmp_path, text, line, walks):
+    walked = []
+    segments = LatticeCurve.segments
+
+    def counting_segments(curve):
+        walked.append(curve.length)
+        return segments(curve)
+
+    monkeypatch.setattr(LatticeCurve, "segments", counting_segments)
+    svg_path = tmp_path / "curve.svg"
+    assert run(capsys, "curve", text, "1", "2", "--out", str(svg_path)) == (0, line, "")
+    assert len(walked) == walks and walked[0] > 4096
+    monkeypatch.undo()
+    # the polyline passes through every vertex, with y flipped and one unit
+    # of margin round the box
+    vertices = build_curve(parse_word(text), 1, 2).vertices
+    xs, ys = zip(*vertices)
+    points = " ".join(f"{(x - min(xs) + 1) * SVG_SCALE},{(max(ys) - y + 1) * SVG_SCALE}" for x, y in vertices)
+    svg = svg_path.read_text()
+    width, height = (max(xs) - min(xs) + 2) * SVG_SCALE, (max(ys) - min(ys) + 2) * SVG_SCALE
+    assert f'width="{width}" height="{height}"' in svg
+    assert svg.split('points="')[1].split('"')[0] == points
 
 
 def test_mu_builds_only_the_three_words_it_reads(capsys, monkeypatch, tmp_path):

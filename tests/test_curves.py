@@ -409,7 +409,8 @@ def test_columns_agree_with_the_tuple_curve(vertices):
 )
 def test_long_thin_curves_agree_with_the_tuple_curve(vertices):
     # x * span + y here passes 2**30, past the one-digit ints sort fastest;
-    # the tall eight meets its repeated point only past is_simple's probe
+    # the tall eight meets its repeated point only past the first 4,096
+    # vertices, which is_simple once probed before the rest
     curve, reference = curve_of(vertices), ReferenceLatticeCurve(vertices)
     assert curve.is_simple() == reference.is_simple()
     assert curve.line_integral_x_dy() == reference.line_integral_x_dy()
@@ -528,7 +529,7 @@ def test_is_simple_peak_stays_near_its_sorted_codes():
 def reference_is_simple(curve):
     """The sort-based ``is_simple`` that the bitmap replaced: each interior
     vertex coded as ``x * span + y``, a repeat shown by equal sorted
-    neighbours, the first ``_PROBE`` vertices checked first."""
+    neighbours, the first 4,096 vertices checked first."""
     if not curve.is_closed():
         raise ValueError("simplicity is only defined for closed curves")
     span = 2 * len(curve.steps) + 1
@@ -539,7 +540,7 @@ def reference_is_simple(curve):
         codes = sorted(islice(accumulate(map(code_delta.__getitem__, curve.steps), initial=0), count))
         return any(map(eq, codes, islice(codes, 1, None)))
 
-    return not (repeats(min(interior, curves._PROBE)) or repeats(interior))
+    return not (repeats(min(interior, 4096)) or repeats(interior))
 
 
 def closed(codes):
@@ -551,9 +552,9 @@ def closed(codes):
 
 step_codes = st.lists(st.sampled_from((RIGHT, LEFT, UP, DOWN)), max_size=30)
 closed_walks = st.one_of(step_codes.map(closed), step_codes.map(closed).flatmap(st.permutations)).map(bytes)
-# every way through is_simple on a small walk: the probe alone (default),
-# the bitmap (probe 0 or 1) and the sort fallback (no box is small enough)
-PATHS = [(probe, cells) for probe in (0, 1, curves._PROBE) for cells in (0, curves._BOX_CELLS_PER_STEP)]
+# both ways through is_simple: the sort fallback (no box is small enough)
+# and the bitmap (default)
+PATHS = [0, curves._BOX_CELLS_PER_STEP]
 SPLIT = curves._WINDOW + 10  # a straight run that segments() yields as two
 
 
@@ -571,11 +572,10 @@ SPLIT = curves._WINDOW + 10  # a straight run that segments() yields as two
 def test_is_simple_agrees_with_the_sort_on_every_path(steps):
     curve = LatticeCurve(steps)
     expected = reference_is_simple(curve)
-    for probe, cells in PATHS:
+    for cells in PATHS:
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(curves, "_PROBE", probe)
             patch.setattr(curves, "_BOX_CELLS_PER_STEP", cells)
-            assert curve.is_simple() == expected, (probe, cells)
+            assert curve.is_simple() == expected, cells
 
 
 def comb_steps(teeth, detour=None):
@@ -618,7 +618,7 @@ def test_is_simple_maps_the_benchmark_comb_in_under_a_mebibyte():
 def test_is_simple_bitmap_finds_a_crossing_past_the_probe():
     steps = comb_steps(387, detour=200)
     curve = LatticeCurve(steps)
-    assert curve.is_closed() and steps.index(bytes([UP, UP, LEFT])) > curves._PROBE
+    assert curve.is_closed() and steps.index(bytes([UP, UP, LEFT])) > 4096
     simple, peak = traced_is_simple(curve)
     assert not simple and not reference_is_simple(curve)
     # under a mebibyte: the bitmap found it, not the sort
@@ -630,11 +630,11 @@ def test_is_simple_bitmap_finds_a_crossing_past_the_probe():
 )
 def test_is_simple_sorts_a_long_staircase(detour):
     # up the diagonal, then left and down; the detour revisits two points
-    # about 4,200 steps in, past the probe
+    # about 4,200 steps in, past the 4,096 that is_simple once probed first
     m = 2100
     curve = LatticeCurve(bytes([RIGHT, UP]) * m + detour + bytes([LEFT]) * m + bytes([DOWN]) * m)
     box = (m + 1) ** 2
-    assert curve.length > curves._PROBE and box > curves._BOX_CELLS_PER_STEP * curve.length
+    assert curve.length > 4096 and box > curves._BOX_CELLS_PER_STEP * curve.length
     simple, peak = traced_is_simple(curve)
     assert simple == reference_is_simple(curve) == (not detour)
     assert peak < box // 4  # the sort ran; the box was never allocated

@@ -249,8 +249,12 @@ HUGE = 10**5000  # more digits than repr converts: 4,300 by default
 def quoting(build, value, message, quoted):
     """``build(value)`` raises ``message`` with ``quoted`` in place of its
     ``{}``.  The case is named by the builder and the message, with the
-    bit length of an int value in place of the quote."""
-    kind = "" if isinstance(value, str) else f"{value.bit_length()}-bit int"
+    bit length of an int value, or the type of another value that is not a
+    string, in place of the quote."""
+    if isinstance(value, str):
+        kind = ""
+    else:
+        kind = f"{value.bit_length()}-bit int" if isinstance(value, int) else type(value).__name__
     return pytest.param(build, value, message.format(quoted), id=f"{build.__name__}-{message.format(kind)}")
 
 
@@ -269,6 +273,9 @@ def quoting(build, value, message, quoted):
         quoting(generate_brn, HUGE, "n may be at most 100000, got {}", "<int of 16610 bits>"),
         quoting(verify_min_perimeter, HUGE, "max_area {} exceeds the cap 10", "<int of 16610 bits>"),
         quoting(count_fixed_polyominoes, -HUGE, "max_area must be at least 1, got {}", "<negative int of 16610 bits>"),
+        # repr refuses a container of such an int too, so it is shown by its type
+        quoting(lambda value: SignedLetter(1, value), (HUGE,), "letter sign must be +1 or -1, got {}",
+                "<tuple that repr refuses>"),
         # the longest int that repr converts keeps its text
         quoting(generate_brn, 10**4299, "n may be at most 100000, got {}", "1" + "0" * (QUOTE_CHARS - 1) + "..."),
     ],
