@@ -1,11 +1,12 @@
 """Frozen records: the base of the library's small immutable value types.
 
-A record class lists its fields in ``_fields`` and declares them (and any
-private state) in ``__slots__``; its ``__init__`` checks the values and
-stores them with ``object.__setattr__``.  The base compares, hashes, shows,
-copies and pickles a record by its fields in order, and refuses assignment
-and deletion.  The text of ``repr`` is ``Name(field=value, ...)``.  This is
-what ``@dataclass(frozen=True)`` gives, without importing :mod:`dataclasses`
+A record class lists its fields in ``_fields``, and in ``__slots__`` what
+it stores: the fields, or the state a field property is built from, and
+any private state.  Its ``__init__`` checks the values and stores them with
+``_set_slots``.  The base compares, hashes, shows, copies and pickles a
+record by its fields in order, and refuses assignment and deletion.  The
+text of ``repr`` is ``Name(field=value, ...)``.  This is what
+``@dataclass(frozen=True)`` gives, without importing :mod:`dataclasses`
 (and with it :mod:`inspect`) on every start of the command line.
 
 An error message quotes input through :func:`clip`, and a caller's value
@@ -46,10 +47,11 @@ class FrozenRecord:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def _set_fields(self, *values: object) -> None:
-        """Store the fields' values, in order; for ``__init__``."""
-        for name, value in zip(self._fields, values):
+    def _set_slots(self, *values: object) -> "FrozenRecord":
+        """Store the slots' values, in order, and return the record."""
+        for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
+        return self
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -104,7 +104,7 @@ class BoundReport(FrozenRecord):
             raise ValueError(f"upper_B={upper_B} exceeds upper_C={upper_C}")
         if provenance is None:
             provenance = {}
-        self._set_fields(n, lower_C, upper_C, lower_B, upper_B, exact_C, provenance)
+        self._set_slots(n, lower_C, upper_C, lower_B, upper_B, exact_C, provenance)
 
     def summary(self) -> str:
         if isinstance(self.exact_C, frozenset):

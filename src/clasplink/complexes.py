@@ -35,7 +35,7 @@ from collections import defaultdict
 from itertools import chain, filterfalse
 
 from ._record import FrozenRecord, quote
-from .words import ClaspWord, SignedLetter, _SharedLetters
+from .words import ClaspWord
 
 
 # A complex holds one traversal order per component, so a file's component
@@ -128,7 +128,7 @@ class CComplex(FrozenRecord):
         violations = validate(n, clasps, orders)
         if violations:
             raise InvalidComplexError(violations)
-        self._set_fields(n, clasps, orders)
+        self._set_slots(n, clasps, orders)
 
 
 _NO_IDS: frozenset[str] = frozenset()  # the incident ids of a component no clasp meets
@@ -202,25 +202,26 @@ def _require_component(F: CComplex, k: int) -> None:
 def _read_words(F: CComplex, components: range | tuple[int, ...]) -> list[ClaspWord]:
     """The words of the given distinct components, in that order, from one
     pass over the clasps.  The components are checked first, in that order."""
-    # tables[k][id]: the letter clasp id reads as along a wanted component
-    # k that meets a clasp, so has a nonempty order; None for every other k
-    tables: list[dict[str, SignedLetter] | None] = [None] * (F.n + 1)
+    # tables[k][id]: the letter key (index * sign) clasp id reads as along a
+    # wanted component k that meets a clasp, so has a nonempty order; None
+    # for every other k
+    tables: list[dict[str, int] | None] = [None] * (F.n + 1)
     for k in components:
         _require_component(F, k)
         tables[k] = {} if F.orders[k - 1] else None
-    letters = _SharedLetters()
     for c in F.clasps:
         a, b, sign = c.a, c.b, c.sign
         ids = tables[a]
         if ids is not None:
-            ids[c.id] = letters[b * sign]
+            ids[c.id] = b * sign
         ids = tables[b]
         if ids is not None:
-            ids[c.id] = letters[a * sign]
+            ids[c.id] = a * sign
     words = []
     for k in components:
         ids, tables[k] = tables[k], None  # free each table once its word is read
-        words.append(ClaspWord(tuple(map(ids.__getitem__, F.orders[k - 1])) if ids else ()))
+        keys = tuple(map(ids.__getitem__, F.orders[k - 1])) if ids else ()  # a run a letter
+        words.append(ClaspWord._of_runs(keys, (1,) * len(keys)))
     return words
 
 

@@ -62,7 +62,7 @@ class LatticeCurve(FrozenRecord):
         # one C-level pass: deleting every valid code leaves nothing
         if type(steps) is not bytes or steps.translate(None, _CODES):
             raise ValueError("steps must be a bytes object of step codes 0 to 3")
-        object.__setattr__(self, "steps", steps)
+        self._set_slots(steps)  # first, for segments() to read
         x = y = min_x = max_x = min_y = max_y = total = 0
         for run in self.segments():
             code = run[0]
@@ -84,8 +84,7 @@ class LatticeCurve(FrozenRecord):
                 y -= len(run)
                 if y < min_y:
                     min_y = y
-        object.__setattr__(self, "_box", (min_x, max_x, min_y, max_y))
-        object.__setattr__(self, "_integral", total)
+        self._set_slots(steps, (min_x, max_x, min_y, max_y), total)
 
     def _coordinates(self, delta: list[int]) -> Iterator[int]:
         return accumulate(map(delta.__getitem__, self.steps), initial=0)
@@ -169,18 +168,15 @@ class LatticeCurve(FrozenRecord):
 def build_curve(w: ClaspWord, i: int, j: int) -> LatticeCurve:
     """Trace the curve read off w with x_i horizontal and x_j vertical.
 
-    Letters with other indices contribute no step, so the curve length is
-    the number of letters with index i or j.
+    Each run of the word adds its step code times its length.  Letters of
+    other indices make no step, so the length counts those of index i or j.
     """
     if i == j:
         raise ValueError("curve construction requires two distinct indices")
     _require_letter_index(i)
     _require_letter_index(j)
+    codes = {i: bytes([RIGHT]), -i: bytes([LEFT]), j: bytes([UP]), -j: bytes([DOWN])}  # by letter key
     steps = bytearray()
-    append = steps.append
-    for letter in w:
-        if letter.index == i:
-            append(RIGHT if letter.sign == 1 else LEFT)
-        elif letter.index == j:
-            append(UP if letter.sign == 1 else DOWN)
+    for key, count in zip(w.keys, w.counts):
+        steps += codes.get(key, b"") * count
     return LatticeCurve(bytes(steps))

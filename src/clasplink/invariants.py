@@ -20,20 +20,19 @@ if TYPE_CHECKING:
 def e_ij(w: ClaspWord, i: int, j: int) -> int:
     """Signed count of x_i-before-x_j pairs in w.
 
-    Single left-to-right pass: maintain the running signed count of x_i
-    letters and, at each x_j letter, add that count times the letter sign.
+    One pass over the runs: keep the signed count of x_i letters so far,
+    and add it times the signed length of each run of x_j letters.
     """
     if i == j:
         raise ValueError("e_ij requires two distinct indices")
     _require_letter_index(i)
     _require_letter_index(j)
-    running = 0
-    total = 0
-    for letter in w:
-        if letter.index == i:
-            running += letter.sign
-        elif letter.index == j:
-            total += running * letter.sign
+    running = total = 0
+    for key, count in zip(w.keys, w.counts):
+        if key == i or key == -i:
+            running += count if key > 0 else -count
+        elif key == j or key == -j:
+            total += (running if key > 0 else -running) * count
     return total
 
 
@@ -66,7 +65,7 @@ class TripleLinkingResult(FrozenRecord):
     def __init__(self, value: int, contributions: tuple[int, int, int], well_defined: bool) -> None:
         if value != sum(contributions):
             raise ValueError("value must equal the sum of the contributions")
-        self._set_fields(value, contributions, well_defined)
+        self._set_slots(value, contributions, well_defined)
 
 
 def triple_linking(F: CComplex, i: int, j: int, k: int) -> TripleLinkingResult:
@@ -78,7 +77,8 @@ def triple_linking(F: CComplex, i: int, j: int, k: int) -> TripleLinkingResult:
     """
     from .complexes import _read_words  # here, so that e_ij alone loads no complex code
 
-    if len({i, j, k}) != 3:
+    # pairwise, not as a set: an unhashable value is no component, not a TypeError
+    if i == j or j == k or k == i:
         raise ValueError("triple linking requires three distinct components")
     w_i, w_j, w_k = _read_words(F, (i, j, k))
     contributions = (e_ij(w_k, i, j), e_ij(w_i, j, k), e_ij(w_j, k, i))

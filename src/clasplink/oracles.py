@@ -44,7 +44,7 @@ class OracleReport(FrozenRecord):
     predicted: int
 
     def __init__(self, parameter: int, observed: int, predicted: int) -> None:
-        self._set_fields(parameter, observed, predicted)
+        self._set_slots(parameter, observed, predicted)
 
     @property
     def agree(self) -> bool:

@@ -13,28 +13,29 @@ Text grammar (word files may also contain ``#`` comment lines):
     INDEX := [1-9][0-9]*      at most WORD_INDEX_DIGITS digits
     SIGNEDINT := [ "-" ] [1-9][0-9]*
 
-``x3^-2`` expands at parse time to two copies of ``x3^-1``; the in-memory
-form is always the fully expanded letter sequence.  A parsed word holds one
-shared :class:`SignedLetter` per ``(index, sign)``: each distinct term is
-read once, by the one function that judges a term against the grammar,
-and its run of letters reused wherever the term recurs.  A complex's clasp
-words share their letters through the same table.
+A word is kept as its runs: ``keys`` holds one ``index * sign`` a run
+and ``counts`` the letters in it.  ``x3^-2`` is one run, key -3 and count
+2; ``x3^-1 x3^-1`` is two, each of count 1, and the two words are equal.
+Runs are never merged, so no code makes a pass per letter: a parsed word
+holds one run a term, and a complex's clasp word one run a letter.
+``letters`` expands the runs into :class:`SignedLetter` records, and the
+word compares, hashes, shows, copies and pickles by them.
 
 A parsed word may hold at most ``WORD_LETTER_CAP`` letters.  An exponent
 writes many letters in a few characters (``x1^1000000000``), so the cap is
-checked before a term is expanded; the term that would cross it raises
-:class:`WordSyntaxError` with its line and column, instead of the parse
-running out of memory.  An exponent too long to convert is such a term, and
-an index longer than ``WORD_INDEX_DIGITS`` digits is a malformed one.  The
-parse appends one run a token, so the runs since a line began number the
-token it stops at.  An error message quotes at most ``QUOTE_CHARS``
-characters of the bad term.
+checked before a term's run is stored; the term that would cross it raises
+:class:`WordSyntaxError` with its line and column, instead of a later
+expansion running out of memory.  An exponent too long to convert is such a
+term, and an index longer than ``WORD_INDEX_DIGITS`` digits is a malformed
+one.  An error message quotes at most ``QUOTE_CHARS`` characters of the bad
+term.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import chain, islice
+from itertools import chain, filterfalse, islice, repeat
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from ._record import FrozenRecord, clip, quote
@@ -56,6 +57,11 @@ def _require_letter_index(index: int) -> None:
         raise ValueError(f"letter index must be a positive integer, got {quote(index)}")
 
 
+# the text of the letter of key index * sign
+def _term(key: int) -> str:
+    return f"x{key}" if key > 0 else f"x{-key}^-1"
+
+
 class SignedLetter(FrozenRecord):
     """A single letter x_i or x_i^-1."""
 
@@ -67,52 +73,52 @@ class SignedLetter(FrozenRecord):
         _require_letter_index(index)
         if type(sign) is not int or sign not in (1, -1):
             raise ValueError(f"letter sign must be +1 or -1, got {quote(sign)}")
-        # A complex's words can build two letters a clasp, so the fields are
-        # stored through their slot descriptors, bound once, as Clasp does.
-        _store_index(self, index)
-        _store_sign(self, sign)
+        self._set_slots(index, sign)
 
     def __str__(self) -> str:
-        return f"x{self.index}" if self.sign == 1 else f"x{self.index}^-1"
-
-
-_store_index, _store_sign = [SignedLetter.__dict__[name].__set__ for name in SignedLetter._fields]
+        return _term(self.index * self.sign)
 
 
 class ClaspWord(FrozenRecord):
-    """An immutable sequence of signed letters."""
+    """An immutable sequence of signed letters, kept as runs (see the module docstring)."""
 
-    __slots__ = _fields = ("letters",)
-    letters: tuple[SignedLetter, ...]
+    __slots__ = ("keys", "counts")  # tuples of ints, one entry a run
+    _fields = ("letters",)
 
-    def __init__(self, letters: tuple[SignedLetter, ...] = ()) -> None:
-        # tuple() copies a list, which could change the frozen word, and
-        # returns a tuple as it is
-        object.__setattr__(self, "letters", tuple(letters))
+    def __init__(self, letters: Iterable[SignedLetter] = ()) -> None:
+        # tuple() would split a string into one-character letters
+        if isinstance(letters, str):
+            raise ValueError(f"a clasp word takes a sequence of letters, not a string, got {quote(letters)}")
+        letters = tuple(letters)
+        for letter in filterfalse(SignedLetter.__instancecheck__, letters):
+            raise ValueError(f"letters of a clasp word must be SignedLetter records, got {quote(letter)}")
+        self._set_slots(tuple([letter.index * letter.sign for letter in letters]), (1,) * len(letters))
+
+    @classmethod
+    def _of_runs(cls, keys: tuple[int, ...], counts: tuple[int, ...]) -> "ClaspWord":
+        """The word of ``keys`` and ``counts``, which the caller built valid."""
+        return cls.__new__(cls)._set_slots(keys, counts)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "ClaspWord":
         """Build a word from (index, sign) pairs."""
-        return cls(tuple(SignedLetter(i, s) for i, s in pairs))
+        return cls(SignedLetter(i, s) for i, s in pairs)
+
+    @property
+    def letters(self) -> tuple[SignedLetter, ...]:
+        """The letters in order, built anew on each access: one letter a key, shared."""
+        letters = {key: SignedLetter(abs(key), 1 if key > 0 else -1) for key in set(self.keys)}
+        return tuple(chain.from_iterable(map(repeat, map(letters.__getitem__, self.keys), self.counts)))
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return sum(self.counts)
 
     def __iter__(self) -> Iterator[SignedLetter]:
         return iter(self.letters)
 
     def __str__(self) -> str:
         """Canonical text form: single spaces, one term per letter."""
-        return " ".join(str(letter) for letter in self.letters)
-
-
-class _SharedLetters(dict):
-    """The one letter of each ``(index, sign)``, keyed by ``index * sign``
-    and built on first use, so every word read through a table shares it."""
-
-    def __missing__(self, key: int) -> SignedLetter:
-        letter = self[key] = SignedLetter(abs(key), 1 if key > 0 else -1)
-        return letter
+        return " ".join(chain.from_iterable(map(repeat, map(_term, self.keys), self.counts)))
 
 
 WORD_LETTER_CAP = 10_000_000  # letters in one parsed word
@@ -160,35 +166,27 @@ def _error_at(message: str, line_no: int, line: str, token_number: int) -> WordS
 
 
 def parse_word(text: str) -> ClaspWord:
-    """Parse word text into a fully expanded :class:`ClaspWord`.
+    """Parse word text into a :class:`ClaspWord` of one run a term.
 
     Raises :class:`WordSyntaxError` (with line and column) on malformed
     input or on a word longer than ``WORD_LETTER_CAP`` letters.  Lines
     starting with ``#`` are ignored.
     """
-    runs_read: list[tuple[SignedLetter, ...]] = []  # the word, a run per term
+    runs_read: list[tuple[int, int]] = []  # the word, a (key, count) run per term
     total = 0  # letters in runs_read
-    runs: dict[str, tuple[SignedLetter, ...]] = {}  # term text -> its letters
-    letters = _SharedLetters()
+    runs: dict[str, tuple[int, int]] = {}  # term text -> its run, so a term is read once
     for line_no, line in enumerate(text.splitlines(), start=1):
         if line.lstrip().startswith("#"):
             continue
-        first = len(runs_read)  # an error's token is numbered from this run
-        for token in _TOKEN_RE.findall(line):
+        for number, token in enumerate(_TOKEN_RE.findall(line)):
             run = runs.get(token)
             if run is None:
                 try:
-                    key, count = _read_term(token)
+                    run = runs[token] = _read_term(token)
                 except ValueError as exc:
-                    raise _error_at(str(exc), line_no, line, len(runs_read) - first) from None
-            else:
-                count = len(run)
-            # checked before the run is built: x1^999999999999 never expands
-            if total + count > WORD_LETTER_CAP:
-                message = f"term {clip(token)} takes the word past {WORD_LETTER_CAP} letters"
-                raise _error_at(message, line_no, line, len(runs_read) - first)
-            if run is None:
-                run = runs[token] = (letters[key],) * count
+                    raise _error_at(str(exc), line_no, line, number) from None
+            total += run[1]
+            if total > WORD_LETTER_CAP:
+                raise _error_at(f"term {clip(token)} takes the word past {WORD_LETTER_CAP} letters", line_no, line, number)
             runs_read.append(run)
-            total += count
-    return ClaspWord(tuple(chain.from_iterable(runs_read)))
+    return ClaspWord._of_runs(tuple(map(itemgetter(0), runs_read)), tuple(map(itemgetter(1), runs_read)))

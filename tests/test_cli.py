@@ -10,7 +10,7 @@ from clasplink._record import QUOTE_CHARS
 from clasplink.cli import SVG_SCALE, main, render_curve_svg
 from clasplink.complexes import BRN_CAP, Clasp, clasp_word, parse_complex
 from clasplink.curves import LatticeCurve, build_curve
-from clasplink.words import ClaspWord, parse_word
+from clasplink.words import ClaspWord, SignedLetter, parse_word
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 BORROMEAN = str(DATA / "borromean.cc")
@@ -255,19 +255,37 @@ def test_mu_builds_only_the_three_words_it_reads(capsys, monkeypatch, tmp_path):
     path = tmp_path / "chain.cc"
     path.write_text(chain_text(20_000))
     built = []
-    init = ClaspWord.__init__
+    of_runs = ClaspWord._of_runs
 
-    def counting_init(self, letters=()):
-        built.append(len(letters))
-        init(self, letters)
+    def counting_of_runs(keys, counts):
+        built.append(sum(counts))
+        return of_runs(keys, counts)
 
-    monkeypatch.setattr(ClaspWord, "__init__", counting_init)
+    monkeypatch.setattr(ClaspWord, "_of_runs", counting_of_runs)
     code, out, _ = run(capsys, "mu", str(path), "1", "2", "3")
     assert code == 0
     assert out == "mu = 0\ne_12(w3) = 0\ne_23(w1) = 0\ne_31(w2) = 0\nNOT-WELL-DEFINED\n"
     # w1, w2 and w3, of one, two and two letters: no word of the other
     # 19,997 components is built
     assert built == [1, 2, 2]
+
+
+def test_no_letter_record_is_built_on_a_command_line_path(capsys, monkeypatch, tmp_path):
+    # a word is its runs: no command builds a SignedLetter per letter, or at all
+    built = []
+    init = SignedLetter.__init__
+    monkeypatch.setattr(SignedLetter, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    svg_path = tmp_path / "comb.svg"
+    for argv in (
+        ("eij", COMB_TEXT, "1", "2"),
+        ("eij", COMB_TEXT, "2", "1", "--method", "sum"),
+        ("curve", COMB_TEXT, "1", "2", "--out", str(svg_path)),
+        ("mu", BORROMEAN, "1", "2", "3"),
+        ("words", BORROMEAN),
+        ("bounds", BORROMEAN),
+    ):
+        assert run(capsys, *argv)[0] == 0, argv
+    assert built == []
 
 
 def test_bounds_golden(capsys):

@@ -205,6 +205,14 @@ def test_triple_linking_rejects_bad_indices():
         triple_linking(BORROMEAN, 0, 4, 1)
 
 
+@pytest.mark.parametrize("args, shown", [(([1], 2, 3), "[1]"), ((1, 2, {3}), "{3}"), ((1, {}, 2), "{}")])
+def test_triple_linking_refuses_an_unhashable_component(args, shown):
+    # a set of the three values once raised TypeError: unhashable type
+    with pytest.raises(ValueError) as caught:
+        triple_linking(BORROMEAN, *args)
+    assert str(caught.value) == f"component {shown} is not a component of this complex (n=3)"
+
+
 def test_basepoint_rotations_preserve_mu():
     for F in (BORROMEAN, generate_brn(1), generate_brn(2), generate_brn(3)):
         expected = triple_linking(F, 1, 2, 3).value

@@ -265,6 +265,10 @@ def quoting(build, value, message, quoted):
                 repr("x" * QUOTE_CHARS + "...")),
         quoting(lambda value: SignedLetter(1, value), LONG_TEXT, "letter sign must be +1 or -1, got {}",
                 repr("x" * QUOTE_CHARS + "...")),
+        quoting(ClaspWord, LONG_TEXT, "a clasp word takes a sequence of letters, not a string, got {}",
+                repr("x" * QUOTE_CHARS + "...")),
+        quoting(lambda value: ClaspWord([value]), LONG_TEXT, "letters of a clasp word must be SignedLetter records, got {}",
+                repr("x" * QUOTE_CHARS + "...")),
         quoting(lambda value: CComplex(value, (), ()), LONG_TEXT, "component count must be a nonnegative integer, got {}",
                 repr("x" * QUOTE_CHARS + "...")),
         # repr refuses these ints, so they are shown by their bit length

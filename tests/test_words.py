@@ -8,6 +8,8 @@ from hypothesis import given, strategies as st
 from clasplink import words as words_module
 from clasplink._record import QUOTE_CHARS, clip
 from clasplink.cli import main
+from clasplink.curves import DOWN, LEFT, RIGHT, UP, build_curve
+from clasplink.invariants import e_ij
 from clasplink.words import (
     WORD_INDEX_DIGITS,
     WORD_LETTER_CAP,
@@ -120,8 +122,24 @@ def test_word_stores_its_letters_as_a_tuple():
     assert w.letters == (SignedLetter(1, 1),)
     assert hash(w) == hash(ClaspWord((SignedLetter(1, 1),)))
     assert str(w) == "x1"
-    parsed = parse_word("x1 x2")
-    assert ClaspWord(parsed.letters).letters is parsed.letters
+
+
+@pytest.mark.parametrize(
+    "letters, message",
+    [
+        ("x1 x2", "a clasp word takes a sequence of letters, not a string, got 'x1 x2'"),
+        ("", "a clasp word takes a sequence of letters, not a string, got ''"),
+        ([1, 2], "letters of a clasp word must be SignedLetter records, got 1"),
+        ((SignedLetter(1, 1), (2, 1)), "letters of a clasp word must be SignedLetter records, got (2, 1)"),
+        ([SignedLetter(1, 1), "x" * 100], f"letters of a clasp word must be SignedLetter records, got {clip('x' * 100)!r}"),
+    ],
+    ids=["string", "empty-string", "ints", "pair", "long-string-letter"],
+)
+def test_word_refuses_anything_that_is_not_a_letter(letters, message):
+    # a string was once split into a word of its characters, shown as "x 1   x 2"
+    with pytest.raises(ValueError) as caught:
+        ClaspWord(letters)
+    assert str(caught.value) == message
 
 
 def test_round_trip_many_random_words():
@@ -139,14 +157,74 @@ def test_round_trip_property(w):
     assert parse_word(str(w)) == w
 
 
-def test_parse_shares_one_letter_per_index_and_sign():
+def test_parse_holds_one_run_a_term():
     texts = [path.read_text() for path in sorted(GOLDEN_WORDS.glob("[!b]*.word"))]
     texts.append("x3 x3^1 x3^2 x3^-1 x3^-4 x1.x1^3 x3 x3^-1 x2^7")
     for text in texts:
         w = parse_word(text)
+        terms = [term for line in text.splitlines() if not line.lstrip().startswith("#")
+                 for term in line.replace(".", " ").split()]
         assert len(w) > 1
-        kinds = {(letter.index, letter.sign) for letter in w}
-        assert len({id(letter) for letter in w}) == len(kinds)
+        assert len(w.keys) == len(w.counts) == len(terms)
+        assert sum(w.counts) == len(w) == len(w.letters)
+
+
+# Letter-by-letter references, as e_ij and build_curve were written before
+# they read a word's runs; each takes the word as (index, sign) pairs.
+def reference_e_ij(pairs, i, j):
+    running = total = 0
+    for index, sign in pairs:
+        if index == i:
+            running += sign
+        elif index == j:
+            total += running * sign
+    return total
+
+
+def reference_steps(pairs, i, j):
+    steps = bytearray()
+    for index, sign in pairs:
+        if index == i:
+            steps.append(RIGHT if sign == 1 else LEFT)
+        elif index == j:
+            steps.append(UP if sign == 1 else DOWN)
+    return bytes(steps)
+
+
+def term(index, exponent, write_one):
+    """``x<index>^<exponent>``, or ``x<index>`` for an exponent of 1 unless
+    ``write_one``."""
+    return f"x{index}" if exponent == 1 and not write_one else f"x{index}^{exponent}"
+
+
+@st.composite
+def split_runs(draw):
+    """Runs of letters as (index, sign, count), and word text writing each
+    run as terms whose exponents are a random split of its count."""
+    runs = draw(st.lists(st.tuples(st.integers(1, 4), st.sampled_from((1, -1)), st.integers(1, 6)), max_size=12))
+    terms = []
+    for index, sign, count in runs:
+        while count:
+            part = draw(st.integers(1, count))
+            terms.append(term(index, sign * part, draw(st.booleans())))
+            count -= part
+    seps = draw(st.lists(st.sampled_from([" ", ".", "\n", "\t  "]), min_size=len(terms), max_size=len(terms)))
+    return runs, "".join(t + sep for t, sep in zip(terms, seps))
+
+
+@given(split_runs(), st.permutations((1, 2, 3, 4)))
+def test_split_runs_equal_one_letter_a_term(case, order):
+    runs, text = case
+    pairs = [(index, sign) for index, sign, count in runs for _ in range(count)]
+    one_a_term = " ".join(term(index, sign, False) for index, sign in pairs)
+    w, expanded = parse_word(text), parse_word(one_a_term)
+    assert w == expanded and hash(w) == hash(expanded)
+    assert w == ClaspWord.from_pairs(pairs)
+    assert str(w) == str(expanded) == one_a_term
+    assert len(w) == len(pairs)
+    i, j = order[:2]
+    assert e_ij(w, i, j) == reference_e_ij(pairs, i, j)
+    assert build_curve(w, i, j).steps == reference_steps(pairs, i, j)
 
 
 def test_letter_cap_is_fixed():
