@@ -11,6 +11,7 @@ text of ``repr`` is ``Name(field=value, ...)``.  This is what
 
 An error message quotes input through :func:`clip`, and a caller's value
 through :func:`quote`, so that no error line grows with its input.
+:func:`require_int` is the one check of an integer argument.
 """
 
 from __future__ import annotations
@@ -39,6 +40,15 @@ def quote(value: object) -> str:
         if isinstance(value, int):
             return f"<{'negative ' if value < 0 else ''}int of {value.bit_length()} bits>"
         return f"<{clip(type(value).__qualname__)} that repr refuses>"
+
+
+def require_int(name: str, value: object, least: int | None = 1) -> None:
+    """Raise ValueError unless ``value`` is an int, and at least ``least``
+    unless that is None.  type(): True, a bool, is an int and would pass as 1."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {quote(value)}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {quote(value)}")
 
 
 class FrozenRecord:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from math import isqrt
 from typing import TYPE_CHECKING
 
-from ._record import FrozenRecord
+from ._record import FrozenRecord, quote, require_int
 
 if TYPE_CHECKING:
     from .complexes import CComplex
@@ -34,8 +34,7 @@ def _smallest_root_at_least(target: int, coeff: int) -> int:
 
 def ceil_two_sqrt(a: int) -> int:
     """ceil(2*sqrt(a)) for a >= 0, exactly: min {m >= 0 : m^2 >= 4a}."""
-    if a < 0:
-        raise ValueError(f"argument must be nonnegative, got {a}")
+    require_int("a", a, 0)
     return _smallest_root_at_least(4 * a, 1)
 
 
@@ -45,8 +44,7 @@ def min_polyomino_perimeter(a: int) -> int:
     This is the Harary-Harborth minimum; the oracles module re-derives it
     by exhaustive enumeration.
     """
-    if a < 1:
-        raise ValueError(f"polyomino area must be at least 1, got {a}")
+    require_int("polyomino area", a)
     return 2 * ceil_two_sqrt(a)
 
 
@@ -56,6 +54,7 @@ def two_component_clasp_number(lk: int) -> int | frozenset[int]:
     Nonzero lk determines C(L) = |lk| exactly; lk = 0 leaves the
     dichotomy {0, 2} (boundary link or not), returned as a set.
     """
+    require_int("lk", lk, None)
     return abs(lk) if lk != 0 else frozenset({0, 2})
 
 
@@ -63,6 +62,7 @@ def three_component_lower_bound(mu: int) -> int:
     """Lower bound 2*ceil(2*sqrt(|mu|/3)) on the clasp number of a
     3-component link with vanishing pairwise linking numbers, computed as
     2 * min {m >= 0 : 3m^2 >= 4|mu|}."""
+    require_int("mu", mu, None)
     return 2 * _smallest_root_at_least(4 * abs(mu), 3)
 
 
@@ -97,11 +97,11 @@ class BoundReport(FrozenRecord):
         provenance: dict[str, str] | None = None,
     ) -> None:
         if lower_C > upper_C:
-            raise ValueError(f"lower_C={lower_C} exceeds upper_C={upper_C}")
+            raise ValueError(f"lower_C={quote(lower_C)} exceeds upper_C={quote(upper_C)}")
         if lower_B > upper_B:
-            raise ValueError(f"lower_B={lower_B} exceeds upper_B={upper_B}")
+            raise ValueError(f"lower_B={quote(lower_B)} exceeds upper_B={quote(upper_B)}")
         if upper_B > upper_C:
-            raise ValueError(f"upper_B={upper_B} exceeds upper_C={upper_C}")
+            raise ValueError(f"upper_B={quote(upper_B)} exceeds upper_C={quote(upper_C)}")
         if provenance is None:
             provenance = {}
         self._set_slots(n, lower_C, upper_C, lower_B, upper_B, exact_C, provenance)

@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections import defaultdict
 from itertools import chain, filterfalse
 
-from ._record import FrozenRecord, quote
+from ._record import FrozenRecord, quote, require_int
 from .words import ClaspWord
 
 
@@ -163,7 +163,7 @@ def validate(n: int, clasps: tuple[Clasp, ...], orders: tuple[tuple[str, ...], .
         if a == b:
             violations.append(f"clasp {quote(cid)} is a self-clasp (both ends on component {a})")
         if b > n:  # a <= b, so no end is unknown unless b is
-            for endpoint in (a, b):
+            for endpoint in (a, b) if a < b else (b,):
                 if endpoint > n:
                     violations.append(f"clasp {quote(cid)} references unknown component {quote(endpoint)}")
         elif a != b:
@@ -240,8 +240,7 @@ def clasp_words(F: CComplex) -> list[ClaspWord]:
 def with_rotated_order(F: CComplex, k: int, r: int) -> CComplex:
     """Move component k's basepoint: rotate its traversal order left by r."""
     _require_component(F, k)
-    if type(r) is not int:
-        raise ValueError(f"rotation must be an integer, got {quote(r)}")
+    require_int("rotation", r, None)
     order = F.orders[k - 1]
     if order:
         r %= len(order)
@@ -260,10 +259,7 @@ def generate_brn(n: int) -> CComplex:
     and (x1 x1^-1)^n respectively.  ``n`` may be at most ``BRN_CAP``, and a
     larger one is refused before anything is built.
     """
-    if type(n) is not int:  # bool is an int subclass
-        raise ValueError(f"n must be an integer, got {quote(n)}")
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {quote(n)}")
+    require_int("n", n)
     if n > BRN_CAP:
         raise ValueError(f"n may be at most {BRN_CAP}, got {quote(n)}")
     p = [f"p{m}" for m in range(1, n + 1)]  # 1-2 positive

@@ -21,7 +21,7 @@ from __future__ import annotations
 import sys
 from typing import Iterator
 
-from ._record import FrozenRecord, quote
+from ._record import FrozenRecord, quote, require_int
 from .bounds import ceil_two_sqrt, min_polyomino_perimeter
 
 POLYOMINO_AREA_CAP = 10
@@ -119,23 +119,19 @@ def _redelmeier(max_area: int) -> tuple[list[int], list[int]]:
     return counts, min_perimeter
 
 
-def _check_bound(name: str, value: int, *cap: int) -> None:
-    """Refuse the sweep bound ``name`` unless it is an int of at least 1
-    and at most the cap, if one is given.  Both must be ints, and are checked
-    first: type() rather than isinstance(), since bool is an int subclass."""
-    for label, number in zip((name, "cap"), (value, *cap)):
-        if type(number) is not int:
-            raise ValueError(f"{label} must be an integer, got {quote(number)}")
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1, got {quote(value)}")
-    if cap and value > cap[0]:
-        raise CapExceededError(f"{name} {quote(value)} exceeds the cap {quote(cap[0])}")
+def _check_bound(name: str, value: int, cap: int) -> None:
+    """Refuse the sweep bound ``name`` unless it is an int of at least 1 and
+    at most ``cap``, an int."""
+    require_int(name, value)
+    require_int("cap", cap, None)
+    if value > cap:
+        raise CapExceededError(f"{name} {quote(value)} exceeds the cap {quote(cap)}")
 
 
 def count_fixed_polyominoes(max_area: int) -> list[int]:
     """Counts of fixed polyominoes for areas 1..max_area, by Redelmeier's
     method (see :func:`_redelmeier`)."""
-    _check_bound("max_area", max_area)
+    require_int("max_area", max_area)
     return _redelmeier(max_area)[0][1:]
 
 

@@ -8,10 +8,14 @@ sequence.
 Text grammar (word files may also contain ``#`` comment lines):
 
     word := [ term { sep term } ]
-    sep  := whitespace+ | "."
+    sep  := ( whitespace | "." )+
     term := "x" INDEX [ "^" SIGNEDINT ]
     INDEX := [1-9][0-9]*      at most WORD_INDEX_DIGITS digits
     SIGNEDINT := [ "-" ] [1-9][0-9]*
+
+Terms are found by ``str.split()`` on the line with each ``.`` made a
+space, so whitespace is what ``str.isspace()`` accepts (U+00A0 among it),
+and each character keeps its column for an error to report.
 
 A word is kept as its runs: ``keys`` holds one ``index * sign`` a run
 and ``counts`` the letters in it.  ``x3^-2`` is one run, key -3 and count
@@ -34,7 +38,7 @@ term.
 from __future__ import annotations
 
 import re
-from itertools import chain, filterfalse, islice, repeat
+from itertools import chain, filterfalse, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator
 
@@ -130,7 +134,6 @@ WORD_INDEX_DIGITS = 100
 _CAP_DIGITS = len(str(WORD_LETTER_CAP))
 
 _TERM_RE = re.compile(r"x(-?[0-9]+)(?:\^(-?[0-9]+))?\Z")  # a term, or a near miss of one
-_TOKEN_RE = re.compile(r"[^\s.]+")
 
 
 def _read_term(token: str) -> tuple[int, int]:
@@ -159,10 +162,9 @@ def _read_term(token: str) -> tuple[int, int]:
     return (-index if exponent[0] == "-" else index), count
 
 
-def _error_at(message: str, line_no: int, line: str, token_number: int) -> WordSyntaxError:
-    """``message`` at the ``token_number``-th token of ``line``, from 0."""
-    token = next(islice(_TOKEN_RE.finditer(line), token_number, None))
-    return WordSyntaxError(message, line_no, token.start() + 1)
+def _error_at(message: str, line_no: int, terms: str, number: int) -> WordSyntaxError:
+    """``message`` at the ``number``-th term of ``terms``, from 0."""
+    return WordSyntaxError(message, line_no, len(terms) - len(terms.split(None, number)[-1]) + 1)
 
 
 def parse_word(text: str) -> ClaspWord:
@@ -178,15 +180,16 @@ def parse_word(text: str) -> ClaspWord:
     for line_no, line in enumerate(text.splitlines(), start=1):
         if line.lstrip().startswith("#"):
             continue
-        for number, token in enumerate(_TOKEN_RE.findall(line)):
+        terms = line.replace(".", " ")  # the line, with its separators all whitespace
+        for number, token in enumerate(terms.split()):
             run = runs.get(token)
             if run is None:
                 try:
                     run = runs[token] = _read_term(token)
                 except ValueError as exc:
-                    raise _error_at(str(exc), line_no, line, number) from None
+                    raise _error_at(str(exc), line_no, terms, number) from None
             total += run[1]
             if total > WORD_LETTER_CAP:
-                raise _error_at(f"term {clip(token)} takes the word past {WORD_LETTER_CAP} letters", line_no, line, number)
+                raise _error_at(f"term {clip(token)} takes the word past {WORD_LETTER_CAP} letters", line_no, terms, number)
             runs_read.append(run)
     return ClaspWord._of_runs(tuple(map(itemgetter(0), runs_read)), tuple(map(itemgetter(1), runs_read)))

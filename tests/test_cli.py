@@ -305,6 +305,15 @@ def test_validate(capsys, tmp_path):
     assert "incomplete" in out
 
 
+def test_validate_names_an_unknown_self_clasp_end_once(capsys, tmp_path):
+    bad = tmp_path / "bad.cc"
+    bad.write_text("components 3\nclasp x 5 5 +\norder 1\norder 2\norder 3\n")
+    lines = "clasp 'x' is a self-clasp (both ends on component 5)\nclasp 'x' references unknown component 5\n"
+    assert run(capsys, "validate", str(bad)) == (2, lines, "")
+    errors = "".join(f"error: {line}\n" for line in lines.splitlines())
+    assert run(capsys, "bounds", str(bad)) == (2, "", errors)
+
+
 def test_gen_brn_golden(capsys):
     code, out, _ = run(capsys, "gen-brn", "1")
     assert (code, out) == (0, GEN_BRN_1)

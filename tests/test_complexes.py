@@ -222,6 +222,16 @@ def test_validate_unknown_component():
     assert any("unknown component 5" in v for v in validate(2, (Clasp("a", 1, 5, 1),), (("a",), ())))
 
 
+def test_validate_names_each_unknown_end_once():
+    # a self-clasp on an unknown component has one unknown end, not two
+    assert validate(3, (Clasp("x", 5, 5, 1), Clasp("y", 4, 5, 1)), ((), (), ())) == [
+        "clasp 'x' is a self-clasp (both ends on component 5)",
+        "clasp 'x' references unknown component 5",
+        "clasp 'y' references unknown component 4",
+        "clasp 'y' references unknown component 5",
+    ]
+
+
 def test_validate_order_extras_and_repeats():
     problems = "\n".join(validate(
         2,
@@ -294,7 +304,7 @@ def reference_validate(n, clasps, orders):
         if c.a == c.b:
             violations.append(f"clasp {quote(c.id)} is a self-clasp (both ends on component {c.a})")
         if c.b > n:
-            for endpoint in (c.a, c.b):
+            for endpoint in sorted({c.a, c.b}):
                 if endpoint > n:
                     violations.append(f"clasp {quote(c.id)} references unknown component {clip(str(endpoint))}")
         elif c.a != c.b:

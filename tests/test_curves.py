@@ -529,18 +529,13 @@ def test_is_simple_peak_stays_near_its_sorted_codes():
 def reference_is_simple(curve):
     """The sort-based ``is_simple`` that the bitmap replaced: each interior
     vertex coded as ``x * span + y``, a repeat shown by equal sorted
-    neighbours, the first 4,096 vertices checked first."""
+    neighbours."""
     if not curve.is_closed():
         raise ValueError("simplicity is only defined for closed curves")
     span = 2 * len(curve.steps) + 1
     code_delta = [span, -span, 1, -1]  # of each step code
-    interior = len(curve.steps)
-
-    def repeats(count):
-        codes = sorted(islice(accumulate(map(code_delta.__getitem__, curve.steps), initial=0), count))
-        return any(map(eq, codes, islice(codes, 1, None)))
-
-    return not (repeats(min(interior, 4096)) or repeats(interior))
+    codes = sorted(islice(accumulate(map(code_delta.__getitem__, curve.steps), initial=0), len(curve.steps)))
+    return not any(map(eq, codes, islice(codes, 1, None)))
 
 
 def closed(codes):

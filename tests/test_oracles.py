@@ -1,6 +1,13 @@
 import pytest
 from reference_polyominoes import fixed_polyominoes, is_connected, normalize, perimeter
 
+from clasplink.bounds import (
+    BoundReport,
+    ceil_two_sqrt,
+    min_polyomino_perimeter,
+    three_component_lower_bound,
+    two_component_clasp_number,
+)
 from clasplink.complexes import generate_brn
 from clasplink.oracles import (
     CapExceededError,
@@ -241,6 +248,11 @@ def test_bad_parameters():
         (verify_word_length_bound, (True,), "max_len"),
         (verify_word_length_bound, ("4",), "max_len"),
         (verify_word_length_bound, (4, 12.0), "cap"),
+        (ceil_two_sqrt, (True,), "a"),
+        (ceil_two_sqrt, (2.5,), "a"),
+        (min_polyomino_perimeter, (True,), "polyomino area"),
+        (two_component_clasp_number, (2.5,), "lk"),
+        (three_component_lower_bound, (True,), "mu"),
     ],
     ids=lambda v: getattr(v, "__name__", str(v)),
 )
@@ -248,6 +260,23 @@ def test_counts_must_be_ints(function, args, name):
     # bool is an int subclass, so True once ran as 1; a float raised TypeError
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
         function(*args)
+
+
+@pytest.mark.parametrize(
+    "function,args,message",
+    [
+        (ceil_two_sqrt, (-(10**5000),), "a must be at least 0, got <negative int of 16610 bits>"),
+        (BoundReport, (3, 10**5000, 1, 0, 1), "lower_C=<int of 16610 bits> exceeds upper_C=1"),
+        (BoundReport, (3, 0, 1, 10**5000, 1), "lower_B=<int of 16610 bits> exceeds upper_B=1"),
+        (BoundReport, (3, 0, 1, 0, 10**5000), "upper_B=<int of 16610 bits> exceeds upper_C=1"),
+    ],
+    ids=["ceil_two_sqrt", "lower_C", "lower_B", "upper_B"],
+)
+def test_bounds_quote_a_huge_int(function, args, message):
+    # past the int-to-str limit, the message itself once raised ValueError
+    with pytest.raises(ValueError) as caught:
+        function(*args)
+    assert str(caught.value) == message
 
 
 def test_oracle_report_agree():

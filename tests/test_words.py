@@ -96,10 +96,18 @@ def test_parse_error_reports_position():
     assert (excinfo.value.line, excinfo.value.column) == (3, 4)
     # the stop is the token after those read, not the first place its text
     # occurs: x1^ is also the start of x1^2
-    for text, column in [("x1^2 x1^", 6), ("x1.x2.x0", 7), ("y1 x1 y1", 1)]:
+    # U+3000, U+00A0 and the unit separator U+001F separate terms only as
+    # str.isspace() accepts them, and each stands for one column
+    for text, column in [("x1^2 x1^", 6), ("x1.x2.x0", 7), ("y1 x1 y1", 1), ("x1\u3000x0", 4),
+                         ("x1 .\x1fx2 x0", 9), ("x1\u00a0.x0", 5), (".\u00a0x2.\u3000\x1fx-1", 8)]:
         with pytest.raises(WordSyntaxError) as excinfo:
             parse_word(text)
         assert (excinfo.value.line, excinfo.value.column) == (1, column), text
+
+
+def test_signed_letter_text():
+    assert str(SignedLetter(3, -1)) == "x3^-1"
+    assert str(SignedLetter(12, 1)) == "x12"
 
 
 def test_signed_letter_validation():
