@@ -96,6 +96,12 @@ class BoundReport(FrozenRecord):
         exact_C: int | frozenset[int] | None = None,
         provenance: dict[str, str] | None = None,
     ) -> None:
+        # types first, so the order comparisons below see ints only
+        require_int("n", n)
+        for name, value in zip(self._fields[1:5], (lower_C, upper_C, lower_B, upper_B)):
+            require_int(name, value, 0)
+        if exact_C is not None and not isinstance(exact_C, frozenset):
+            require_int("exact_C", exact_C, 0)
         if lower_C > upper_C:
             raise ValueError(f"lower_C={quote(lower_C)} exceeds upper_C={quote(upper_C)}")
         if lower_B > upper_B:

@@ -31,81 +31,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .curves import LatticeCurve
-
-SVG_SCALE = 40  # pixels per lattice unit
-_PIECE_SEGMENTS = 1024  # polyline segments joined per piece
-
-
-def render_curve_svg(curve: LatticeCurve, grid: bool = False) -> str:
-    """Render the curve as an SVG polyline with a start-point marker.
-
-    One unit of margin surrounds the bounding box; the y axis is flipped
-    so upward steps render upward.  Each coordinate in the box is formatted
-    once.  The polyline is written a straight segment at a time: the points
-    of a horizontal segment are one ``str.join`` over a slice of the column
-    strings, and those of a vertical one over a slice of the row strings.
-    The slice runs backwards (step -1) for a segment that runs left or
-    down; the margin keeps every index at least 1, so a backward slice
-    never ends at -1.  The segments are joined ``_PIECE_SEGMENTS`` at a
-    time, so the only whole-curve text built is the returned SVG and the
-    pieces it is joined from.
-    """
-    from .curves import UP
-
-    min_x, max_x, min_y, max_y = curve.bounding_box()
-    width = (max_x - min_x + 2) * SVG_SCALE
-    height = (max_y - min_y + 2) * SVG_SCALE
-
-    # px[x - min_x + 1] and py[y - min_y + 1] are the pixel strings of
-    # column x and row y, for the box and its one-unit margin
-    px = [str(k * SVG_SCALE) for k in range(max_x - min_x + 3)]
-    py = [str(k * SVG_SCALE) for k in range(max_y - min_y + 2, -1, -1)]
-    x0, y0 = 1 - min_x, 1 - min_y  # the start vertex
-
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>\n',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">\n',
-    ]
-    if grid:
-        for sx in px:
-            parts.append(f'  <line x1="{sx}" y1="0" x2="{sx}" y2="{height}" stroke="#cccccc" stroke-width="1"/>\n')
-        for sy in py:
-            parts.append(f'  <line x1="0" y1="{sy}" x2="{width}" y2="{sy}" stroke="#cccccc" stroke-width="1"/>\n')
-    if curve.length:
-        # A point is " X,Y".  A horizontal segment on row y joins its " X"
-        # with rows[y] and ends with it; a vertical one on column x starts
-        # with cols[x] and joins its "Y" with it.
-        rows = ["," + sy for sy in py]
-        cols = [" " + sx + "," for sx in px]
-        xs = [" " + sx for sx in px]
-        x, y = x0, y0
-        parts.append(f'  <polyline points="{px[x]},{py[y]}')
-        piece: list[str] = []
-        add = piece.append
-        for run in curve.segments():
-            code = run[0]
-            s = -1 if code & 1 else 1  # LEFT and DOWN are the odd codes
-            if code < UP:
-                end = x + s * len(run)
-                add(rows[y].join(xs[x + s : end + s : s]) + rows[y])
-                x = end
-            else:
-                end = y + s * len(run)
-                add(cols[x] + cols[x].join(py[y + s : end + s : s]))
-                y = end
-            if len(piece) == _PIECE_SEGMENTS:
-                parts.append("".join(piece))
-                piece.clear()
-        parts.append("".join(piece))
-        parts.append('" fill="none" stroke="#000000" stroke-width="2"/>\n')
-    parts.append(f'  <circle cx="{px[x0]}" cy="{py[y0]}" r="{SVG_SCALE // 8}" fill="#cc0000"/>\n')
-    parts.append("</svg>\n")
-    return "".join(parts)
 
 
 def _read_text(source: str) -> str:
@@ -143,13 +68,14 @@ def cmd_eij(args: argparse.Namespace) -> int:
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
-    from .curves import build_curve
+    from .curves import build_curve, write_svg
     from .words import parse_word
 
-    # neither the word nor the SVG text is bound: each is freed once used
+    # the word is not bound, so it is freed once the curve is built; the SVG
+    # goes to the file a segment at a time and is never held whole
     curve = build_curve(parse_word(_read_text(args.word)), args.i, args.j)
     with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(render_curve_svg(curve, grid=args.grid))
+        write_svg(curve, handle.write, grid=args.grid)
     area = curve.line_integral_x_dy()
     if curve.is_closed():
         shape = "simple" if curve.is_simple() else "nonsimple"

@@ -14,7 +14,9 @@ segment and none per vertex, and keeps the line integral and the bounding
 box that walk gives.  ``is_simple`` marks the vertices in a bitmap of that
 box, one byte a cell and one slice a segment, unless the box is large for
 the curve's length.  No coordinate can overflow: a curve of n steps from
-(0, 0) stays within n of it.
+(0, 0) stays within n of it.  ``write_svg`` draws a curve as SVG text,
+passed to a writer a straight segment at a time, so the whole document is
+never held.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import re
 from itertools import accumulate, islice
 from operator import eq
-from typing import Iterator
+from typing import Callable, Iterator
 
 from ._record import FrozenRecord
 from .words import ClaspWord, _require_letter_index
@@ -40,6 +42,7 @@ _CODES = bytes([RIGHT, LEFT, UP, DOWN])
 _FLIP = bytes.maketrans(_CODES, bytes([LEFT, RIGHT, DOWN, UP]))
 _SEGMENT = re.compile(rb"\x00+|\x01+|\x02+|\x03+")  # a maximal straight run
 _WINDOW = 4096  # steps searched for straight runs at a time
+SVG_SCALE = 40  # pixels per lattice unit
 
 
 class LatticeCurve(FrozenRecord):
@@ -180,3 +183,61 @@ def build_curve(w: ClaspWord, i: int, j: int) -> LatticeCurve:
     for key, count in zip(w.keys, w.counts):
         steps += codes.get(key, b"") * count
     return LatticeCurve(bytes(steps))
+
+
+def write_svg(curve: LatticeCurve, write: Callable[[str], object], grid: bool = False) -> None:
+    """Write the curve as an SVG polyline with a start-point marker.
+
+    Each header line, grid line, straight segment's points, the marker and
+    the closing tag go to ``write`` as soon as they are made, so no text
+    longer than one segment is built.  One unit of margin surrounds the
+    bounding box; the y axis is flipped so upward steps render upward.  Each
+    coordinate in the box is formatted once.  The points of a horizontal
+    segment are one ``str.join`` over a slice of the column strings, and
+    those of a vertical one over a slice of the row strings.  The slice runs
+    backwards (step -1) for a segment that runs left or down; the margin
+    keeps every index at least 1, so a backward slice never ends at -1.
+    """
+    min_x, max_x, min_y, max_y = curve.bounding_box()
+    width = (max_x - min_x + 2) * SVG_SCALE
+    height = (max_y - min_y + 2) * SVG_SCALE
+
+    # px[x - min_x + 1] and py[y - min_y + 1] are the pixel strings of
+    # column x and row y, for the box and its one-unit margin
+    px = [str(k * SVG_SCALE) for k in range(max_x - min_x + 3)]
+    py = [str(k * SVG_SCALE) for k in range(max_y - min_y + 2, -1, -1)]
+    x0, y0 = 1 - min_x, 1 - min_y  # the start vertex
+
+    write('<?xml version="1.0" encoding="UTF-8"?>\n')
+    write(
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">\n'
+    )
+    if grid:
+        for sx in px:
+            write(f'  <line x1="{sx}" y1="0" x2="{sx}" y2="{height}" stroke="#cccccc" stroke-width="1"/>\n')
+        for sy in py:
+            write(f'  <line x1="0" y1="{sy}" x2="{width}" y2="{sy}" stroke="#cccccc" stroke-width="1"/>\n')
+    if curve.length:
+        # A point is " X,Y".  A horizontal segment on row y joins its " X"
+        # with rows[y] and ends with it; a vertical one on column x starts
+        # with cols[x] and joins its "Y" with it.
+        rows = ["," + sy for sy in py]
+        cols = [" " + sx + "," for sx in px]
+        xs = [" " + sx for sx in px]
+        x, y = x0, y0
+        write(f'  <polyline points="{px[x]},{py[y]}')
+        for run in curve.segments():
+            code = run[0]
+            s = -1 if code & 1 else 1  # LEFT and DOWN are the odd codes
+            if code < UP:
+                end = x + s * len(run)
+                write(rows[y].join(xs[x + s : end + s : s]) + rows[y])
+                x = end
+            else:
+                end = y + s * len(run)
+                write(cols[x] + cols[x].join(py[y + s : end + s : s]))
+                y = end
+        write('" fill="none" stroke="#000000" stroke-width="2"/>\n')
+    write(f'  <circle cx="{px[x0]}" cy="{py[y0]}" r="{SVG_SCALE // 8}" fill="#cc0000"/>\n')
+    write("</svg>\n")

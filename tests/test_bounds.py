@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from reference_polyominoes import perimeter
@@ -12,6 +13,8 @@ from clasplink.bounds import (
     two_component_clasp_number,
 )
 from clasplink.complexes import CComplex, Clasp, InvalidComplexError, generate_brn, parse_complex
+from clasplink.invariants import e_ij
+from clasplink.words import ClaspWord, SignedLetter
 
 
 def test_ceil_two_sqrt_examples():
@@ -195,3 +198,52 @@ def test_bound_report_invariants_enforced():
         BoundReport(n=3, lower_C=0, upper_C=4, lower_B=5, upper_B=4)
     with pytest.raises(ValueError):
         BoundReport(n=3, lower_C=0, upper_C=4, lower_B=0, upper_B=5)
+    # field types are checked before the order of the bounds
+    with pytest.raises(ValueError, match="^lower_C must be an integer, got True$"):
+        BoundReport(3, True, 1, 0, 1)
+    with pytest.raises(ValueError, match="^lower_B must be an integer, got 'b'$"):
+        BoundReport(3, 0, 1, "b", 1)
+    with pytest.raises(ValueError, match="^exact_C must be an integer, got 'x'$"):
+        BoundReport(3, 0, 1, 0, 1, exact_C="x")
+
+
+def arrangements(counts):
+    """Every distinct sequence holding ``counts[k]`` copies of each key k."""
+    if not any(counts.values()):
+        yield ()
+        return
+    for key, left in counts.items():
+        if left:
+            counts[key] -= 1
+            for rest in arrangements(counts):
+                yield (key, *rest)
+            counts[key] += 1
+
+
+def test_clasp_model_fills_every_e12_up_to_bc():
+    # A 3-component complex with vanishing pairwise linking has 2b clasps
+    # with component 1 and 2c with component 2 on w_3, half of each sign:
+    # its e_12(w_3) values are exactly the integers in [-bc, bc].  Every
+    # b, c up to 3 but b = c = 3, which alone takes six times as long.
+    letters = {key: SignedLetter(abs(key), 1 if key > 0 else -1) for key in (1, -1, 2, -2)}
+    for b, c in product(range(4), repeat=2):
+        if b * c > 6:
+            continue
+        values = {
+            e_ij(ClaspWord([letters[key] for key in keys]), 1, 2)
+            for keys in arrangements({1: b, -1: b, 2: c, -2: c})
+        }
+        assert values == set(range(-b * c, b * c + 1)), (b, c)
+
+
+def test_three_component_bound_is_at_most_the_clasp_model_minimum():
+    # the three words' orders are chosen independently, so |mu| reaches
+    # ab + bc + ca with 2(a + b + c) clasps, and no further
+    model = [
+        2 * min(a + b + c for a, b, c in product(range(mu + 1), repeat=3) if a * b + b * c + c * a >= mu)
+        for mu in range(1, 13)
+    ]
+    bound = [three_component_lower_bound(mu) for mu in range(1, 13)]
+    assert model == [4, 6, 6, 8, 8, 10, 10, 10, 12, 12, 12, 12]
+    assert bound == [4, 4, 4, 6, 6, 6, 8, 8, 8, 8, 8, 8]
+    assert all(map(int.__le__, bound, model))

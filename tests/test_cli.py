@@ -7,9 +7,9 @@ import pytest
 
 from clasplink import complexes
 from clasplink._record import QUOTE_CHARS
-from clasplink.cli import SVG_SCALE, main, render_curve_svg
+from clasplink.cli import main
 from clasplink.complexes import BRN_CAP, Clasp, clasp_word, parse_complex
-from clasplink.curves import LatticeCurve, build_curve
+from clasplink.curves import SVG_SCALE, LatticeCurve, build_curve, write_svg
 from clasplink.words import ClaspWord, SignedLetter, parse_word
 
 DATA = Path(__file__).resolve().parents[1] / "data"
@@ -582,11 +582,14 @@ def test_cli_outputs_are_deterministic(capsys, tmp_path):
     assert svg_a.read_bytes() == svg_b.read_bytes()
 
 
-def test_render_curve_svg_grid_lines():
+def test_write_svg_grid_lines():
     curve = build_curve(parse_word("x1 x2 x1^-1 x2^-1"), 1, 2)
-    svg = render_curve_svg(curve, grid=True)
-    assert svg.count("<line") == 8  # 4 vertical + 4 horizontal for a unit square
-    assert render_curve_svg(curve, grid=False).count("<line") == 0
+    with_grid: list[str] = []
+    without_grid: list[str] = []
+    write_svg(curve, with_grid.append, grid=True)
+    write_svg(curve, without_grid.append, grid=False)
+    assert "".join(with_grid).count("<line") == 8  # 4 vertical + 4 horizontal for a unit square
+    assert "".join(without_grid).count("<line") == 0
 
 
 def test_pipe_gen_brn_into_mu_and_bounds():

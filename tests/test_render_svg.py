@@ -1,11 +1,11 @@
-"""The SVG render against the whole-string render it replaced.
+"""The SVG writer against the whole-string render it replaced.
 
 ``reference_render_curve_svg`` builds every point string, the whole
-polyline and then the whole document before it joins them.
-``render_curve_svg`` writes the points a straight segment at a time, from
-runs found a window of ``_WINDOW`` steps at a time, and joins
-``_PIECE_SEGMENTS`` segments per piece.  On every curve, with and without
-grid lines, the two must give the same text.
+polyline and then the whole document before it joins them.  ``write_svg``
+passes the points to its writer a straight segment at a time, from runs
+found a window of ``_WINDOW`` steps at a time.  On every curve, with and
+without grid lines, the pieces it writes, joined here, must be the same
+text.
 """
 
 import random
@@ -16,8 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clasplink.cli import SVG_SCALE, render_curve_svg
-from clasplink.curves import _WINDOW, DOWN, LEFT, RIGHT, UP, LatticeCurve
+from clasplink.curves import _WINDOW, DOWN, LEFT, RIGHT, SVG_SCALE, UP, LatticeCurve, write_svg
 
 STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
@@ -59,6 +58,13 @@ def reference_render_curve_svg(curve: LatticeCurve, grid: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
+def render(curve: LatticeCurve, grid: bool = False) -> str:
+    """The pieces ``write_svg`` writes, joined."""
+    pieces: list[str] = []
+    write_svg(curve, pieces.append, grid=grid)
+    return "".join(pieces)
+
+
 CODES = {(1, 0): RIGHT, (-1, 0): LEFT, (0, 1): UP, (0, -1): DOWN}
 
 
@@ -89,7 +95,7 @@ def test_render_matches_the_reference_at_chunk_edges(vertex_count, grid):
     # the segment search's window edges: a run that crosses one is split
     curve = random_walk(vertex_count, seed=vertex_count)
     assert len(curve.vertices) == vertex_count
-    assert render_curve_svg(curve, grid=grid) == reference_render_curve_svg(curve, grid=grid)
+    assert render(curve, grid=grid) == reference_render_curve_svg(curve, grid=grid)
 
 
 SEGMENT_CASES = {
@@ -114,7 +120,7 @@ SEGMENT_CASES = {
 @pytest.mark.parametrize("grid", [False, True])
 def test_render_matches_the_reference_at_segment_edges(name, grid):
     curve = SEGMENT_CASES[name]
-    assert render_curve_svg(curve, grid=grid) == reference_render_curve_svg(curve, grid=grid)
+    assert render(curve, grid=grid) == reference_render_curve_svg(curve, grid=grid)
 
 
 def test_segment_cases_are_what_they_claim():
@@ -132,23 +138,31 @@ def test_segment_cases_are_what_they_claim():
     st.lists(st.tuples(st.sampled_from(STEPS), st.integers(1, 6)), max_size=30),
     st.booleans(),
     st.integers(1, 8),
-    st.integers(1, 4),
 )
-def test_render_matches_the_reference_on_random_walks(runs, grid, window, pieces):
-    # a small window and piece size put their edges anywhere along the walks
+def test_render_matches_the_reference_on_random_walks(runs, grid, window):
+    # a small window puts its edges anywhere along the walks
     curve = straight(*runs)
-    with mock.patch("clasplink.curves._WINDOW", window), mock.patch("clasplink.cli._PIECE_SEGMENTS", pieces):
-        svg = render_curve_svg(curve, grid=grid)
+    with mock.patch("clasplink.curves._WINDOW", window):
+        svg = render(curve, grid=grid)
     assert svg == reference_render_curve_svg(curve, grid=grid)
 
 
 @pytest.mark.parametrize("grid", [False, True])
-def test_render_peak_stays_within_three_svgs(grid):
+def test_writer_peak_stays_within_a_quarter_of_its_svg(grid):
+    # the sink keeps no text, so the peak is the writer's own: it fails if
+    # the pieces are collected, not only if the whole document is built
     curve = random_walk(100_000, seed=5)
+    written = 0
+
+    def count(piece: str) -> None:
+        nonlocal written
+        written += len(piece)
+
     tracemalloc.start()
     try:
-        svg = render_curve_svg(curve, grid=grid)
+        write_svg(curve, count, grid=grid)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * len(svg)
+    assert written == len(render(curve, grid=grid))
+    assert peak <= written / 4
