@@ -100,7 +100,10 @@ class BoundReport(FrozenRecord):
         require_int("n", n)
         for name, value in zip(self._fields[1:5], (lower_C, upper_C, lower_B, upper_B)):
             require_int(name, value, 0)
-        if exact_C is not None and not isinstance(exact_C, frozenset):
+        if isinstance(exact_C, frozenset):
+            for member in exact_C:
+                require_int("exact_C", member, 0)
+        elif exact_C is not None:
             require_int("exact_C", exact_C, 0)
         if lower_C > upper_C:
             raise ValueError(f"lower_C={quote(lower_C)} exceeds upper_C={quote(upper_C)}")

@@ -32,6 +32,7 @@ Error messages quote an id or a bad field, or an integer argument, through
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Iterator
 from itertools import chain, filterfalse
 
 from ._record import FrozenRecord, quote, require_int
@@ -41,7 +42,8 @@ from .words import ClaspWord
 # A complex holds one traversal order per component, so a file's component
 # count sets the memory it takes, however short the file is.
 COMPONENT_CAP = 1_000_000
-# generate_brn(n) builds 4n clasps; n = 100_000 takes about 170 MiB.
+# generate_brn(n) builds 4n clasps; parsing the text of n = 100_000 peaks at
+# about 165 MiB (tracemalloc).
 BRN_CAP = 100_000
 
 
@@ -131,9 +133,6 @@ class CComplex(FrozenRecord):
         self._set_slots(n, clasps, orders)
 
 
-_NO_IDS: frozenset[str] = frozenset()  # the incident ids of a component no clasp meets
-
-
 def validate(n: int, clasps: tuple[Clasp, ...], orders: tuple[tuple[str, ...], ...]) -> list[str]:
     """Check every structural invariant of the parts of a complex: n
     components, its clasps and one traversal order per component.
@@ -143,7 +142,7 @@ def validate(n: int, clasps: tuple[Clasp, ...], orders: tuple[tuple[str, ...], .
     in full; ``CComplex(n, clasps, orders)`` raises them as one
     :class:`InvalidComplexError`.
 
-    A component's order is accepted with one set comparison when it lists
+    A component's order is accepted with one dict comparison when it lists
     each incident clasp once and nothing else.  Only an order that fails
     it is walked id by id, to word its violations in the order they occur.
     """
@@ -152,8 +151,10 @@ def validate(n: int, clasps: tuple[Clasp, ...], orders: tuple[tuple[str, ...], .
         violations.append(f"component count must be at least 1, got {n}")
 
     seen: dict[str, Clasp] = {}
-    # incident[k]: ids of the well-formed clasps with an end on component k
-    incident: defaultdict[int, set[str]] = defaultdict(set)
+    # incident[k]: ids of the well-formed clasps with an end on component k,
+    # as the keys of a dict of Nones, which takes 21 to 38 bytes an id where
+    # a set takes 33 to 105: a parse peaks here
+    incident: defaultdict[int, dict[str, None]] = defaultdict(dict)
     for c in clasps:
         cid, a, b = c.id, c.a, c.b
         if cid in seen:
@@ -167,15 +168,16 @@ def validate(n: int, clasps: tuple[Clasp, ...], orders: tuple[tuple[str, ...], .
                 if endpoint > n:
                     violations.append(f"clasp {quote(cid)} references unknown component {quote(endpoint)}")
         elif a != b:
-            incident[a].add(cid)
-            incident[b].add(cid)
+            incident[a][cid] = None
+            incident[b][cid] = None
 
     if len(orders) != n:
         violations.append(f"expected {n} traversal orders, got {len(orders)}")
         return violations
     for k, order in enumerate(orders, start=1):
-        expected = incident.get(k, _NO_IDS)
-        listed = set(order)
+        expected = incident.pop(k, {})  # freed once its order is checked
+        # every value is None, so dict equality compares the ids alone
+        listed = dict.fromkeys(order)
         if len(listed) == len(order) and listed == expected:
             continue
         listed.clear()
@@ -183,12 +185,12 @@ def validate(n: int, clasps: tuple[Clasp, ...], orders: tuple[tuple[str, ...], .
             if cid in listed:
                 violations.append(f"order for component {k} repeats clasp id {quote(cid)}")
                 continue
-            listed.add(cid)
+            listed[cid] = None
             if cid not in seen:
                 violations.append(f"order for component {k} references unknown clasp id {quote(cid)}")
             elif cid not in expected:
                 violations.append(f"order for component {k} lists non-incident clasp {quote(cid)}")
-        for cid in sorted(expected - listed):
+        for cid in sorted(expected.keys() - listed.keys()):
             violations.append(f"order for component {k} is incomplete: missing clasp id {quote(cid)}")
     return violations
 
@@ -294,6 +296,23 @@ def _ascii_int(text: str) -> int | None:
 
 _SIGNS = {"+": 1, "-": -1}
 
+# Characters of a complex's text split into lines at a time, so a parse
+# holds one piece's lines, not the whole text's.
+_PIECE = 1 << 16
+
+
+def _lines(text: str) -> Iterator[list[str]]:
+    """The lines of ``text``, as ``text.splitlines()`` gives them, one list
+    a piece.  Each piece but the last is at least ``_PIECE`` characters
+    and ends just after a line feed, which ends a line whatever comes
+    before it (a carriage return and line feed are one break), so no line
+    is split and none is added.  A text without a line feed is one piece."""
+    start = 0
+    while start < len(text):
+        cut = text.find("\n", start + _PIECE - 1) + 1 or len(text)
+        yield text[start:cut].splitlines()
+        start = cut
+
 
 def parse_complex(text: str) -> CComplex:
     """Parse the line-oriented complex format.
@@ -312,7 +331,7 @@ def parse_complex(text: str) -> CComplex:
     # endpoint text -> its value: a file names few components, so each
     # distinct text is read by _ascii_int once, and a refused one never
     ints: dict[str, int] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(chain.from_iterable(_lines(text)), start=1):
         fields = raw.split()
         if not fields:
             continue

@@ -122,7 +122,9 @@ class ClaspWord(FrozenRecord):
 
     def __str__(self) -> str:
         """Canonical text form: single spaces, one term per letter."""
-        return " ".join(chain.from_iterable(map(repeat, map(_term, self.keys), self.counts)))
+        # a word names few distinct letters, so each term is formatted once
+        terms = {key: _term(key) for key in set(self.keys)}
+        return " ".join(chain.from_iterable(map(repeat, map(terms.__getitem__, self.keys), self.counts)))
 
 
 WORD_LETTER_CAP = 10_000_000  # letters in one parsed word

@@ -207,6 +207,18 @@ def test_bound_report_invariants_enforced():
         BoundReport(3, 0, 1, 0, 1, exact_C="x")
 
 
+def test_bound_report_checks_each_member_of_an_exact_C_set():
+    # a string member once reached format(), whose sort raised a bare TypeError
+    with pytest.raises(ValueError, match="^exact_C must be an integer, got 'a'$"):
+        BoundReport(3, 0, 1, 0, 1, frozenset({"a", 1}))
+    # and a bool or a negative member was printed: exact_C in {-3, True}
+    with pytest.raises(ValueError, match="^exact_C must be (an integer, got True|at least 0, got -3)$"):
+        BoundReport(3, 0, 1, 0, 1, frozenset({True, -3}))
+    with pytest.raises(ValueError, match="^exact_C must be at least 0, got -3$"):
+        BoundReport(3, 0, 1, 0, 1, frozenset({-3, 2}))
+    assert "exact_C in {0, 2}" in BoundReport(2, 0, 2, 0, 2, frozenset({0, 2})).format()
+
+
 def arrangements(counts):
     """Every distinct sequence holding ``counts[k]`` copies of each key k."""
     if not any(counts.values()):

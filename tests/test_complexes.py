@@ -2,6 +2,7 @@ import inspect
 import itertools
 import random
 import re
+import sys
 import tracemalloc
 from collections import defaultdict
 from pathlib import Path
@@ -110,6 +111,53 @@ def test_parse_error_carries_line_number():
     with pytest.raises(ComplexFormatError) as excinfo:
         parse_complex("components 2\n# ok\nclasp a 1 2 ?\n")
     assert str(excinfo.value).startswith("line 3:")
+
+
+# every line break str.splitlines() knows; "\r\n" is one break
+BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+EVERY_BREAK = "".join(f"line {i}{brk}" for i, brk in enumerate(BREAKS))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "\n",
+        EVERY_BREAK,
+        EVERY_BREAK + "no break at the end",
+        EVERY_BREAK.replace("line ", ""),  # a break on nearly every character
+        "\r\n\r\n\n\r\r\n\n\n",
+        "a\rb\x0bc\u2028d\x85 e",  # breaks, but no line feed
+        "no line feed at all",
+    ],
+)
+@pytest.mark.parametrize("piece", range(1, 9))
+def test_lines_split_as_splitlines_does(monkeypatch, text, piece):
+    monkeypatch.setattr(complexes, "_PIECE", piece)
+    assert list(itertools.chain.from_iterable(complexes._lines(text))) == text.splitlines()
+
+
+def test_lines_cut_right_after_a_crlf(monkeypatch):
+    assert list(complexes._lines("ab\r\ncd")) == [["ab", "cd"]]
+    # the search for a line feed starts on the one of "\r\n"
+    monkeypatch.setattr(complexes, "_PIECE", 4)
+    assert list(complexes._lines("ab\r\ncd")) == [["ab"], ["cd"]]
+
+
+@pytest.mark.parametrize("piece", [1, 5, 40, 300])
+def test_parse_error_line_number_past_several_pieces(monkeypatch, piece):
+    lines = print_complex(generate_brn(20)).splitlines()
+    bad = lines.index("clasp q7 1 2 -")
+    lines[bad] = "clasp q7 1 2 ?"
+    text = "".join(line + BREAKS[i % len(BREAKS)] for i, line in enumerate(lines))
+    with pytest.raises(ComplexFormatError) as whole:
+        parse_complex(text)
+    assert str(whole.value).startswith(f"line {bad + 1}: clasp sign")
+    monkeypatch.setattr(complexes, "_PIECE", piece)
+    assert len(text) > 3 * piece
+    with pytest.raises(ComplexFormatError) as pieces:
+        parse_complex(text)
+    assert str(pieces.value) == str(whole.value)
 
 
 LONG_FIELD = "q" * 3000
@@ -598,6 +646,31 @@ def test_generate_brn_refuses_n_past_the_cap_before_building():
     finally:
         tracemalloc.stop()
     assert peak < 100_000
+
+
+def complex_size(F):
+    """Bytes of F, its tuples, clasps and id strings, each object once."""
+    objects = {id(F): F, id(F.clasps): F.clasps, id(F.orders): F.orders}
+    for c in F.clasps:
+        objects[id(c)] = c
+        objects[id(c.id)] = c.id
+    for order in F.orders:
+        objects[id(order)] = order
+        objects.update((id(cid), cid) for cid in order)
+    return sum(map(sys.getsizeof, objects.values()))
+
+
+def test_parse_peak_stays_within_1_6_times_its_complex():
+    # it was 2.29 times when the whole text was split at once and validate
+    # kept its ids in sets
+    text = print_complex(generate_brn(5000))
+    tracemalloc.start()
+    try:
+        F = parse_complex(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * complex_size(F)
 
 
 def test_with_rotated_order():
