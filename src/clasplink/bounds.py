@@ -111,6 +111,13 @@ class BoundReport(FrozenRecord):
             raise ValueError(f"lower_B={quote(lower_B)} exceeds upper_B={quote(upper_B)}")
         if upper_B > upper_C:
             raise ValueError(f"upper_B={quote(upper_B)} exceeds upper_C={quote(upper_C)}")
+        # a set may hold values outside the bounds ({0, 2} when upper_C is 0),
+        # but not only such values
+        if isinstance(exact_C, frozenset):
+            if not any(lower_C <= member <= upper_C for member in exact_C):
+                raise ValueError(f"exact_C has no member in [{quote(lower_C)}, {quote(upper_C)}]")
+        elif exact_C is not None and not lower_C <= exact_C <= upper_C:
+            raise ValueError(f"exact_C={quote(exact_C)} is outside [{quote(lower_C)}, {quote(upper_C)}]")
         if provenance is None:
             provenance = {}
         self._set_slots(n, lower_C, upper_C, lower_B, upper_B, exact_C, provenance)

@@ -2,8 +2,9 @@
 order in which each component's boundary meets its clasps.
 
 Only the incidence data is modeled; surfaces, genus and embeddings are
-not.  Every invariant computed downstream consumes nothing but the clasp
-words derived here, and one loop reads them: :func:`clasp_word`,
+not.  The pairwise linking number is a signed count of clasps; every
+other invariant computed downstream consumes nothing but the clasp words
+derived here, and one function reads them: :func:`clasp_word`,
 :func:`clasp_words` and ``invariants.triple_linking`` each get the words
 they need from one pass over the clasps.
 
@@ -204,26 +205,16 @@ def _require_component(F: CComplex, k: int) -> None:
 def _read_words(F: CComplex, components: range | tuple[int, ...]) -> list[ClaspWord]:
     """The words of the given distinct components, in that order, from one
     pass over the clasps.  The components are checked first, in that order."""
-    # tables[k][id]: the letter key (index * sign) clasp id reads as along a
-    # wanted component k that meets a clasp, so has a nonempty order; None
-    # for every other k
-    tables: list[dict[str, int] | None] = [None] * (F.n + 1)
     for k in components:
         _require_component(F, k)
-        tables[k] = {} if F.orders[k - 1] else None
-    for c in F.clasps:
-        a, b, sign = c.a, c.b, c.sign
-        ids = tables[a]
-        if ids is not None:
-            ids[c.id] = b * sign
-        ids = tables[b]
-        if ids is not None:
-            ids[c.id] = a * sign
+    # Along component k a clasp joining a and b with sign s reads as the
+    # letter key (a + b - k) * s, and a + b > k: so from e = (a + b) * s the
+    # key is e - k if e > 0, else e + k.
+    ends = {c.id: (c.a + c.b) * c.sign for c in F.clasps}
     words = []
     for k in components:
-        ids, tables[k] = tables[k], None  # free each table once its word is read
-        keys = tuple(map(ids.__getitem__, F.orders[k - 1])) if ids else ()  # a run a letter
-        words.append(ClaspWord._of_runs(keys, (1,) * len(keys)))
+        keys = tuple([e - k if e > 0 else e + k for e in map(ends.__getitem__, F.orders[k - 1])])
+        words.append(ClaspWord._of_runs(keys, (1,) * len(keys)))  # a run a letter
     return words
 
 

@@ -52,6 +52,10 @@ class WordSyntaxError(ValueError):
         super().__init__(f"line {line}, column {column}: {message}")
         self.line = line
         self.column = column
+        self.message = message
+
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild from the three arguments
+        return self.__class__, (self.message, self.line, self.column)
 
 
 def _require_letter_index(index: int) -> None:

@@ -219,6 +219,24 @@ def test_bound_report_checks_each_member_of_an_exact_C_set():
     assert "exact_C in {0, 2}" in BoundReport(2, 0, 2, 0, 2, frozenset({0, 2})).format()
 
 
+def test_bound_report_keeps_exact_C_within_its_bounds():
+    # an exact value above upper_C was printed as C = 7 (exact), and an
+    # empty set as C in {}
+    with pytest.raises(ValueError, match=r"^exact_C=7 is outside \[0, 1\]$"):
+        BoundReport(3, 0, 1, 0, 1, 7)
+    with pytest.raises(ValueError, match=r"^exact_C=0 is outside \[1, 2\]$"):
+        BoundReport(3, 1, 2, 0, 1, 0)
+    with pytest.raises(ValueError, match=r"^exact_C has no member in \[0, 1\]$"):
+        BoundReport(3, 0, 1, 0, 1, frozenset())
+    with pytest.raises(ValueError, match=r"^exact_C has no member in \[0, 1\]$"):
+        BoundReport(3, 0, 1, 0, 1, frozenset({2, 5}))
+    assert BoundReport(3, 0, 1, 0, 1, 1).exact_C == 1
+    # what bound_report builds for a 2-component complex with no clasps
+    assert BoundReport(2, 0, 0, 0, 0, frozenset({0, 2})).exact_C == frozenset({0, 2})
+    report = bound_report(parse_complex("components 2\norder 1\norder 2\n"))
+    assert (report.lower_C, report.upper_C, report.exact_C) == (0, 0, frozenset({0, 2}))
+
+
 def arrangements(counts):
     """Every distinct sequence holding ``counts[k]`` copies of each key k."""
     if not any(counts.values()):

@@ -564,6 +564,20 @@ def test_triple_linking_reads_the_words_the_reference_reads():
             assert triple_linking(F, i, j, k).contributions == expected
 
 
+def test_three_words_of_a_million_components_take_no_component_sized_memory():
+    # a table per component was 7.63 MiB here
+    text = "clasp a 1 2 +\nclasp b 2 3 -\nclasp c 3 1 +\norder 1 a c\norder 2 a b\norder 3 b c\n"
+    F = parse_complex("components 1000000\n" + text)
+    tracemalloc.start()
+    try:
+        result = triple_linking(F, 1, 2, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result == triple_linking(parse_complex("components 3\n" + text), 1, 2, 3)
+    assert peak < 2**20
+
+
 def test_letter_multisets_match_clasp_signs():
     rng = random.Random(23)
     complexes = [parse_complex(BORROMEAN_TEXT), generate_brn(3)]

@@ -310,3 +310,27 @@ def test_star_import_and_every_export_resolve():
     assert clasplink.__all__ == sorted(clasplink.__all__)
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         clasplink.no_such_name
+
+
+def _raised(call, *args):
+    """The exception that ``call(*args)`` raises."""
+    with pytest.raises(Exception) as caught:
+        call(*args)
+    return caught.value
+
+
+def test_every_exported_exception_survives_copy_and_pickle():
+    raised = [
+        _raised(clasplink.parse_word, "x1 y"),
+        _raised(parse_complex, "components 2\nbogus\n"),
+        _raised(parse_complex, "components 2\nclasp a 1 1 +\norder 1 a\n"),
+        _raised(verify_min_perimeter, 11, 10),
+    ]
+    exported = [getattr(clasplink, name) for name in clasplink.__all__]
+    assert {type(exc) for exc in raised} == {c for c in exported if isinstance(c, type) and issubclass(c, Exception)}
+    for exc in raised:
+        for twin in (copy.copy(exc), copy.deepcopy(exc), pickle.loads(pickle.dumps(exc))):
+            assert type(twin) is type(exc)
+            assert (str(twin), repr(twin)) == (str(exc), repr(exc))
+            assert vars(twin) == vars(exc)  # line and column, or violations
+    assert (raised[0].line, raised[0].column) == (1, 4)
