@@ -12,9 +12,13 @@ text of ``repr`` is ``Name(field=value, ...)``.  This is what
 An error message quotes input through :func:`clip`, and a caller's value
 through :func:`quote`, so that no error line grows with its input.
 :func:`require_int` is the one check of an integer argument.
+:func:`split_slices` splits a long line as ``str.split()`` does, a slice
+at a time.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 # Characters of input that an error message quotes: a longer piece is cut
 # there and marked with "...", so no error line grows with its input.
@@ -49,6 +53,19 @@ def require_int(name: str, value: object, least: int | None = 1) -> None:
         raise ValueError(f"{name} must be an integer, got {quote(value)}")
     if least is not None and value < least:
         raise ValueError(f"{name} must be at least {least}, got {quote(value)}")
+
+
+def split_slices(text: str, size: int) -> Iterator[list[str]]:
+    """The tokens of ``text.split()``, one list a slice of ``text``.  Each
+    slice but the last is at least ``size`` characters and ends just after
+    a space, which ends a token whatever comes before it, so no token is
+    cut and none is added.  A text with no space past ``size`` characters
+    is one slice."""
+    start = 0
+    while start < len(text):
+        cut = text.find(" ", start + size - 1) + 1 or len(text)
+        yield text[start:cut].split()
+        start = cut
 
 
 class FrozenRecord:

@@ -36,7 +36,7 @@ from collections import defaultdict
 from collections.abc import Iterator
 from itertools import chain, filterfalse
 
-from ._record import FrozenRecord, quote, require_int
+from ._record import FrozenRecord, quote, require_int, split_slices
 from .words import ClaspWord
 
 
@@ -44,7 +44,7 @@ from .words import ClaspWord
 # count sets the memory it takes, however short the file is.
 COMPONENT_CAP = 1_000_000
 # generate_brn(n) builds 4n clasps; parsing the text of n = 100_000 peaks at
-# about 165 MiB (tracemalloc).
+# about 98 MiB (tracemalloc).
 BRN_CAP = 100_000
 
 
@@ -143,9 +143,11 @@ def validate(n: int, clasps: tuple[Clasp, ...], orders: tuple[tuple[str, ...], .
     in full; ``CComplex(n, clasps, orders)`` raises them as one
     :class:`InvalidComplexError`.
 
-    A component's order is accepted with one dict comparison when it lists
-    each incident clasp once and nothing else.  Only an order that fails
-    it is walked id by id, to word its violations in the order they occur.
+    A component's order is accepted when it lists each incident clasp once
+    and nothing else: its ids make a dict of as many keys as the order has
+    ids and as the component has incident clasps, and that dict holds every
+    incident id.  Only an order that fails it is walked id by id, to word
+    its violations in the order they occur.
     """
     violations: list[str] = []
     if n < 1:
@@ -153,9 +155,8 @@ def validate(n: int, clasps: tuple[Clasp, ...], orders: tuple[tuple[str, ...], .
 
     seen: dict[str, Clasp] = {}
     # incident[k]: ids of the well-formed clasps with an end on component k,
-    # as the keys of a dict of Nones, which takes 21 to 38 bytes an id where
-    # a set takes 33 to 105: a parse peaks here
-    incident: defaultdict[int, dict[str, None]] = defaultdict(dict)
+    # each once, in a list: 8 bytes an id, where a dict's keys take 21 to 38
+    incident: defaultdict[int, list[str]] = defaultdict(list)
     for c in clasps:
         cid, a, b = c.id, c.a, c.b
         if cid in seen:
@@ -169,18 +170,20 @@ def validate(n: int, clasps: tuple[Clasp, ...], orders: tuple[tuple[str, ...], .
                 if endpoint > n:
                     violations.append(f"clasp {quote(cid)} references unknown component {quote(endpoint)}")
         elif a != b:
-            incident[a][cid] = None
-            incident[b][cid] = None
+            incident[a].append(cid)
+            incident[b].append(cid)
 
     if len(orders) != n:
         violations.append(f"expected {n} traversal orders, got {len(orders)}")
         return violations
     for k, order in enumerate(orders, start=1):
-        expected = incident.pop(k, {})  # freed once its order is checked
-        # every value is None, so dict equality compares the ids alone
+        expected = incident.pop(k, [])  # freed once its order is checked
+        # the order's ids, each once, are as many as the incident ids, which
+        # are distinct, and hold each of them: so they are the incident ids
         listed = dict.fromkeys(order)
-        if len(listed) == len(order) and listed == expected:
+        if len(listed) == len(order) == len(expected) and all(map(listed.__contains__, expected)):
             continue
+        expected = dict.fromkeys(expected)
         listed.clear()
         for cid in order:
             if cid in listed:
@@ -290,6 +293,9 @@ _SIGNS = {"+": 1, "-": -1}
 # Characters of a complex's text split into lines at a time, so a parse
 # holds one piece's lines, not the whole text's.
 _PIECE = 1 << 16
+# Characters of an order line split into ids at a time, so a parse holds
+# one slice's tokens, not a whole order's.
+_SLICE = 1 << 12
 
 
 def _lines(text: str) -> Iterator[list[str]]:
@@ -305,6 +311,14 @@ def _lines(text: str) -> Iterator[list[str]]:
         start = cut
 
 
+def _read_order(fields: list[str], ids: dict[str, str]) -> tuple[str, ...]:
+    """The ids of an order line's ``fields`` after k, the last of which may
+    be the rest of the line, read ``_SLICE`` characters at a time.  An id
+    that ``ids`` holds is its clasp line's string, so no id is kept twice."""
+    slices = chain.from_iterable(split_slices(field, _SLICE) for field in fields)
+    return tuple(chain.from_iterable(map(ids.get, tokens, tokens) for tokens in slices))
+
+
 def parse_complex(text: str) -> CComplex:
     """Parse the line-oriented complex format.
 
@@ -314,7 +328,10 @@ def parse_complex(text: str) -> CComplex:
     """
     n: int | None = None
     clasps: list[Clasp] = []
-    orders: dict[int, tuple[str, ...]] = {}
+    ids: dict[str, str] = {}  # each clasp line's id -> that same string
+    # k -> order line k's fields after k; its ids are read once every clasp
+    # line has been, wherever the order line stands
+    orders: dict[int, list[str]] = {}
 
     def fail(line_no: int, message: str) -> ComplexFormatError:
         return ComplexFormatError(f"line {line_no}: {message}")
@@ -323,7 +340,9 @@ def parse_complex(text: str) -> CComplex:
     # distinct text is read by _ascii_int once, and a refused one never
     ints: dict[str, int] = {}
     for line_no, raw in enumerate(chain.from_iterable(_lines(text)), start=1):
-        fields = raw.split()
+        # five fields at most, so an order line's ids are not split here: a
+        # clasp line has five, and a sixth is the rest of the line
+        fields = raw.split(None, 5)
         if not fields:
             continue
         keyword = fields[0]
@@ -346,6 +365,7 @@ def parse_complex(text: str) -> CComplex:
                 clasps.append(Clasp(cid, a, b, sign))
             except ValueError as exc:
                 raise fail(line_no, str(exc)) from None
+            ids[cid] = cid
         elif keyword.startswith("#"):
             continue
         elif keyword == "components":
@@ -366,15 +386,15 @@ def parse_complex(text: str) -> CComplex:
                 raise fail(line_no, f"order refers to component {quote(k)}, but there are {n} components")
             if k in orders:
                 raise fail(line_no, f"duplicate order line for component {k}")
-            orders[k] = tuple(fields[2:])
+            orders[k] = fields[2:]
         else:
             raise fail(line_no, f"unknown keyword {quote(keyword)}")
 
     if n is None:
         raise ComplexFormatError("missing components line")
-    parts = tuple(clasps), tuple(orders.get(k, ()) for k in range(1, n + 1))
+    parts = tuple(clasps), tuple(_read_order(orders[k], ids) if k in orders else () for k in range(1, n + 1))
     # CComplex validates in this frame: free the text and builders before its peak
-    del text, clasps, orders
+    del text, raw, fields, clasps, ids, orders
     return CComplex(n, *parts)
 
 

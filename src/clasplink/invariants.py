@@ -74,6 +74,8 @@ def triple_linking(F: CComplex, i: int, j: int, k: int) -> TripleLinkingResult:
     Computes e_ij(w_k) + e_jk(w_i) + e_ki(w_j), reading the three words in
     one pass over the clasps.  The value is reported even when the pairwise
     linking numbers do not vanish; ``well_defined`` records whether they do.
+    A clasp word holds one letter a clasp, so lk(i, j) is the count of x_j
+    in w_i less the count of x_j^-1, read from the words, not the clasps.
     """
     from .complexes import _read_words  # here, so that e_ij alone loads no complex code
 
@@ -82,5 +84,5 @@ def triple_linking(F: CComplex, i: int, j: int, k: int) -> TripleLinkingResult:
         raise ValueError("triple linking requires three distinct components")
     w_i, w_j, w_k = _read_words(F, (i, j, k))
     contributions = (e_ij(w_k, i, j), e_ij(w_i, j, k), e_ij(w_j, k, i))
-    well_defined = not any(pairwise_linking(F, *pair) for pair in ((i, j), (j, k), (k, i)))
+    well_defined = not any(w.keys.count(m) - w.keys.count(-m) for w, m in ((w_i, j), (w_j, k), (w_k, i)))
     return TripleLinkingResult(sum(contributions), contributions, well_defined)

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clasplink import complexes
-from clasplink._record import QUOTE_CHARS, clip, quote
+from clasplink._record import QUOTE_CHARS, clip, quote, split_slices
 from clasplink.cli import main
 from clasplink.complexes import (
     BRN_CAP,
@@ -142,6 +142,67 @@ def test_lines_cut_right_after_a_crlf(monkeypatch):
     # the search for a line feed starts on the one of "\r\n"
     monkeypatch.setattr(complexes, "_PIECE", 4)
     assert list(complexes._lines("ab\r\ncd")) == [["ab"], ["cd"]]
+
+
+# runs of whitespace of every kind, and a space past each of them or not
+TOKEN_TEXTS = [
+    "",
+    " ",
+    "a",
+    "  a  b\tc \u00a0d\u2003e   ",
+    "a\tb\tc\u00a0d",  # no space at all
+    "ab  cd\u00a0 ef\u2003\u2003 gh \tij",
+    "\t\t a \n b\u2028c ",
+]
+
+
+@pytest.mark.parametrize("text", TOKEN_TEXTS)
+@pytest.mark.parametrize("size", range(1, 9))
+def test_split_slices_split_as_split_does(text, size):
+    assert list(itertools.chain.from_iterable(split_slices(text, size))) == text.split()
+
+
+# an order line whose ids are separated by tabs, runs of spaces, U+00A0
+# and U+2003, and whose clasp lines come after it
+MIXED_ORDER_TEXT = (
+    "components 2\n"
+    "order 1 c1\tc2  c3\u00a0c4 \u2003c5\u2003\u2003c6 \t c7   c8\u00a0 \n"
+    + "".join(f"clasp c{m} 1 2 {'+-'[m % 2]}\n" for m in range(1, 9))
+    + "order 2 c8 c7 c6 c5 c4 c3 c2 c1\n"
+)
+
+
+@pytest.mark.parametrize("size", range(1, 9))
+def test_order_line_reads_the_same_ids_in_slices_of_any_size(monkeypatch, size):
+    whole = parse_complex(MIXED_ORDER_TEXT)
+    assert whole.orders[0] == tuple(f"c{m}" for m in range(1, 9))
+    monkeypatch.setattr(complexes, "_SLICE", size)
+    assert parse_complex(MIXED_ORDER_TEXT).orders == whole.orders
+
+
+def orders_first(text):
+    """``text`` with its order lines moved up to just after the components line."""
+    lines = text.splitlines()
+    orders = [line for line in lines if line.startswith("order")]
+    rest = [line for line in lines[1:] if not line.startswith("order")]
+    return "\n".join([lines[0], *orders, *rest]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: parse_complex(print_complex(generate_brn(50))),
+        lambda: parse_complex(orders_first(print_complex(generate_brn(50)))),
+        lambda: parse_complex(MIXED_ORDER_TEXT),
+        lambda: generate_brn(50),
+    ],
+    ids=["orders-after-clasps", "orders-before-clasps", "mixed-whitespace", "generate_brn"],
+)
+def test_every_order_id_is_its_clasps_string(build):
+    F = build()
+    strings = {c.id: c.id for c in F.clasps}
+    assert all(cid is strings[cid] for order in F.orders for cid in order)
+    assert len({id(cid) for cid in itertools.chain(strings.values(), *F.orders)}) == len(F.clasps)
 
 
 @pytest.mark.parametrize("piece", [1, 5, 40, 300])
@@ -422,6 +483,10 @@ def complex_parts(draw):
 @example((3, (Clasp("a", 1, 2, 1), Clasp("a", 1, 3, 1)), (("a",), ("a",), ("a",))))
 # b moved from component 2's order to component 1's
 @example((3, (Clasp("a", 1, 2, 1), Clasp("b", 2, 3, -1)), (("a", "b"), ("a",), ("b",))))
+# an order of the right length that lists a self-clasp in place of a
+@example((2, (Clasp("a", 1, 2, 1), Clasp("b", 1, 1, -1)), (("b",), ("a",))))
+# an order of the right length that lists a clasp on an unknown component in place of a
+@example((2, (Clasp("a", 1, 2, 1), Clasp("b", 1, 3, -1)), (("b",), ("a",))))
 def test_validate_agrees_with_the_walk(parts):
     assert validate(*parts) == reference_validate(*parts)
 
@@ -685,6 +750,11 @@ def test_parse_peak_stays_within_1_6_times_its_complex():
     finally:
         tracemalloc.stop()
     assert peak <= 1.6 * complex_size(F)
+
+
+def test_parsed_complex_holds_one_string_an_id():
+    # 4.76 MiB when each order held its own copy of every id
+    assert complex_size(parse_complex(print_complex(generate_brn(5000)))) <= 2.9 * 2**20
 
 
 def test_with_rotated_order():

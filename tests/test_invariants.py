@@ -4,12 +4,15 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from clasplink import invariants
 from clasplink._record import QUOTE_CHARS
+from clasplink.cli import main
 from clasplink.complexes import (
     CComplex,
     Clasp,
     clasp_word,
     generate_brn,
+    parse_complex,
     with_rotated_order,
 )
 from clasplink.invariants import e_ij, pairwise_linking, triple_linking
@@ -191,6 +194,23 @@ def test_triple_linking_not_well_defined_when_linked():
     )
     result = triple_linking(linked, 1, 2, 3)
     assert not result.well_defined
+
+
+def test_triple_linking_reads_well_defined_from_its_words(monkeypatch, tmp_path, capsys):
+    def refuse(*args):
+        raise AssertionError("triple_linking counts clasps in its words")
+
+    linked = tmp_path / "linked.cc"  # lk(1, 2) = 1
+    linked.write_text("components 3\nclasp a 1 2 +\nclasp b 1 3 +\nclasp c 1 3 -\norder 1 a b c\norder 2 a\norder 3 b c\n")
+    brn = generate_brn(4)
+    before = [triple_linking(F, *order) for F in (BORROMEAN, brn) for order in itertools.permutations((1, 2, 3))]
+    monkeypatch.setattr(invariants, "pairwise_linking", refuse)
+    after = [triple_linking(F, *order) for F in (BORROMEAN, brn) for order in itertools.permutations((1, 2, 3))]
+    assert after == before and all(result.well_defined for result in after)
+    F = parse_complex(linked.read_text())
+    assert not any(triple_linking(F, *order).well_defined for order in itertools.permutations((1, 2, 3)))
+    assert main(["mu", str(linked), "1", "2", "3"]) == 0
+    assert capsys.readouterr().out.endswith("NOT-WELL-DEFINED\n")
 
 
 def test_triple_linking_rejects_bad_indices():
