@@ -217,7 +217,8 @@ def _read_words(F: CComplex, components: range | tuple[int, ...]) -> list[ClaspW
     words = []
     for k in components:
         keys = tuple([e - k if e > 0 else e + k for e in map(ends.__getitem__, F.orders[k - 1])])
-        words.append(ClaspWord._of_runs(keys, (1,) * len(keys)))  # a run a letter
+        # a run a letter, never merged: triple_linking counts keys as letters
+        words.append(ClaspWord._of_runs(keys, (1,) * len(keys)))
     return words
 
 

@@ -74,8 +74,9 @@ def triple_linking(F: CComplex, i: int, j: int, k: int) -> TripleLinkingResult:
     Computes e_ij(w_k) + e_jk(w_i) + e_ki(w_j), reading the three words in
     one pass over the clasps.  The value is reported even when the pairwise
     linking numbers do not vanish; ``well_defined`` records whether they do.
-    A clasp word holds one letter a clasp, so lk(i, j) is the count of x_j
-    in w_i less the count of x_j^-1, read from the words, not the clasps.
+    lk(i, j) is the count of x_j in w_i less the count of x_j^-1, read from
+    the words, not the clasps.  ``_read_words`` builds one run a letter, so
+    each letter is one key, and ``keys.count`` counts letters.
     """
     from .complexes import _read_words  # here, so that e_ij alone loads no complex code
 

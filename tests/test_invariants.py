@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from clasplink import invariants
 from clasplink._record import QUOTE_CHARS
@@ -211,6 +211,25 @@ def test_triple_linking_reads_well_defined_from_its_words(monkeypatch, tmp_path,
     assert not any(triple_linking(F, *order).well_defined for order in itertools.permutations((1, 2, 3)))
     assert main(["mu", str(linked), "1", "2", "3"]) == 0
     assert capsys.readouterr().out.endswith("NOT-WELL-DEFINED\n")
+
+
+@st.composite
+def three_component_complexes(draw):
+    """A valid complex on three components: clasps of either sign between
+    any two, often on the same pair in a row, each order shuffled."""
+    ends = st.sampled_from(((1, 2), (1, 3), (2, 3), (2, 1), (3, 1), (3, 2)))
+    pairs = draw(st.lists(st.tuples(ends, st.sampled_from((1, -1))), max_size=12))
+    clasps = tuple(Clasp(f"c{number}", a, b, sign) for number, ((a, b), sign) in enumerate(pairs))
+    orders = tuple(tuple(draw(st.permutations([c.id for c in clasps if k in (c.a, c.b)]))) for k in (1, 2, 3))
+    return CComplex(3, clasps, orders)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(three_component_complexes(), st.permutations((1, 2, 3)))
+def test_well_defined_is_whether_the_pairwise_linking_numbers_vanish(F, order):
+    i, j, k = order
+    vanish = not any(pairwise_linking(F, a, b) for a, b in ((i, j), (j, k), (k, i)))
+    assert triple_linking(F, i, j, k).well_defined == vanish
 
 
 def test_triple_linking_rejects_bad_indices():
