@@ -15,9 +15,7 @@ Text grammar (word files may also contain ``#`` comment lines):
 
 Terms are found by ``str.split()`` on the line with each ``.`` made a
 space, so whitespace is what ``str.isspace()`` accepts (U+00A0 among it),
-and each character keeps its column for an error to report.  A line is
-split ``_SLICE`` characters at a time (a shorter line in one piece), so a
-parse holds one slice's terms, not the whole line's.
+and each character keeps its column for an error to report.
 
 A word is kept as its runs: ``keys`` holds one ``index * sign`` a run
 and ``counts`` the letters in it.  ``x3^-2`` is one run, key -3 and count
@@ -44,7 +42,7 @@ from itertools import chain, filterfalse, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator
 
-from ._record import FrozenRecord, clip, quote, split_slices
+from ._record import FrozenRecord, clip, quote
 
 
 class WordSyntaxError(ValueError):
@@ -141,10 +139,6 @@ WORD_INDEX_DIGITS = 100
 # the cap allows, whatever the digits are, so it is never converted.
 _CAP_DIGITS = len(str(WORD_LETTER_CAP))
 
-# Characters of a line split into terms at a time: a shorter line is one
-# slice, split whole.
-_SLICE = 1 << 16
-
 _TERM_RE = re.compile(r"x(-?[0-9]+)(?:\^(-?[0-9]+))?\Z")  # a term, or a near miss of one
 
 
@@ -193,7 +187,7 @@ def parse_word(text: str) -> ClaspWord:
         if line.lstrip().startswith("#"):
             continue
         terms = line.replace(".", " ")  # the line, with its separators all whitespace
-        for number, token in enumerate(chain.from_iterable(split_slices(terms, _SLICE))):
+        for number, token in enumerate(terms.split()):
             run = runs.get(token)
             if run is None:
                 try:

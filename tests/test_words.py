@@ -279,55 +279,6 @@ def test_cap_counts_repeated_terms_across_lines(monkeypatch):
         parse_word("x1^9 y1 x2^2")
 
 
-# line 2 holds the bad term x0 at column 10, just past the cut that a
-# slice of 9 characters makes at the space before it
-SLICED_TEXT = "x1 x2\nx1 x2.x3 x0\u00a0x1 x3^-1\n"
-SLICED_GOOD = "x1 x2\nx1 x2.x3 x3^2\u00a0x1\t x3^-1  x2\n"
-
-
-@pytest.mark.parametrize("size", range(1, 16))
-def test_a_long_line_reads_the_same_in_slices(monkeypatch, size):
-    with pytest.raises(WordSyntaxError) as whole:
-        parse_word(SLICED_TEXT)
-    assert (whole.value.line, whole.value.column) == (2, 10)
-    good = parse_word(SLICED_GOOD)
-    monkeypatch.setattr(words_module, "_SLICE", size)
-    with pytest.raises(WordSyntaxError) as sliced:
-        parse_word(SLICED_TEXT)
-    assert str(sliced.value) == str(whole.value)
-    assert parse_word(SLICED_GOOD) == good
-
-
-def walk_terms(letters):
-    """A fixed walk of at least ``letters`` letters over x1, x2 and x3, in
-    runs of 1 to 4, one term a run."""
-    rng = random.Random(1)
-    terms, total = [], 0
-    while total < letters:
-        exponent = rng.choice((-4, -3, -2, -1, 1, 2, 3, 4))
-        terms.append(f"x{rng.randint(1, 3)}^{exponent}")
-        total += abs(exponent)
-    return terms
-
-
-def parse_peak(text):
-    tracemalloc.start()
-    try:
-        parse_word(text)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_one_line_parse_peaks_near_the_short_line_parse():
-    # 2.77 times when a line was split whole
-    terms = walk_terms(400_000)
-    short_lines = "\n".join(" ".join(terms[start : start + 16]) for start in range(0, len(terms), 16))
-    one_line = " ".join(terms)
-    assert len(one_line) > 10 * words_module._SLICE
-    assert parse_peak(one_line) <= 1.5 * parse_peak(short_lines)
-
-
 def test_cli_refuses_a_word_past_the_cap(capsys):
     assert main(["eij", "x1^1000000000 x2", "1", "2"]) == 2
     assert main(["eij", "x1 x2 x1^999999999999999999999999999999", "1", "2"]) == 2
