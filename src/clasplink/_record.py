@@ -12,8 +12,9 @@ text of ``repr`` is ``Name(field=value, ...)``.  This is what
 An error message quotes input through :func:`clip`, and a caller's value
 through :func:`quote`, so that no error line grows with its input.
 :func:`require_int` is the one check of an integer argument.
-:func:`split_slices` splits a long line as ``str.split()`` does, a slice
-at a time.
+:func:`pieces` cuts a text into pieces at a separator, so that a parser
+splits one piece at a time and never holds a whole text's lines or a
+whole line's tokens.
 """
 
 from __future__ import annotations
@@ -55,16 +56,20 @@ def require_int(name: str, value: object, least: int | None = 1) -> None:
         raise ValueError(f"{name} must be at least {least}, got {quote(value)}")
 
 
-def split_slices(text: str, size: int) -> Iterator[list[str]]:
-    """The tokens of ``text.split()``, one list a slice of ``text``.  Each
-    slice but the last is at least ``size`` characters and ends just after
-    a space, which ends a token whatever comes before it, so no token is
-    cut and none is added.  A text with no space past ``size`` characters
-    is one slice."""
+def pieces(text: str, size: int, sep: str) -> Iterator[str]:
+    """``text`` cut into consecutive pieces.  Each piece but the last is at
+    least ``size`` characters and ends just after a ``sep``: the first one
+    at or past its ``size``-th character.  A text with no ``sep`` past
+    that is one piece, the text itself.
+
+    Cut at a line feed, which ends a line whatever comes before it (a
+    carriage return and line feed are one break), no line is split and
+    none is added; cut at a space, which ends a token whatever comes
+    before it, no token of ``str.split()`` is."""
     start = 0
     while start < len(text):
-        cut = text.find(" ", start + size - 1) + 1 or len(text)
-        yield text[start:cut].split()
+        cut = text.find(sep, start + size - 1) + 1 or len(text)
+        yield text[start:cut]
         start = cut
 
 

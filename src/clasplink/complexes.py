@@ -33,10 +33,9 @@ Error messages quote an id or a bad field, or an integer argument, through
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Iterator
 from itertools import chain, filterfalse
 
-from ._record import FrozenRecord, quote, require_int, split_slices
+from ._record import FrozenRecord, pieces, quote, require_int
 from .words import ClaspWord
 
 
@@ -44,7 +43,7 @@ from .words import ClaspWord
 # count sets the memory it takes, however short the file is.
 COMPONENT_CAP = 1_000_000
 # generate_brn(n) builds 4n clasps; parsing the text of n = 100_000 peaks at
-# about 98 MiB (tracemalloc).
+# about 83 MiB (tracemalloc).
 BRN_CAP = 100_000
 
 
@@ -147,13 +146,16 @@ def validate(n: int, clasps: tuple[Clasp, ...], orders: tuple[tuple[str, ...], .
     and nothing else: its ids make a dict of as many keys as the order has
     ids and as the component has incident clasps, and that dict holds every
     incident id.  Only an order that fails it is walked id by id, to word
-    its violations in the order they occur.
+    its violations in the order they occur, and only then is a map of
+    every clasp id built, to tell an unknown id from a non-incident one.
     """
     violations: list[str] = []
     if n < 1:
         violations.append(f"component count must be at least 1, got {n}")
 
-    seen: dict[str, Clasp] = {}
+    # the ids read, freed once every clasp is: a dict, since on Python 3.11 a
+    # set of 20,000 ids takes 2.0 MiB and a dict of them 0.4 MiB
+    seen: dict[str, None] = {}
     # incident[k]: ids of the well-formed clasps with an end on component k,
     # each once, in a list: 8 bytes an id, where a dict's keys take 21 to 38
     incident: defaultdict[int, list[str]] = defaultdict(list)
@@ -162,7 +164,7 @@ def validate(n: int, clasps: tuple[Clasp, ...], orders: tuple[tuple[str, ...], .
         if cid in seen:
             violations.append(f"duplicate clasp id {quote(cid)}")
             continue
-        seen[cid] = c
+        seen[cid] = None
         if a == b:
             violations.append(f"clasp {quote(cid)} is a self-clasp (both ends on component {a})")
         if b > n:  # a <= b, so no end is unknown unless b is
@@ -173,9 +175,11 @@ def validate(n: int, clasps: tuple[Clasp, ...], orders: tuple[tuple[str, ...], .
             incident[a].append(cid)
             incident[b].append(cid)
 
+    del seen
     if len(orders) != n:
         violations.append(f"expected {n} traversal orders, got {len(orders)}")
         return violations
+    known: dict[str, None] | None = None  # every clasp id, built for the first order that fails
     for k, order in enumerate(orders, start=1):
         expected = incident.pop(k, [])  # freed once its order is checked
         # the order's ids, each once, are as many as the incident ids, which
@@ -183,6 +187,8 @@ def validate(n: int, clasps: tuple[Clasp, ...], orders: tuple[tuple[str, ...], .
         listed = dict.fromkeys(order)
         if len(listed) == len(order) == len(expected) and all(map(listed.__contains__, expected)):
             continue
+        if known is None:
+            known = dict.fromkeys([c.id for c in clasps])
         expected = dict.fromkeys(expected)
         listed.clear()
         for cid in order:
@@ -190,7 +196,7 @@ def validate(n: int, clasps: tuple[Clasp, ...], orders: tuple[tuple[str, ...], .
                 violations.append(f"order for component {k} repeats clasp id {quote(cid)}")
                 continue
             listed[cid] = None
-            if cid not in seen:
+            if cid not in known:
                 violations.append(f"order for component {k} references unknown clasp id {quote(cid)}")
             elif cid not in expected:
                 violations.append(f"order for component {k} lists non-incident clasp {quote(cid)}")
@@ -291,33 +297,20 @@ def _ascii_int(text: str) -> int | None:
 
 _SIGNS = {"+": 1, "-": -1}
 
-# Characters of a complex's text split into lines at a time, so a parse
-# holds one piece's lines, not the whole text's.
+# Characters of a complex's text split into lines at a time, cut just after
+# a line feed, so a parse holds one piece's lines, not the whole text's.
 _PIECE = 1 << 16
-# Characters of an order line split into ids at a time, so a parse holds
-# one slice's tokens, not a whole order's.
+# Characters of an order line split into ids at a time, cut just after a
+# space, so a parse holds one slice's tokens, not a whole order's.
 _SLICE = 1 << 12
-
-
-def _lines(text: str) -> Iterator[list[str]]:
-    """The lines of ``text``, as ``text.splitlines()`` gives them, one list
-    a piece.  Each piece but the last is at least ``_PIECE`` characters
-    and ends just after a line feed, which ends a line whatever comes
-    before it (a carriage return and line feed are one break), so no line
-    is split and none is added.  A text without a line feed is one piece."""
-    start = 0
-    while start < len(text):
-        cut = text.find("\n", start + _PIECE - 1) + 1 or len(text)
-        yield text[start:cut].splitlines()
-        start = cut
 
 
 def _read_order(fields: list[str], ids: dict[str, str]) -> tuple[str, ...]:
     """The ids of an order line's ``fields`` after k, the last of which may
     be the rest of the line, read ``_SLICE`` characters at a time.  An id
     that ``ids`` holds is its clasp line's string, so no id is kept twice."""
-    slices = chain.from_iterable(split_slices(field, _SLICE) for field in fields)
-    return tuple(chain.from_iterable(map(ids.get, tokens, tokens) for tokens in slices))
+    slices = chain.from_iterable(pieces(field, _SLICE, " ") for field in fields)
+    return tuple(chain.from_iterable(map(ids.get, tokens, tokens) for tokens in map(str.split, slices)))
 
 
 def parse_complex(text: str) -> CComplex:
@@ -340,7 +333,7 @@ def parse_complex(text: str) -> CComplex:
     # endpoint text -> its value: a file names few components, so each
     # distinct text is read by _ascii_int once, and a refused one never
     ints: dict[str, int] = {}
-    for line_no, raw in enumerate(chain.from_iterable(_lines(text)), start=1):
+    for line_no, raw in enumerate(chain.from_iterable(map(str.splitlines, pieces(text, _PIECE, "\n"))), start=1):
         # five fields at most, so an order line's ids are not split here: a
         # clasp line has five, and a sixth is the rest of the line
         fields = raw.split(None, 5)
@@ -393,10 +386,14 @@ def parse_complex(text: str) -> CComplex:
 
     if n is None:
         raise ComplexFormatError("missing components line")
-    parts = tuple(clasps), tuple(_read_order(orders[k], ids) if k in orders else () for k in range(1, n + 1))
-    # CComplex validates in this frame: free the text and builders before its peak
-    del text, raw, fields, clasps, ids, orders
-    return CComplex(n, *parts)
+    # every line is read: free the text and the last line before the ids are
+    # read, and each order line's fields once its ids are
+    del text, raw, fields
+    read = tuple(_read_order(orders.pop(k), ids) if k in orders else () for k in range(1, n + 1))
+    # CComplex validates in this frame: free the builders before its peak
+    del ids
+    clasps = tuple(clasps)
+    return CComplex(n, clasps, read)
 
 
 def print_complex(F: CComplex) -> str:

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clasplink import complexes
-from clasplink._record import QUOTE_CHARS, clip, quote, split_slices
+from clasplink._record import QUOTE_CHARS, clip, pieces, quote
 from clasplink.cli import main
 from clasplink.complexes import (
     BRN_CAP,
@@ -132,16 +132,14 @@ EVERY_BREAK = "".join(f"line {i}{brk}" for i, brk in enumerate(BREAKS))
     ],
 )
 @pytest.mark.parametrize("piece", range(1, 9))
-def test_lines_split_as_splitlines_does(monkeypatch, text, piece):
-    monkeypatch.setattr(complexes, "_PIECE", piece)
-    assert list(itertools.chain.from_iterable(complexes._lines(text))) == text.splitlines()
+def test_lines_split_as_splitlines_does(text, piece):
+    assert list(itertools.chain.from_iterable(map(str.splitlines, pieces(text, piece, "\n")))) == text.splitlines()
 
 
-def test_lines_cut_right_after_a_crlf(monkeypatch):
-    assert list(complexes._lines("ab\r\ncd")) == [["ab", "cd"]]
+def test_lines_cut_right_after_a_crlf():
+    assert list(map(str.splitlines, pieces("ab\r\ncd", complexes._PIECE, "\n"))) == [["ab", "cd"]]
     # the search for a line feed starts on the one of "\r\n"
-    monkeypatch.setattr(complexes, "_PIECE", 4)
-    assert list(complexes._lines("ab\r\ncd")) == [["ab"], ["cd"]]
+    assert list(map(str.splitlines, pieces("ab\r\ncd", 4, "\n"))) == [["ab"], ["cd"]]
 
 
 # runs of whitespace of every kind, and a space past each of them or not
@@ -159,7 +157,7 @@ TOKEN_TEXTS = [
 @pytest.mark.parametrize("text", TOKEN_TEXTS)
 @pytest.mark.parametrize("size", range(1, 9))
 def test_split_slices_split_as_split_does(text, size):
-    assert list(itertools.chain.from_iterable(split_slices(text, size))) == text.split()
+    assert list(itertools.chain.from_iterable(map(str.split, pieces(text, size, " ")))) == text.split()
 
 
 # an order line whose ids are separated by tabs, runs of spaces, U+00A0
@@ -750,6 +748,18 @@ def test_parse_peak_stays_within_1_6_times_its_complex():
     finally:
         tracemalloc.stop()
     assert peak <= 1.6 * complex_size(F)
+
+
+def test_validate_peak_over_brn_5000_is_at_most_1_mib():
+    # 1.32 MiB when the ids read were held through the order checks
+    F = generate_brn(5000)
+    tracemalloc.start()
+    try:
+        assert validate(F.n, F.clasps, F.orders) == []
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
 
 
 def test_parsed_complex_holds_one_string_an_id():

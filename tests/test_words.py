@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -336,3 +338,132 @@ def test_error_line_quotes_a_bounded_prefix_of_a_long_term(capsys, term, message
     assert main(["eij", f"x1 {term}", "1", "2"]) == 2
     assert capsys.readouterr() == ("", f"error: line 1, column 4: {message}\n")
     assert len(message) < 2 * QUOTE_CHARS + 60
+
+
+def outcome(text):
+    """The word ``text`` parses to, or the text of the error it raises."""
+    try:
+        return parse_word(text)
+    except WordSyntaxError as exc:
+        return str(exc)
+
+
+# comment lines, bad terms and every separator on both sides of the cuts a
+# piece of 1 to 8 characters makes
+PIECE_TEXTS = [
+    "x1 x2^-1\r\n# x9 y\r\nx3.x1^2\r\n  # c\nx2 x2 . x1\n",
+    "x1.x2\n#y1 y2\ny1 x2\n",
+    "x2 x1 q\n# c\nx1",
+    "#c\r\nx1\r\n\r\n x1.x2^0 x2",
+    " x1 . x2 #x3\n# x4\n",
+    "x1..x2  x3\t.x1^-2\u00a0x2\u2028# x5\u2028 x1 .x-1",
+    "# only\r\n# comments\r\n",
+    "x1^4\n# x9\nx2^4.x1^3 x2 y",
+    "\n\n   \n",
+]
+
+
+@pytest.mark.parametrize("text", PIECE_TEXTS)
+@pytest.mark.parametrize("piece", range(1, 9))
+def test_parse_is_the_same_at_every_piece_size(monkeypatch, text, piece):
+    whole = outcome(text)
+    monkeypatch.setattr(words_module, "_PIECE", piece)
+    assert outcome(text) == whole
+
+
+@pytest.mark.parametrize("piece", range(1, 9))
+def test_cap_crossing_is_located_at_every_piece_size(monkeypatch, piece):
+    monkeypatch.setattr(words_module, "WORD_LETTER_CAP", 10)
+    text = "x1^4\r\n# x1^9\r\nx2^4.x1^2 x1\n y1"
+    assert outcome(text) == "line 3, column 11: term x1 takes the word past 10 letters"
+    monkeypatch.setattr(words_module, "_PIECE", piece)
+    assert outcome(text) == "line 3, column 11: term x1 takes the word past 10 letters"
+
+
+def ci_word_terms():
+    """The terms of the 400,000-letter word of CI's timing step: x1, x2 and
+    x3 in runs of 1 to 4, Random(1)."""
+    rng = random.Random(1)
+    terms, letters = [], 0
+    while letters < 400_000:
+        exponent = rng.choice((-4, -3, -2, -1, 1, 2, 3, 4))
+        terms.append(f"x{rng.randint(1, 3)}^{exponent}")
+        letters += abs(exponent)
+    return terms
+
+
+def parse_peak(text):
+    tracemalloc.start()
+    try:
+        parse_word(text)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("sep", [" ", "."])
+def test_one_line_peak_is_near_the_short_line_peak(sep):
+    # 10.61 MiB against 3.83 MiB when a line was split whole
+    terms = ci_word_terms()
+    rng = random.Random(2)
+    lines, start = [], 0
+    while start < len(terms):
+        stop = start + rng.randint(6, 24)
+        lines.append(sep.join(terms[start:stop]))
+        start = stop
+    assert parse_peak(sep.join(terms)) <= 1.5 * parse_peak("\n".join(lines))
+
+
+def test_peak_of_one_letter_terms_is_at_most_9_times_the_text():
+    # 22.6 times when the text's lines and a line's terms were held whole
+    text = "x1 " * 1_000_000
+    assert parse_peak(text) <= 9 * len(text)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="before 3.11 a call's arguments stay on the caller's stack")
+def test_a_text_passed_as_a_temporary_is_freed_before_the_word_is_built():
+    text = "x1 " * 1_000_000
+    held = parse_peak(text)
+    tracemalloc.start()
+    try:
+        parse_word("x1 " * 1_000_000)  # built in the call: parse_word holds its one reference
+        temporary = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one text more, 3,000,000 bytes, when the text was held to the end
+    assert temporary - held < len(text) / 2
+
+
+# Address space a child CLI run may take: about 20 times the 15 MiB word
+# below.  Set in the child alone, before it runs Python.
+CHILD_ADDRESS_SPACE = 300 * 2**20
+
+
+def run_eij_under_memory_limit(text):
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+    return subprocess.run(
+        [sys.executable, "-m", "clasplink.cli", "eij", "-", "1", "2"],
+        input=text,
+        capture_output=True,
+        text=True,
+        preexec_fn=limit,
+        timeout=120,
+    )
+
+
+def test_half_the_cap_in_one_letter_terms_fits_the_memory_limit():
+    # a MemoryError traceback and exit 1 when the line's terms were held whole
+    result = run_eij_under_memory_limit("x1 " * 5_000_000 + "x2")
+    assert (result.returncode, result.stdout, result.stderr) == (0, "5000000\n", "")
+
+
+def test_a_bad_term_past_5000000_terms_is_located_under_the_memory_limit():
+    result = run_eij_under_memory_limit("x1 " * 5_000_000 + "y3")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == (
+        "error: line 1, column 15000001: malformed term 'y3' (expected x<INT> or x<INT>^<SIGNEDINT>)\n"
+    )
