@@ -180,7 +180,7 @@ def build_curve(w: ClaspWord, i: int, j: int) -> LatticeCurve:
     _require_letter_index(j)
     codes = {i: bytes([RIGHT]), -i: bytes([LEFT]), j: bytes([UP]), -j: bytes([DOWN])}  # by letter key
     steps = bytearray()
-    for key, count in zip(w.keys, w.counts):
+    for key, count in w.runs:
         steps += codes.get(key, b"") * count
     return LatticeCurve(bytes(steps))
 

@@ -8,6 +8,7 @@ just the signed clasp count between two components.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from ._record import FrozenRecord
@@ -28,11 +29,15 @@ def e_ij(w: ClaspWord, i: int, j: int) -> int:
     _require_letter_index(i)
     _require_letter_index(j)
     running = total = 0
-    for key, count in zip(w.keys, w.counts):
-        if key == i or key == -i:
-            running += count if key > 0 else -count
-        elif key == j or key == -j:
-            total += (running if key > 0 else -running) * count
+    for key, count in w.runs:
+        if key == i:
+            running += count
+        elif key == -i:
+            running -= count
+        elif key == j:
+            total += running * count
+        elif key == -j:
+            total -= running * count
     return total
 
 
@@ -76,7 +81,8 @@ def triple_linking(F: CComplex, i: int, j: int, k: int) -> TripleLinkingResult:
     linking numbers do not vanish; ``well_defined`` records whether they do.
     lk(i, j) is the count of x_j in w_i less the count of x_j^-1, read from
     the words, not the clasps.  ``_read_words`` builds one run a letter, so
-    each letter is one key, and ``keys.count`` counts letters.
+    the runs' keys, read once a word, are its letters, and ``keys.count``
+    counts them.
     """
     from .complexes import _read_words  # here, so that e_ij alone loads no complex code
 
@@ -85,5 +91,6 @@ def triple_linking(F: CComplex, i: int, j: int, k: int) -> TripleLinkingResult:
         raise ValueError("triple linking requires three distinct components")
     w_i, w_j, w_k = _read_words(F, (i, j, k))
     contributions = (e_ij(w_k, i, j), e_ij(w_i, j, k), e_ij(w_j, k, i))
-    well_defined = not any(w.keys.count(m) - w.keys.count(-m) for w, m in ((w_i, j), (w_j, k), (w_k, i)))
+    keys = (list(map(itemgetter(0), w.runs)) for w in (w_i, w_j, w_k))  # one word's at a time
+    well_defined = not any(ks.count(m) - ks.count(-m) for ks, m in zip(keys, (j, k, i)))
     return TripleLinkingResult(sum(contributions), contributions, well_defined)

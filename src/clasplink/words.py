@@ -24,13 +24,16 @@ holds the whole text's lines or a long line's terms at once.  An error's
 line and column are found only when the parse stops, by walking the lines
 to the term it stopped at.
 
-A word is kept as its runs: ``keys`` holds one ``index * sign`` a run
-and ``counts`` the letters in it.  ``x3^-2`` is one run, key -3 and count
-2; ``x3^-1 x3^-1`` is two, each of count 1, and the two words are equal.
-Runs are never merged, so no code makes a pass per letter: a parsed word
-holds one run a term, and a complex's clasp word one run a letter.
-``letters`` expands the runs into :class:`SignedLetter` records, and the
-word compares, hashes, shows, copies and pickles by them.
+A word is kept as its runs: ``runs`` is a tuple of ``(key, count)``
+tuples, one a run, where ``key`` is ``index * sign`` and ``count`` the
+letters in the run.  ``x3^-2`` is one run, ``(-3, 2)``; ``x3^-1 x3^-1`` is
+two, each ``(-3, 1)``, and the two words are equal.  Runs are never merged,
+so no code makes a pass per letter: a parsed word holds one run a term, and
+a complex's clasp word one run a letter.  Equal runs are one tuple object,
+so a run costs the word 8 bytes: a parsed word holds one tuple a distinct
+term, and a clasp word one a distinct letter.  ``letters`` expands the runs
+into :class:`SignedLetter` records, and the word compares, hashes, shows,
+copies and pickles by them.
 
 A parsed word may hold at most ``WORD_LETTER_CAP`` letters.  An exponent
 writes many letters in a few characters (``x1^1000000000``), so the cap is
@@ -45,7 +48,7 @@ term.
 from __future__ import annotations
 
 import re
-from itertools import chain, filterfalse, repeat
+from itertools import chain, filterfalse
 from operator import itemgetter
 from typing import Iterable, Iterator
 
@@ -97,7 +100,7 @@ class SignedLetter(FrozenRecord):
 class ClaspWord(FrozenRecord):
     """An immutable sequence of signed letters, kept as runs (see the module docstring)."""
 
-    __slots__ = ("keys", "counts")  # tuples of ints, one entry a run
+    __slots__ = ("runs",)  # a tuple of (key, count) tuples, one a run
     _fields = ("letters",)
 
     def __init__(self, letters: Iterable[SignedLetter] = ()) -> None:
@@ -107,12 +110,14 @@ class ClaspWord(FrozenRecord):
         letters = tuple(letters)
         for letter in filterfalse(SignedLetter.__instancecheck__, letters):
             raise ValueError(f"letters of a clasp word must be SignedLetter records, got {quote(letter)}")
-        self._set_slots(tuple([letter.index * letter.sign for letter in letters]), (1,) * len(letters))
+        keys = [letter.index * letter.sign for letter in letters]
+        runs = {key: (key, 1) for key in set(keys)}  # one run a distinct letter, shared
+        self._set_slots(tuple(map(runs.__getitem__, keys)))
 
     @classmethod
-    def _of_runs(cls, keys: tuple[int, ...], counts: tuple[int, ...]) -> "ClaspWord":
-        """The word of ``keys`` and ``counts``, which the caller built valid."""
-        return cls.__new__(cls)._set_slots(keys, counts)
+    def _of_runs(cls, runs: tuple[tuple[int, int], ...]) -> "ClaspWord":
+        """The word of ``runs``, which the caller built valid."""
+        return cls.__new__(cls)._set_slots(runs)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "ClaspWord":
@@ -122,20 +127,22 @@ class ClaspWord(FrozenRecord):
     @property
     def letters(self) -> tuple[SignedLetter, ...]:
         """The letters in order, built anew on each access: one letter a key, shared."""
-        letters = {key: SignedLetter(abs(key), 1 if key > 0 else -1) for key in set(self.keys)}
-        return tuple(chain.from_iterable(map(repeat, map(letters.__getitem__, self.keys), self.counts)))
+        distinct = set(self.runs)
+        letter = {key: SignedLetter(abs(key), 1 if key > 0 else -1) for key, _ in distinct}
+        letters = {run: (letter[run[0]],) * run[1] for run in distinct}
+        return tuple(chain.from_iterable(map(letters.__getitem__, self.runs)))
 
     def __len__(self) -> int:
-        return sum(self.counts)
+        return sum(map(itemgetter(1), self.runs))
 
     def __iter__(self) -> Iterator[SignedLetter]:
         return iter(self.letters)
 
     def __str__(self) -> str:
         """Canonical text form: single spaces, one term per letter."""
-        # a word names few distinct letters, so each term is formatted once
-        terms = {key: _term(key) for key in set(self.keys)}
-        return " ".join(chain.from_iterable(map(repeat, map(terms.__getitem__, self.keys), self.counts)))
+        # a word holds few distinct runs, so each run's text is made once
+        texts = {run: " ".join([_term(run[0])] * run[1]) for run in set(self.runs)}
+        return " ".join(map(texts.__getitem__, self.runs))
 
 
 WORD_LETTER_CAP = 10_000_000  # letters in one parsed word
@@ -220,7 +227,7 @@ def parse_word(text: str) -> ClaspWord:
     """
     runs_read: list[tuple[int, int]] = []  # the word, a (key, count) run per term
     total = 0  # letters in runs_read
-    runs: dict[str, tuple[int, int]] = {}  # term text -> its run, so a term is read once
+    runs: dict[str, tuple[int, int]] = {}  # term text -> its run, read once and shared
     for token in chain.from_iterable(_terms(text)):
         run = runs.get(token)
         if run is None:
@@ -233,6 +240,6 @@ def parse_word(text: str) -> ClaspWord:
             raise _error_at(f"term {clip(token)} takes the word past {WORD_LETTER_CAP} letters", text, len(runs_read))
         runs_read.append(run)
     # a caller that passes the text as a temporary leaves this frame its one
-    # reference: free it, and the term map, before the two columns are built
+    # reference: free it, and the term map, before the word is built
     del text, runs
-    return ClaspWord._of_runs(tuple(map(itemgetter(0), runs_read)), tuple(map(itemgetter(1), runs_read)))
+    return ClaspWord._of_runs(tuple(runs_read))

@@ -257,9 +257,9 @@ def test_mu_builds_only_the_three_words_it_reads(capsys, monkeypatch, tmp_path):
     built = []
     of_runs = ClaspWord._of_runs
 
-    def counting_of_runs(keys, counts):
-        built.append(sum(counts))
-        return of_runs(keys, counts)
+    def counting_of_runs(runs):
+        built.append(sum(count for _, count in runs))
+        return of_runs(runs)
 
     monkeypatch.setattr(ClaspWord, "_of_runs", counting_of_runs)
     code, out, _ = run(capsys, "mu", str(path), "1", "2", "3")

@@ -617,6 +617,14 @@ def test_clasp_words_read_each_word_as_clasp_word_does():
         assert clasp_words(F) == expected
 
 
+def test_a_clasp_word_holds_one_run_object_a_distinct_letter():
+    rng = random.Random(6)
+    for F in [generate_brn(50)] + [random_valid_complex(rng, n=rng.randint(2, 6), max_pairs=12) for _ in range(20)]:
+        for word in clasp_words(F):
+            assert {count for _, count in word.runs} <= {1}
+            assert len({id(run) for run in word.runs}) == len(set(word.runs))
+
+
 def test_triple_linking_reads_the_words_the_reference_reads():
     rng = random.Random(17)
     complexes = [random_valid_complex(rng, n=rng.randint(3, 6), max_pairs=12) for _ in range(40)]

@@ -175,8 +175,22 @@ def test_parse_holds_one_run_a_term():
         terms = [term for line in text.splitlines() if not line.lstrip().startswith("#")
                  for term in line.replace(".", " ").split()]
         assert len(w) > 1
-        assert len(w.keys) == len(w.counts) == len(terms)
-        assert sum(w.counts) == len(w) == len(w.letters)
+        assert len(w.runs) == len(terms)
+        assert sum(count for _, count in w.runs) == len(w) == len(w.letters)
+
+
+def test_equal_runs_are_one_object():
+    # a run costs the word 8 bytes: one tuple a distinct term or letter, shared
+    text = "x1 x2^3 x1.x1^1\nx2^3 x3^-1 x1^1 x1"
+    w = parse_word(text)
+    terms = text.replace(".", " ").split()
+    assert w.runs == ((1, 1), (2, 3), (1, 1), (1, 1), (2, 3), (-3, 1), (1, 1), (1, 1))
+    assert len({id(run) for run in w.runs}) == len(set(terms)) == 4
+    for term in set(terms):
+        assert len({id(run) for run, t in zip(w.runs, terms) if t == term}) == 1
+    w = ClaspWord.from_pairs([(1, 1), (2, -1), (1, 1), (1, -1), (2, -1), (1, 1)])
+    assert w.runs == ((1, 1), (-2, 1), (1, 1), (-1, 1), (-2, 1), (1, 1))
+    assert len({id(run) for run in w.runs}) == 3
 
 
 # Letter-by-letter references, as e_ij and build_curve were written before
@@ -414,10 +428,24 @@ def test_one_line_peak_is_near_the_short_line_peak(sep):
     assert parse_peak(sep.join(terms)) <= 1.5 * parse_peak("\n".join(lines))
 
 
-def test_peak_of_one_letter_terms_is_at_most_9_times_the_text():
-    # 22.6 times when the text's lines and a line's terms were held whole
+def test_peak_of_one_letter_terms_is_at_most_6_times_the_text():
+    # 22.6 times when the text's lines and a line's terms were held whole,
+    # and 8.4 times when the word's runs were copied into two columns
     text = "x1 " * 1_000_000
-    assert parse_peak(text) <= 9 * len(text)
+    assert parse_peak(text) <= 6 * len(text)
+
+
+def test_a_parsed_word_keeps_at_most_9_bytes_a_run():
+    # 16 bytes a run when the word kept a key column and a count column
+    text = "x1 x2^3 " * 100_000
+    tracemalloc.start()
+    try:
+        w = parse_word(text)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(w.runs) == 200_000
+    assert kept <= 9 * len(w.runs)
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="before 3.11 a call's arguments stay on the caller's stack")
