@@ -126,10 +126,8 @@ class ClaspWord(FrozenRecord):
 
     @property
     def letters(self) -> tuple[SignedLetter, ...]:
-        """The letters in order, built anew on each access: one letter a key, shared."""
-        distinct = set(self.runs)
-        letter = {key: SignedLetter(abs(key), 1 if key > 0 else -1) for key, _ in distinct}
-        letters = {run: (letter[run[0]],) * run[1] for run in distinct}
+        """The letters in order, built anew on each access: one letter a distinct run, shared."""
+        letters = {run: (SignedLetter(abs(run[0]), 1 if run[0] > 0 else -1),) * run[1] for run in set(self.runs)}
         return tuple(chain.from_iterable(map(letters.__getitem__, self.runs)))
 
     def __len__(self) -> int:
