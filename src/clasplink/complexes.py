@@ -230,8 +230,7 @@ class _Runs(dict):
 def _read_words(F: CComplex, components: range | tuple[int, ...]) -> list[ClaspWord]:
     """The words of the given distinct components, in that order, from one
     pass over the clasps.  The components are checked first, in that order.
-    A word holds one run a letter, never merged, and one run object a
-    distinct letter: so triple_linking counts runs as letters."""
+    A word holds one run a letter, and one run object a distinct letter."""
     for k in components:
         _require_component(F, k)
     # Along component k a clasp joining a and b with sign s reads as the
@@ -311,22 +310,11 @@ def _ascii_int(text: str) -> int | None:
 
 _SIGNS = {"+": 1, "-": -1}
 
-# Characters of a complex's text split into lines at a time, cut just after
-# a line feed, so a parse holds one piece's lines, not the whole text's.
-# 4 KiB, as words._PIECE: on Brn(5000) text a fresh `bounds`, `validate` or
-# `mu` process peaked 0.1 to 0.3 MiB lower than with 64 KiB, no slower
-# (Python 3.11, 2 vCPUs).
-_PIECE = 1 << 12
-# Characters of an order line split into ids at a time, cut just after a
-# space, so a parse holds one slice's tokens, not a whole order's.
-_SLICE = 1 << 12
-
-
 def _read_order(fields: list[str], ids: dict[str, str]) -> tuple[str, ...]:
     """The ids of an order line's ``fields`` after k, the last of which may
-    be the rest of the line, read ``_SLICE`` characters at a time.  An id
+    be the rest of the line, read a piece at a time.  An id
     that ``ids`` holds is its clasp line's string, so no id is kept twice."""
-    slices = chain.from_iterable(pieces(field, _SLICE, " ") for field in fields)
+    slices = chain.from_iterable(pieces(field, " ") for field in fields)
     return tuple(chain.from_iterable(map(ids.get, tokens, tokens) for tokens in map(str.split, slices)))
 
 
@@ -350,7 +338,7 @@ def parse_complex(text: str) -> CComplex:
     # endpoint text -> its value: a file names few components, so each
     # distinct text is read by _ascii_int once, and a refused one never
     ints: dict[str, int] = {}
-    for line_no, raw in enumerate(chain.from_iterable(map(str.splitlines, pieces(text, _PIECE, "\n"))), start=1):
+    for line_no, raw in enumerate(chain.from_iterable(map(str.splitlines, pieces(text, "\n"))), start=1):
         # five fields at most, so an order line's ids are not split here: a
         # clasp line has five, and a sixth is the rest of the line
         fields = raw.split(None, 5)

@@ -8,7 +8,6 @@ just the signed clasp count between two components.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from ._record import FrozenRecord
@@ -19,15 +18,20 @@ if TYPE_CHECKING:
 
 
 def e_ij(w: ClaspWord, i: int, j: int) -> int:
-    """Signed count of x_i-before-x_j pairs in w.
-
-    One pass over the runs: keep the signed count of x_i letters so far,
-    and add it times the signed length of each run of x_j letters.
-    """
+    """Signed count of x_i-before-x_j pairs in w."""
     if i == j:
         raise ValueError("e_ij requires two distinct indices")
     _require_letter_index(i)
     _require_letter_index(j)
+    return _e_and_count(w, i, j)[0]
+
+
+def _e_and_count(w: ClaspWord, i: int, j: int) -> tuple[int, int]:
+    """e_ij(w) and the signed count of x_i in w, for distinct indices.
+
+    One pass over the runs: keep the signed count of x_i letters so far,
+    and add it times the signed length of each run of x_j letters.
+    """
     running = total = 0
     for key, count in w.runs:
         if key == i:
@@ -38,7 +42,7 @@ def e_ij(w: ClaspWord, i: int, j: int) -> int:
             total += running * count
         elif key == -j:
             total -= running * count
-    return total
+    return total, running
 
 
 def pairwise_linking(F: CComplex, i: int, j: int) -> int:
@@ -79,10 +83,9 @@ def triple_linking(F: CComplex, i: int, j: int, k: int) -> TripleLinkingResult:
     Computes e_ij(w_k) + e_jk(w_i) + e_ki(w_j), reading the three words in
     one pass over the clasps.  The value is reported even when the pairwise
     linking numbers do not vanish; ``well_defined`` records whether they do.
-    lk(i, j) is the count of x_j in w_i less the count of x_j^-1, read from
-    the words, not the clasps.  ``_read_words`` builds one run a letter, so
-    the runs' keys, read once a word, are its letters, and ``keys.count``
-    counts them.
+    lk(i, j) is the signed count of x_j in w_i, read in the pass over w_i
+    that reads e_jk(w_i): so lk(k, i), lk(i, j) and lk(j, k) come with the
+    three contributions, whatever runs the words are cut into.
     """
     from .complexes import _read_words  # here, so that e_ij alone loads no complex code
 
@@ -90,7 +93,6 @@ def triple_linking(F: CComplex, i: int, j: int, k: int) -> TripleLinkingResult:
     if i == j or j == k or k == i:
         raise ValueError("triple linking requires three distinct components")
     w_i, w_j, w_k = _read_words(F, (i, j, k))
-    contributions = (e_ij(w_k, i, j), e_ij(w_i, j, k), e_ij(w_j, k, i))
-    keys = (list(map(itemgetter(0), w.runs)) for w in (w_i, w_j, w_k))  # one word's at a time
-    well_defined = not any(ks.count(m) - ks.count(-m) for ks, m in zip(keys, (j, k, i)))
-    return TripleLinkingResult(sum(contributions), contributions, well_defined)
+    (e_k, lk_ki), (e_i, lk_ij), (e_j, lk_jk) = _e_and_count(w_k, i, j), _e_and_count(w_i, j, k), _e_and_count(w_j, k, i)
+    contributions = (e_k, e_i, e_j)
+    return TripleLinkingResult(sum(contributions), contributions, not (lk_ki or lk_ij or lk_jk))

@@ -15,23 +15,23 @@ Text grammar (word files may also contain ``#`` comment lines):
 
 Terms are found by ``str.split()`` with each ``.`` made a space, so
 whitespace is what ``str.isspace()`` accepts (U+00A0 among it).  The text
-is read a piece at a time through :func:`~clasplink._record.pieces`: cut
-just after a line feed about every ``_PIECE`` characters, the comment
-lines of a piece that holds a ``#`` dropped, and each piece split in
-slices cut just after a space.  Every line break of ``str.splitlines()``
-is whitespace, so a piece's terms are its lines' terms, and no parse
-holds the whole text's lines or a long line's terms at once.  An error's
-line and column are found only when the parse stops, by walking the lines
-to the term it stopped at.
+is read a piece at a time through :func:`~clasplink._record.pieces`, which
+says where it is cut, and the comment lines of a piece that holds a ``#``
+are dropped.  Every line break of ``str.splitlines()`` is whitespace, so a
+piece's terms are its lines' terms, and no parse holds the whole text's
+lines or a long line's terms at once.  An error's line and column are
+found only when the parse stops, by walking the lines to the term it
+stopped at.
 
 A word is kept as its runs: ``runs`` is a tuple of ``(key, count)``
 tuples, one a run, where ``key`` is ``index * sign`` and ``count`` the
 letters in the run.  ``x3^-2`` is one run, ``(-3, 2)``; ``x3^-1 x3^-1`` is
-two, each ``(-3, 1)``, and the two words are equal.  Runs are never merged,
-so no code makes a pass per letter: a parsed word holds one run a term, and
-a complex's clasp word one run a letter.  Equal runs are one tuple object,
-so a run costs the word 8 bytes: a parsed word holds one tuple a distinct
-term, and a clasp word one a distinct letter.  ``letters`` expands the runs
+two, each ``(-3, 1)``, and the two words are equal: no invariant depends
+on how a word is cut into runs.  A parsed word holds one run a term, so no
+code makes a pass per letter of an exponent, and a complex's clasp word one
+run a letter.  Equal runs are one tuple object, so a run costs the word 8
+bytes: a parsed word holds one tuple a distinct term, and a clasp word one
+a distinct letter.  ``letters`` expands the runs
 into :class:`SignedLetter` records, and the word compares, hashes, shows,
 copies and pickles by them.
 
@@ -180,34 +180,26 @@ def _read_term(token: str) -> tuple[int, int]:
     return (-index if exponent[0] == "-" else index), count
 
 
-# Characters of word text read at a time, and of a long line split into
-# terms at a time.  A slice's terms are the parse's largest transient: a
-# fresh `eij` process on a 400,000-letter word peaked at 17.4 to 17.9 MiB
-# of RSS with 64 KiB, and at 16.3 MiB with 4 KiB, no slower (Python 3.11,
-# 2 vCPUs).
-_PIECE = 1 << 12
-
-
 def _terms(text: str) -> Iterator[list[str]]:
     """The terms of ``text``'s lines that are not comments, in order, one
-    list a slice of at most about ``_PIECE`` characters (see the module
+    list a slice of at most about ``_record.PIECE`` characters (see the module
     docstring)."""
-    for piece in pieces(text, _PIECE, "\n"):
+    for piece in pieces(text, "\n"):
         if "#" in piece:  # no term holds a "#", so only such a piece has comments
             piece = "\n".join([line for line in piece.splitlines() if not line.lstrip().startswith("#")])
-        yield from map(str.split, pieces(piece.replace(".", " "), _PIECE, " "))
+        yield from map(str.split, pieces(piece.replace(".", " "), " "))
 
 
 def _error_at(message: str, text: str, number: int) -> WordSyntaxError:
     """``message`` at the ``number``-th term of ``text``, from 0, found by
     walking its lines that are not comments a slice at a time, so that no
     line's terms are held at once."""
-    lines = chain.from_iterable(map(str.splitlines, pieces(text, _PIECE, "\n")))
+    lines = chain.from_iterable(map(str.splitlines, pieces(text, "\n")))
     for line_no, line in enumerate(lines, start=1):
         if line.lstrip().startswith("#"):
             continue
         column = 1
-        for part in pieces(line.replace(".", " "), _PIECE, " "):
+        for part in pieces(line.replace(".", " "), " "):
             # the part's first number terms, then the rest from the term sought
             terms = part.split(None, number)
             if len(terms) > number:

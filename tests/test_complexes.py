@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from clasplink import complexes
+from clasplink import _record, complexes
 from clasplink._record import QUOTE_CHARS, clip, pieces, quote
 from clasplink.cli import main
 from clasplink.complexes import (
@@ -132,14 +132,16 @@ EVERY_BREAK = "".join(f"line {i}{brk}" for i, brk in enumerate(BREAKS))
     ],
 )
 @pytest.mark.parametrize("piece", range(1, 9))
-def test_lines_split_as_splitlines_does(text, piece):
-    assert list(itertools.chain.from_iterable(map(str.splitlines, pieces(text, piece, "\n")))) == text.splitlines()
+def test_lines_split_as_splitlines_does(monkeypatch, text, piece):
+    monkeypatch.setattr(_record, "PIECE", piece)
+    assert list(itertools.chain.from_iterable(map(str.splitlines, pieces(text, "\n")))) == text.splitlines()
 
 
-def test_lines_cut_right_after_a_crlf():
-    assert list(map(str.splitlines, pieces("ab\r\ncd", complexes._PIECE, "\n"))) == [["ab", "cd"]]
+def test_lines_cut_right_after_a_crlf(monkeypatch):
+    assert list(map(str.splitlines, pieces("ab\r\ncd", "\n"))) == [["ab", "cd"]]
     # the search for a line feed starts on the one of "\r\n"
-    assert list(map(str.splitlines, pieces("ab\r\ncd", 4, "\n"))) == [["ab"], ["cd"]]
+    monkeypatch.setattr(_record, "PIECE", 4)
+    assert list(map(str.splitlines, pieces("ab\r\ncd", "\n"))) == [["ab"], ["cd"]]
 
 
 # runs of whitespace of every kind, and a space past each of them or not
@@ -156,8 +158,9 @@ TOKEN_TEXTS = [
 
 @pytest.mark.parametrize("text", TOKEN_TEXTS)
 @pytest.mark.parametrize("size", range(1, 9))
-def test_split_slices_split_as_split_does(text, size):
-    assert list(itertools.chain.from_iterable(map(str.split, pieces(text, size, " ")))) == text.split()
+def test_split_slices_split_as_split_does(monkeypatch, text, size):
+    monkeypatch.setattr(_record, "PIECE", size)
+    assert list(itertools.chain.from_iterable(map(str.split, pieces(text, " ")))) == text.split()
 
 
 # an order line whose ids are separated by tabs, runs of spaces, U+00A0
@@ -174,7 +177,7 @@ MIXED_ORDER_TEXT = (
 def test_order_line_reads_the_same_ids_in_slices_of_any_size(monkeypatch, size):
     whole = parse_complex(MIXED_ORDER_TEXT)
     assert whole.orders[0] == tuple(f"c{m}" for m in range(1, 9))
-    monkeypatch.setattr(complexes, "_SLICE", size)
+    monkeypatch.setattr(_record, "PIECE", size)
     assert parse_complex(MIXED_ORDER_TEXT).orders == whole.orders
 
 
@@ -212,7 +215,7 @@ def test_parse_error_line_number_past_several_pieces(monkeypatch, piece):
     with pytest.raises(ComplexFormatError) as whole:
         parse_complex(text)
     assert str(whole.value).startswith(f"line {bad + 1}: clasp sign")
-    monkeypatch.setattr(complexes, "_PIECE", piece)
+    monkeypatch.setattr(_record, "PIECE", piece)
     assert len(text) > 3 * piece
     with pytest.raises(ComplexFormatError) as pieces:
         parse_complex(text)

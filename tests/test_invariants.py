@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clasplink import invariants
+from clasplink import complexes, invariants
 from clasplink._record import QUOTE_CHARS
 from clasplink.cli import main
 from clasplink.complexes import (
@@ -211,6 +211,37 @@ def test_triple_linking_reads_well_defined_from_its_words(monkeypatch, tmp_path,
     assert not any(triple_linking(F, *order).well_defined for order in itertools.permutations((1, 2, 3)))
     assert main(["mu", str(linked), "1", "2", "3"]) == 0
     assert capsys.readouterr().out.endswith("NOT-WELL-DEFINED\n")
+
+
+def merged_runs(w):
+    """``w`` with each run of equal neighbouring runs made one, their counts summed."""
+    runs = []
+    for key, count in w.runs:
+        if runs and runs[-1][0] == key:
+            runs[-1] = (key, runs[-1][1] + count)
+        else:
+            runs.append((key, count))
+    return ClaspWord._of_runs(tuple(runs))
+
+
+# lk = 0 on every pair, and w1 = x2 x2 x3 x2^-1 x3^-1 x2^-1 has two runs to merge
+BALANCED = CComplex(
+    3,
+    (Clasp("a", 1, 2, 1), Clasp("b", 1, 2, 1), Clasp("c", 1, 2, -1), Clasp("d", 1, 3, 1),
+     Clasp("e", 1, 2, -1), Clasp("f", 1, 3, -1)),
+    (("a", "b", "d", "c", "f", "e"), ("a", "c", "b", "e"), ("d", "f")),
+)
+
+
+def test_triple_linking_does_not_depend_on_how_its_words_are_cut_into_runs(monkeypatch):
+    read_words = complexes._read_words
+    cases = (BORROMEAN, generate_brn(4), BALANCED)
+    before = [triple_linking(F, *order) for F in cases for order in itertools.permutations((1, 2, 3))]
+    assert all(result.well_defined for result in before)
+    assert len(merged_runs(clasp_word(BALANCED, 1)).runs) < len(clasp_word(BALANCED, 1).runs)
+    monkeypatch.setattr(complexes, "_read_words", lambda F, components: list(map(merged_runs, read_words(F, components))))
+    after = [triple_linking(F, *order) for F in cases for order in itertools.permutations((1, 2, 3))]
+    assert after == before
 
 
 @st.composite

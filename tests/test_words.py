@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from clasplink import _record
 from clasplink import words as words_module
 from clasplink._record import QUOTE_CHARS, clip
 from clasplink.cli import main
@@ -381,7 +382,7 @@ PIECE_TEXTS = [
 @pytest.mark.parametrize("piece", range(1, 9))
 def test_parse_is_the_same_at_every_piece_size(monkeypatch, text, piece):
     whole = outcome(text)
-    monkeypatch.setattr(words_module, "_PIECE", piece)
+    monkeypatch.setattr(_record, "PIECE", piece)
     assert outcome(text) == whole
 
 
@@ -390,7 +391,7 @@ def test_cap_crossing_is_located_at_every_piece_size(monkeypatch, piece):
     monkeypatch.setattr(words_module, "WORD_LETTER_CAP", 10)
     text = "x1^4\r\n# x1^9\r\nx2^4.x1^2 x1\n y1"
     assert outcome(text) == "line 3, column 11: term x1 takes the word past 10 letters"
-    monkeypatch.setattr(words_module, "_PIECE", piece)
+    monkeypatch.setattr(_record, "PIECE", piece)
     assert outcome(text) == "line 3, column 11: term x1 takes the word past 10 letters"
 
 
