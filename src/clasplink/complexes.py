@@ -312,8 +312,8 @@ _SIGNS = {"+": 1, "-": -1}
 
 def _read_order(fields: list[str], ids: dict[str, str]) -> tuple[str, ...]:
     """The ids of an order line's ``fields`` after k, the last of which may
-    be the rest of the line, read a piece at a time.  An id
-    that ``ids`` holds is its clasp line's string, so no id is kept twice."""
+    be the rest of the line, read a piece at a time.  An id that ``ids``
+    holds is its clasp line's string, so no id is kept twice."""
     slices = chain.from_iterable(pieces(field, " ") for field in fields)
     return tuple(chain.from_iterable(map(ids.get, tokens, tokens) for tokens in map(str.split, slices)))
 

@@ -31,9 +31,8 @@ on how a word is cut into runs.  A parsed word holds one run a term, so no
 code makes a pass per letter of an exponent, and a complex's clasp word one
 run a letter.  Equal runs are one tuple object, so a run costs the word 8
 bytes: a parsed word holds one tuple a distinct term, and a clasp word one
-a distinct letter.  ``letters`` expands the runs
-into :class:`SignedLetter` records, and the word compares, hashes, shows,
-copies and pickles by them.
+a distinct letter.  ``letters`` expands the runs into :class:`SignedLetter`
+records, and the word compares, hashes, shows, copies and pickles by them.
 
 A parsed word may hold at most ``WORD_LETTER_CAP`` letters.  An exponent
 writes many letters in a few characters (``x1^1000000000``), so the cap is
