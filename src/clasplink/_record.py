@@ -11,7 +11,9 @@ text of ``repr`` is ``Name(field=value, ...)``.  This is what
 
 An error message quotes input through :func:`clip`, and a caller's value
 through :func:`quote`, so that no error line grows with its input.
-:func:`require_int` is the one check of an integer argument.
+:func:`require_int` checks an integer argument.  Records, components and
+letter indices keep their own checks, one message for a wrong type or
+value: one helper for ``Clasp``'s three made ``parse_complex`` 7% slower.
 :func:`pieces` cuts a text into pieces of about ``PIECE`` characters at a
 separator, so that a parser splits one piece at a time and never holds a
 whole text's lines or a whole line's tokens.

@@ -192,9 +192,9 @@ def write_svg(curve: LatticeCurve, write: Callable[[str], object], grid: bool = 
     the closing tag go to ``write`` as soon as they are made, so no text
     longer than one segment is built.  One unit of margin surrounds the
     bounding box; the y axis is flipped so upward steps render upward.  Each
-    coordinate in the box is formatted once.  The points of a horizontal
-    segment are one ``str.join`` over a slice of the column strings, and
-    those of a vertical one over a slice of the row strings.  The slice runs
+    coordinate in the box is formatted once, " X," a column and "Y" a row.
+    A horizontal segment's points join a slice of the columns with its row,
+    a vertical one's a slice of the rows with its column.  The slice runs
     backwards (step -1) for a segment that runs left or down; the margin
     keeps every index at least 1, so a backward slice never ends at -1.
     """
@@ -202,9 +202,9 @@ def write_svg(curve: LatticeCurve, write: Callable[[str], object], grid: bool = 
     width = (max_x - min_x + 2) * SVG_SCALE
     height = (max_y - min_y + 2) * SVG_SCALE
 
-    # px[x - min_x + 1] and py[y - min_y + 1] are the pixel strings of
-    # column x and row y, for the box and its one-unit margin
-    px = [str(k * SVG_SCALE) for k in range(max_x - min_x + 3)]
+    # cols[x - min_x + 1] and py[y - min_y + 1] are column x and row y, for
+    # the box and its one-unit margin
+    cols = [f" {k * SVG_SCALE}," for k in range(max_x - min_x + 3)]
     py = [str(k * SVG_SCALE) for k in range(max_y - min_y + 2, -1, -1)]
     x0, y0 = 1 - min_x, 1 - min_y  # the start vertex
 
@@ -214,30 +214,25 @@ def write_svg(curve: LatticeCurve, write: Callable[[str], object], grid: bool = 
         f'viewBox="0 0 {width} {height}">\n'
     )
     if grid:
-        for sx in px:
+        for col in cols:
+            sx = col[1:-1]
             write(f'  <line x1="{sx}" y1="0" x2="{sx}" y2="{height}" stroke="#cccccc" stroke-width="1"/>\n')
         for sy in py:
             write(f'  <line x1="0" y1="{sy}" x2="{width}" y2="{sy}" stroke="#cccccc" stroke-width="1"/>\n')
     if curve.length:
-        # A point is " X,Y".  A horizontal segment on row y joins its " X"
-        # with rows[y] and ends with it; a vertical one on column x starts
-        # with cols[x] and joins its "Y" with it.
-        rows = ["," + sy for sy in py]
-        cols = [" " + sx + "," for sx in px]
-        xs = [" " + sx for sx in px]
         x, y = x0, y0
-        write(f'  <polyline points="{px[x]},{py[y]}')
+        write(f'  <polyline points="{cols[x][1:]}{py[y]}')
         for run in curve.segments():
             code = run[0]
             s = -1 if code & 1 else 1  # LEFT and DOWN are the odd codes
             if code < UP:
                 end = x + s * len(run)
-                write(rows[y].join(xs[x + s : end + s : s]) + rows[y])
+                write(py[y].join(cols[x + s : end + s : s]) + py[y])
                 x = end
             else:
                 end = y + s * len(run)
                 write(cols[x] + cols[x].join(py[y + s : end + s : s]))
                 y = end
         write('" fill="none" stroke="#000000" stroke-width="2"/>\n')
-    write(f'  <circle cx="{px[x0]}" cy="{py[y0]}" r="{SVG_SCALE // 8}" fill="#cc0000"/>\n')
+    write(f'  <circle cx="{cols[x0][1:-1]}" cy="{py[y0]}" r="{SVG_SCALE // 8}" fill="#cc0000"/>\n')
     write("</svg>\n")

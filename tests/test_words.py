@@ -1,3 +1,4 @@
+import os
 import random
 import subprocess
 import sys
@@ -468,14 +469,15 @@ def test_a_text_passed_as_a_temporary_is_freed_before_the_word_is_built():
 CHILD_ADDRESS_SPACE = 300 * 2**20
 
 
-def run_eij_under_memory_limit(text):
+def run_under_memory_limit(args, address_space, text=None):
+    """Run ``clasplink ARGS`` in a child whose address space is capped."""
     resource = pytest.importorskip("resource")
 
     def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, resource.getrlimit(resource.RLIMIT_AS)[1]))
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, resource.getrlimit(resource.RLIMIT_AS)[1]))
 
     return subprocess.run(
-        [sys.executable, "-m", "clasplink.cli", "eij", "-", "1", "2"],
+        [sys.executable, "-m", "clasplink.cli", *args],
         input=text,
         capture_output=True,
         text=True,
@@ -486,13 +488,32 @@ def run_eij_under_memory_limit(text):
 
 def test_half_the_cap_in_one_letter_terms_fits_the_memory_limit():
     # a MemoryError traceback and exit 1 when the line's terms were held whole
-    result = run_eij_under_memory_limit("x1 " * 5_000_000 + "x2")
+    result = run_under_memory_limit(["eij", "-", "1", "2"], CHILD_ADDRESS_SPACE, "x1 " * 5_000_000 + "x2")
     assert (result.returncode, result.stdout, result.stderr) == (0, "5000000\n", "")
 
 
 def test_a_bad_term_past_5000000_terms_is_located_under_the_memory_limit():
-    result = run_eij_under_memory_limit("x1 " * 5_000_000 + "y3")
+    result = run_under_memory_limit(["eij", "-", "1", "2"], CHILD_ADDRESS_SPACE, "x1 " * 5_000_000 + "y3")
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr == (
         "error: line 1, column 15000001: malformed term 'y3' (expected x<INT> or x<INT>^<SIGNEDINT>)\n"
+    )
+
+
+# A flat and a tall word of WORD_LETTER_CAP letters: the curve's box is
+# 5,000,001 columns or rows, and the SVG writer formats each of them once.
+# The request peaks at about 390 MiB of RSS.
+@pytest.mark.parametrize(
+    "word, area",
+    [("x1^4999999 x2 x1^-4999999 x2^-1", 4999999), ("x2^4999999 x1 x2^-4999999 x1^-1", -4999999)],
+)
+def test_a_curve_at_the_letter_cap_fits_the_memory_limit(word, area):
+    # a MemoryError and exit 1 if the writer keeps more than one table of
+    # formatted coordinates an axis
+    assert len(parse_word(word)) == WORD_LETTER_CAP
+    result = run_under_memory_limit(["curve", word, "1", "2", "--out", os.devnull], 500 * 2**20)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        0,
+        f"length=10000000 closed simple area={area}\n",
+        "",
     )
