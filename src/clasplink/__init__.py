@@ -52,7 +52,7 @@ _EXPORTS = {
         "verify_min_perimeter",
         "verify_word_length_bound",
     ),
-    "words": ("ClaspWord", "SignedLetter", "WordSyntaxError", "parse_word"),
+    "words": ("ClaspWord", "WordSyntaxError", "parse_word"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

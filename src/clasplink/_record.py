@@ -1,11 +1,11 @@
 """Frozen records: the base of the library's small immutable value types.
 
 A record class lists its fields in ``_fields``, and in ``__slots__`` what
-it stores: the fields, or the state a field property is built from, and
-any private state.  Its ``__init__`` checks the values and stores them with
-``_set_slots``.  The base compares, hashes, shows, copies and pickles a
-record by its fields in order, and refuses assignment and deletion.  The
-text of ``repr`` is ``Name(field=value, ...)``.  This is what
+it stores: the fields, and any private state.  Its ``__init__`` checks the
+values and stores them with ``_set_slots``.  The base compares, hashes,
+copies and pickles a record by ``_values()``, its fields in order unless
+the record overrides it; it shows a record as ``Name(field=value, ...)``,
+and refuses assignment and deletion.  This is what
 ``@dataclass(frozen=True)`` gives, without importing :mod:`dataclasses`
 (and with it :mod:`inspect`) on every start of the command line.
 

@@ -31,8 +31,10 @@ on how a word is cut into runs.  A parsed word holds one run a term, so no
 code makes a pass per letter of an exponent, and a complex's clasp word one
 run a letter.  Equal runs are one tuple object, so a run costs the word 8
 bytes: a parsed word holds one tuple a distinct term, and a clasp word one
-a distinct letter.  ``letters`` expands the runs into :class:`SignedLetter`
-records, and the word compares, hashes, shows, copies and pickles by them.
+a distinct letter.  A word's value is its runs with equal neighbours
+merged, so it compares, hashes, copies and pickles by them, and no letter
+is ever built; ``repr`` shows the runs it holds.  ``ClaspWord(runs)``
+takes ``(key, count)`` tuples: a nonzero int key and an int count from 1.
 
 A parsed word may hold at most ``WORD_LETTER_CAP`` letters.  An exponent
 writes many letters in a few characters (``x1^1000000000``), so the cap is
@@ -47,7 +49,7 @@ term.
 from __future__ import annotations
 
 import re
-from itertools import chain, filterfalse
+from itertools import chain, groupby
 from operator import itemgetter
 from typing import Iterable, Iterator
 
@@ -79,61 +81,42 @@ def _term(key: int) -> str:
     return f"x{key}" if key > 0 else f"x{-key}^-1"
 
 
-class SignedLetter(FrozenRecord):
-    """A single letter x_i or x_i^-1."""
-
-    __slots__ = _fields = ("index", "sign")
-    index: int
-    sign: int
-
-    def __init__(self, index: int, sign: int) -> None:
-        _require_letter_index(index)
-        if type(sign) is not int or sign not in (1, -1):
-            raise ValueError(f"letter sign must be +1 or -1, got {quote(sign)}")
-        self._set_slots(index, sign)
-
-    def __str__(self) -> str:
-        return _term(self.index * self.sign)
-
-
 class ClaspWord(FrozenRecord):
-    """An immutable sequence of signed letters, kept as runs (see the module docstring)."""
+    """An immutable sequence of signed letters, kept as its runs (see the module docstring)."""
 
-    __slots__ = ("runs",)  # a tuple of (key, count) tuples, one a run
-    _fields = ("letters",)
+    __slots__ = _fields = ("runs",)  # a tuple of (key, count) tuples, one a run
+    runs: tuple[tuple[int, int], ...]
 
-    def __init__(self, letters: Iterable[SignedLetter] = ()) -> None:
-        # tuple() would split a string into one-character letters
-        if isinstance(letters, str):
-            raise ValueError(f"a clasp word takes a sequence of letters, not a string, got {quote(letters)}")
-        letters = tuple(letters)
-        for letter in filterfalse(SignedLetter.__instancecheck__, letters):
-            raise ValueError(f"letters of a clasp word must be SignedLetter records, got {quote(letter)}")
-        keys = [letter.index * letter.sign for letter in letters]
-        runs = {key: (key, 1) for key in set(keys)}  # one run a distinct letter, shared
-        self._set_slots(tuple(map(runs.__getitem__, keys)))
+    def __init__(self, runs: Iterable[tuple[int, int]] = ()) -> None:
+        # tuple() would split a string into one-character runs
+        if isinstance(runs, str):
+            raise ValueError(f"a clasp word takes a sequence of (key, count) runs, not a string, got {quote(runs)}")
+        shared: dict[tuple[int, int], tuple[int, int]] = {}  # one tuple object a distinct run
+        kept: list[tuple[int, int]] = []
+        for run in runs:
+            if type(run) is not tuple or len(run) != 2:
+                raise ValueError(f"a run of a clasp word must be a (key, count) tuple, got {quote(run)}")
+            key, count = run
+            if type(key) is not int or not key:  # type(): True, a bool, would pass as 1
+                raise ValueError(f"a run's key must be a nonzero integer, got {quote(key)}")
+            if type(count) is not int or count < 1:
+                raise ValueError(f"a run's count must be a positive integer, got {quote(count)}")
+            kept.append(shared.setdefault(run, run))
+        self._set_slots(tuple(kept))
 
     @classmethod
     def _of_runs(cls, runs: tuple[tuple[int, int], ...]) -> "ClaspWord":
         """The word of ``runs``, which the caller built valid."""
         return cls.__new__(cls)._set_slots(runs)
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "ClaspWord":
-        """Build a word from (index, sign) pairs."""
-        return cls(SignedLetter(i, s) for i, s in pairs)
-
-    @property
-    def letters(self) -> tuple[SignedLetter, ...]:
-        """The letters in order, built anew on each access: one letter a distinct run, shared."""
-        letters = {run: (SignedLetter(abs(run[0]), 1 if run[0] > 0 else -1),) * run[1] for run in set(self.runs)}
-        return tuple(chain.from_iterable(map(letters.__getitem__, self.runs)))
+    def _values(self) -> tuple:
+        # equal neighbours merged: ==, hash, copy and pickle do not depend on
+        # how the word is cut into runs
+        groups = groupby(self.runs, itemgetter(0))
+        return (tuple([(key, sum(map(itemgetter(1), group))) for key, group in groups]),)
 
     def __len__(self) -> int:
         return sum(map(itemgetter(1), self.runs))
-
-    def __iter__(self) -> Iterator[SignedLetter]:
-        return iter(self.letters)
 
     def __str__(self) -> str:
         """Canonical text form: single spaces, one term per letter."""

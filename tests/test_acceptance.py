@@ -26,7 +26,7 @@ from clasplink.complexes import (
 from clasplink.curves import build_curve
 from clasplink.invariants import e_ij, pairwise_linking, triple_linking
 from clasplink.oracles import count_fixed_polyominoes, verify_min_perimeter, verify_word_length_bound
-from clasplink.words import ClaspWord, SignedLetter, parse_word
+from clasplink.words import ClaspWord, parse_word
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -115,7 +115,7 @@ def print_complex_via_cli(capsys):
 def test_criterion_6_equivalence_exhaustive_and_random():
     with criterion(6, "pair count = line integral: all 4^8 length-8 words plus 10^4 random words, under 10 s"):
         start = time.perf_counter()
-        alphabet = tuple(SignedLetter(i, s) for i in (1, 2) for s in (1, -1))
+        alphabet = tuple((i * s, 1) for i in (1, 2) for s in (1, -1))
         checked = 0
         for combo in itertools.product(alphabet, repeat=8):
             w = ClaspWord(combo)
@@ -124,8 +124,8 @@ def test_criterion_6_equivalence_exhaustive_and_random():
         assert checked == 4**8 == 65_536
         rng = random.Random(20260810)
         for _ in range(10_000):
-            w = ClaspWord.from_pairs(
-                (rng.randint(1, 3), rng.choice((1, -1)))
+            w = ClaspWord(
+                (rng.randint(1, 3) * rng.choice((1, -1)), 1)
                 for _ in range(rng.randint(0, 30))
             )
             for i, j in itertools.permutations((1, 2, 3), 2):

@@ -14,7 +14,7 @@ from clasplink.bounds import (
 )
 from clasplink.complexes import CComplex, Clasp, InvalidComplexError, generate_brn, parse_complex
 from clasplink.invariants import e_ij
-from clasplink.words import ClaspWord, SignedLetter
+from clasplink.words import ClaspWord
 
 
 def test_ceil_two_sqrt_examples():
@@ -255,12 +255,11 @@ def test_clasp_model_fills_every_e12_up_to_bc():
     # with component 1 and 2c with component 2 on w_3, half of each sign:
     # its e_12(w_3) values are exactly the integers in [-bc, bc].  Every
     # b, c up to 3 but b = c = 3, which alone takes six times as long.
-    letters = {key: SignedLetter(abs(key), 1 if key > 0 else -1) for key in (1, -1, 2, -2)}
     for b, c in product(range(4), repeat=2):
         if b * c > 6:
             continue
         values = {
-            e_ij(ClaspWord([letters[key] for key in keys]), 1, 2)
+            e_ij(ClaspWord([(key, 1) for key in keys]), 1, 2)
             for keys in arrangements({1: b, -1: b, 2: c, -2: c})
         }
         assert values == set(range(-b * c, b * c + 1)), (b, c)

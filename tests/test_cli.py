@@ -10,7 +10,7 @@ from clasplink._record import QUOTE_CHARS
 from clasplink.cli import main
 from clasplink.complexes import BRN_CAP, Clasp, clasp_word, parse_complex
 from clasplink.curves import SVG_SCALE, LatticeCurve, build_curve, write_svg
-from clasplink.words import ClaspWord, SignedLetter, parse_word
+from clasplink.words import ClaspWord, parse_word
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 BORROMEAN = str(DATA / "borromean.cc")
@@ -268,24 +268,6 @@ def test_mu_builds_only_the_three_words_it_reads(capsys, monkeypatch, tmp_path):
     # w1, w2 and w3, of one, two and two letters: no word of the other
     # 19,997 components is built
     assert built == [1, 2, 2]
-
-
-def test_no_letter_record_is_built_on_a_command_line_path(capsys, monkeypatch, tmp_path):
-    # a word is its runs: no command builds a SignedLetter per letter, or at all
-    built = []
-    init = SignedLetter.__init__
-    monkeypatch.setattr(SignedLetter, "__init__", lambda self, *args: built.append(args) or init(self, *args))
-    svg_path = tmp_path / "comb.svg"
-    for argv in (
-        ("eij", COMB_TEXT, "1", "2"),
-        ("eij", COMB_TEXT, "2", "1", "--method", "sum"),
-        ("curve", COMB_TEXT, "1", "2", "--out", str(svg_path)),
-        ("mu", BORROMEAN, "1", "2", "3"),
-        ("words", BORROMEAN),
-        ("bounds", BORROMEAN),
-    ):
-        assert run(capsys, *argv)[0] == 0, argv
-    assert built == []
 
 
 def test_bounds_golden(capsys):

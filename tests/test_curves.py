@@ -16,15 +16,11 @@ from clasplink._record import QUOTE_CHARS
 from clasplink.bounds import ceil_two_sqrt
 from clasplink.curves import DOWN, LEFT, RIGHT, UP, LatticeCurve, build_curve
 from clasplink.invariants import e_ij
-from clasplink.words import ClaspWord, SignedLetter, parse_word
+from clasplink.words import ClaspWord, parse_word
 
 STAIRCASE = "x1 x2 x1 x2 x1^-2 x2^-2"
 
-L1P = SignedLetter(1, 1)
-L1N = SignedLetter(1, -1)
-L2P = SignedLetter(2, 1)
-L2N = SignedLetter(2, -1)
-TWO_INDEX_ALPHABET = (L1P, L1N, L2P, L2N)
+TWO_INDEX_ALPHABET = ((1, 1), (-1, 1), (2, 1), (-2, 1))  # x1, x1^-1, x2, x2^-1 as runs
 CODES = {(1, 0): RIGHT, (-1, 0): LEFT, (0, 1): UP, (0, -1): DOWN}
 
 
@@ -151,8 +147,8 @@ def test_build_curve_output_passes_the_public_check():
     # the vertices start at (0, 0) and move by unit cardinal steps
     rng = random.Random(11)
     for _ in range(500):
-        w = ClaspWord.from_pairs(
-            (rng.randint(1, 3), rng.choice((1, -1)))
+        w = ClaspWord(
+            (rng.randint(1, 3) * rng.choice((1, -1)), 1)
             for _ in range(rng.randint(0, 30))
         )
         curve = build_curve(w, 1, 2)
@@ -168,12 +164,10 @@ def test_is_closed():
 def test_closed_iff_signed_counts_vanish():
     rng = random.Random(7)
     for _ in range(2000):
-        w = ClaspWord.from_pairs(
-            (rng.randint(1, 3), rng.choice((1, -1)))
-            for _ in range(rng.randint(0, 16))
-        )
+        keys = [rng.randint(1, 3) * rng.choice((1, -1)) for _ in range(rng.randint(0, 16))]
+        w = ClaspWord((key, 1) for key in keys)
         curve = build_curve(w, 1, 2)
-        balanced = all(sum(letter.sign for letter in w if letter.index == i) == 0 for i in (1, 2))
+        balanced = all(keys.count(i) == keys.count(-i) for i in (1, 2))
         assert curve.is_closed() == balanced
 
 
@@ -204,8 +198,8 @@ def test_line_integral_examples():
 def test_reversal_flips_integral_and_is_involutive():
     rng = random.Random(13)
     for _ in range(500):
-        w = ClaspWord.from_pairs(
-            (rng.randint(1, 2), rng.choice((1, -1)))
+        w = ClaspWord(
+            (rng.randint(1, 2) * rng.choice((1, -1)), 1)
             for _ in range(rng.randint(0, 14))
         )
         curve = build_curve(w, 1, 2)
@@ -232,8 +226,8 @@ def test_integral_matches_pair_count_exhaustively():
 def test_integral_matches_pair_count_random_three_index():
     rng = random.Random(20260810)
     for _ in range(10_000):
-        w = ClaspWord.from_pairs(
-            (rng.randint(1, 3), rng.choice((1, -1)))
+        w = ClaspWord(
+            (rng.randint(1, 3) * rng.choice((1, -1)), 1)
             for _ in range(rng.randint(0, 30))
         )
         i, j = rng.sample((1, 2, 3), 2)
@@ -485,11 +479,11 @@ def test_equal_steps_give_equal_curves_and_hashes():
 def comb_word(teeth: int, height: int) -> ClaspWord:
     """A closed simple comb read with (i, j) = (1, 2): teeth up and down
     along x, closed by a base line one step below."""
-    runs = []
+    pairs = []  # (index, sign) a letter
     for _ in range(teeth):
-        runs += [(2, 1)] * height + [(1, 1)] + [(2, -1)] * height + [(1, 1)]
-    runs += [(2, -1)] + [(1, -1)] * (2 * teeth) + [(2, 1)]
-    return ClaspWord.from_pairs(runs)
+        pairs += [(2, 1)] * height + [(1, 1)] + [(2, -1)] * height + [(1, 1)]
+    pairs += [(2, -1)] + [(1, -1)] * (2 * teeth) + [(2, 1)]
+    return ClaspWord((i * s, 1) for i, s in pairs)
 
 
 COMB = comb_word(teeth=250, height=200)  # about 1e5 vertices, coordinates past 256

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from clasplink._record import clip, quote
 from clasplink.cli import main
-from clasplink.words import WORD_INDEX_DIGITS, ClaspWord, SignedLetter, WordSyntaxError, parse_word
+from clasplink.words import WORD_INDEX_DIGITS, ClaspWord, WordSyntaxError, parse_word
 
 ROOT = Path(__file__).resolve().parents[1]
 SHIPPED = [
@@ -60,7 +60,7 @@ def _term_error(token: str) -> str:
 
 
 def reference_parse_word(text: str) -> ClaspWord:
-    letters: list[SignedLetter] = []
+    keys: list[int] = []  # index * sign, one a letter
     for line_no, line in enumerate(text.splitlines() or [""], start=1):
         if line.lstrip().startswith("#"):
             continue
@@ -71,9 +71,8 @@ def reference_parse_word(text: str) -> ClaspWord:
                 raise WordSyntaxError(_term_error(token), line_no, match.start() + 1)
             index = int(term.group(1))
             exponent = int(term.group(2)) if term.group(2) else 1
-            letter = SignedLetter(index, 1 if exponent > 0 else -1)
-            letters.extend([letter] * abs(exponent))
-    return ClaspWord(tuple(letters))
+            keys.extend([index if exponent > 0 else -index] * abs(exponent))
+    return ClaspWord((key, 1) for key in keys)
 
 
 def small_expansion(text: str) -> bool:

@@ -16,10 +16,10 @@ from clasplink.complexes import (
     with_rotated_order,
 )
 from clasplink.invariants import e_ij, pairwise_linking, triple_linking
-from clasplink.words import ClaspWord, SignedLetter, parse_word
+from clasplink.words import ClaspWord, parse_word
 
 letters = st.builds(
-    SignedLetter,
+    lambda index, sign: (index * sign, 1),  # a run of one letter
     index=st.integers(min_value=1, max_value=3),
     sign=st.sampled_from((1, -1)),
 )
@@ -30,13 +30,13 @@ def e_ij_naive(w, i, j):
     """Literal double sum over letter pairs u <= v; the quadratic
     reference the linear implementation must match."""
     total = 0
-    ls = w.letters
-    for v in range(len(ls)):
-        if ls[v].index != j:
+    keys = [key for key, count in w.runs for _ in range(count)]  # index * sign, one a letter
+    for v in range(len(keys)):
+        if abs(keys[v]) != j:
             continue
         for u in range(v + 1):
-            if ls[u].index == i:
-                total += ls[u].sign * ls[v].sign
+            if abs(keys[u]) == i:
+                total += keys[u] // i * (keys[v] // j)  # the product of the two signs
     return total
 
 
@@ -81,7 +81,7 @@ def test_matches_naive_double_sum(w, i, j):
 
 
 def test_matches_naive_double_sum_exhaustive():
-    alphabet = [SignedLetter(i, s) for i in (1, 2) for s in (1, -1)]
+    alphabet = [(i * s, 1) for i in (1, 2) for s in (1, -1)]
     for length in range(6):
         for combo in itertools.product(alphabet, repeat=length):
             w = ClaspWord(combo)
@@ -92,26 +92,24 @@ def test_matches_naive_double_sum_exhaustive():
 def test_restriction_does_not_change_value():
     rng = random.Random(99)
     for _ in range(10_000):
-        w = ClaspWord.from_pairs(
-            (rng.randint(1, 4), rng.choice((1, -1)))
-            for _ in range(rng.randint(0, 24))
-        )
+        keys = [rng.randint(1, 4) * rng.choice((1, -1)) for _ in range(rng.randint(0, 24))]
+        w = ClaspWord((key, 1) for key in keys)
         i, j = rng.sample((1, 2, 3, 4), 2)
-        restricted = ClaspWord(tuple(letter for letter in w if letter.index in (i, j)))
+        restricted = ClaspWord((key, 1) for key in keys if abs(key) in (i, j))
         assert e_ij(w, i, j) == e_ij(restricted, i, j)
 
 
 def test_rotation_invariance_on_balanced_words():
     """Exhaustive: rotating a word with vanishing signed counts never
     changes the pair count (length <= 8 over two indices)."""
-    alphabet = [SignedLetter(i, s) for i in (1, 2) for s in (1, -1)]
+    alphabet = [(i * s, 1) for i in (1, 2) for s in (1, -1)]
     checked = 0
     for length in range(9):
         for combo in itertools.product(alphabet, repeat=length):
             w = ClaspWord(combo)
-            if sum(letter.sign for letter in combo if letter.index == 1) != 0:
+            if combo.count((1, 1)) != combo.count((-1, 1)):
                 continue
-            if sum(letter.sign for letter in combo if letter.index == 2) != 0:
+            if combo.count((2, 1)) != combo.count((-2, 1)):
                 continue
             value = e_ij(w, 1, 2)
             for k in range(1, length):
@@ -162,8 +160,9 @@ def test_pairwise_linking_equals_signed_letter_count():
     for F in (BORROMEAN, generate_brn(1), generate_brn(3), generate_brn(7)):
         for i, j in itertools.permutations(range(1, 4), 2):
             lk = pairwise_linking(F, i, j)
-            assert sum(letter.sign for letter in clasp_word(F, i) if letter.index == j) == lk
-            assert sum(letter.sign for letter in clasp_word(F, j) if letter.index == i) == lk
+            # a run's key is its index times its sign
+            assert sum(key // j * count for key, count in clasp_word(F, i).runs if abs(key) == j) == lk
+            assert sum(key // i * count for key, count in clasp_word(F, j).runs if abs(key) == i) == lk
 
 
 def test_triple_linking_borromean():

@@ -17,24 +17,26 @@ from clasplink.bounds import BoundReport
 from clasplink.complexes import CComplex, Clasp, generate_brn, parse_complex, validate
 from clasplink.invariants import TripleLinkingResult
 from clasplink.oracles import OracleReport, count_fixed_polyominoes, verify_min_perimeter
-from clasplink.words import ClaspWord, SignedLetter
+from clasplink.words import ClaspWord
 
 
-@dataclass(frozen=True)
-class ReferenceSignedLetter:
-    index: int
-    sign: int
-
-    def __post_init__(self) -> None:
-        if type(self.index) is not int or self.index < 1:
-            raise ValueError(f"letter index must be a positive integer, got {self.index!r}")
-        if type(self.sign) is not int or self.sign not in (1, -1):
-            raise ValueError(f"letter sign must be +1 or -1, got {self.sign!r}")
-
-
+# A word's value merges equal neighbouring runs, and no case below has
+# any: there it is the runs, as this reference's is.
 @dataclass(frozen=True)
 class ReferenceClaspWord:
-    letters: tuple = ()
+    runs: tuple = ()
+
+    def __post_init__(self) -> None:
+        if isinstance(self.runs, str):
+            raise ValueError(f"a clasp word takes a sequence of (key, count) runs, not a string, got {self.runs!r}")
+        for run in self.runs:
+            if type(run) is not tuple or len(run) != 2:
+                raise ValueError(f"a run of a clasp word must be a (key, count) tuple, got {run!r}")
+            key, count = run
+            if type(key) is not int or not key:
+                raise ValueError(f"a run's key must be a nonzero integer, got {key!r}")
+            if type(count) is not int or count < 1:
+                raise ValueError(f"a run's count must be a positive integer, got {count!r}")
 
 
 @dataclass(frozen=True)
@@ -110,8 +112,9 @@ class ReferenceOracleReport:
     predicted: int
 
 
-def word(pairs, letter=SignedLetter, cls=ClaspWord):
-    return cls(tuple(letter(i, s) for i, s in pairs))
+def word(pairs, cls=ClaspWord):
+    """The word of the letters ``pairs``, (index, sign) each, one run a letter."""
+    return cls(tuple((i * s, 1) for i, s in pairs))
 
 
 def complex_of(spec, clasp=Clasp, cls=CComplex):
@@ -121,7 +124,7 @@ def complex_of(spec, clasp=Clasp, cls=CComplex):
 
 # (record, reference, argument tuples): distinct tuples build unequal records
 CASES = [
-    (SignedLetter, ReferenceSignedLetter, [(1, 1), (1, -1), (2, 1), (10**30, -1)]),
+    (ClaspWord, ReferenceClaspWord, [((),), (((1, 1),),), (((1, 1), (-2, 3)),), (((10**30, 1), (-1, 2), (10**30, 1)),)]),
     (Clasp, ReferenceClasp, [("a", 1, 2, 1), ("a", 2, 3, 1), ("b", 1, 2, 1), ("a", 1, 2, -1), ("é", 7, 4, -1)]),
     (OracleReport, ReferenceOracleReport, [(1, 4, 4), (2, 6, 6), (3, 8, 6)]),
     (TripleLinkingResult, ReferenceTripleLinkingResult, [(4, (1, 1, 2), True), (4, (1, 1, 2), False), (0, (0, 0, 0), True)]),
@@ -192,9 +195,9 @@ def test_keyword_construction(record, reference, args):
 
 def test_nested_records_match_the_dataclass():
     pairs = [(1, 1), (2, -1), (1, -1)]
-    assert repr(word(pairs)) == shown(repr(word(pairs, ReferenceSignedLetter, ReferenceClaspWord)))
-    assert hash(word(pairs)) == hash(word(pairs, ReferenceSignedLetter, ReferenceClaspWord))
-    assert repr(ClaspWord()) == "ClaspWord(letters=())"
+    assert repr(word(pairs)) == shown(repr(word(pairs, ReferenceClaspWord)))
+    assert hash(word(pairs)) == hash(word(pairs, ReferenceClaspWord))
+    assert repr(ClaspWord()) == "ClaspWord(runs=())"
     spec = (2, [("a", 2, 1, 1), ("b", 1, 2, -1)], (("a", "b"), ("b", "a")))
     new, old = complex_of(spec), complex_of(spec, ReferenceClasp, ReferenceCComplex)
     assert repr(new) == shown(repr(old))
@@ -211,10 +214,10 @@ def test_bound_report_provenance_defaults_are_not_shared():
 
 
 INVALID = [
-    (SignedLetter, ReferenceSignedLetter, (0, 1)),
-    (SignedLetter, ReferenceSignedLetter, (1, 0)),
-    (SignedLetter, ReferenceSignedLetter, (True, 1)),
-    (SignedLetter, ReferenceSignedLetter, (1, True)),
+    (ClaspWord, ReferenceClaspWord, (((0, 1),),)),
+    (ClaspWord, ReferenceClaspWord, (((1, 0),),)),
+    (ClaspWord, ReferenceClaspWord, (((True, 1),),)),
+    (ClaspWord, ReferenceClaspWord, (((1, True),),)),
     (Clasp, ReferenceClasp, ("", 1, 2, 1)),
     (Clasp, ReferenceClasp, ("a b", 1, 2, 1)),
     (Clasp, ReferenceClasp, (7, 1, 2, 1)),
@@ -261,24 +264,24 @@ def quoting(build, value, message, quoted):
 @pytest.mark.parametrize(
     "build, value, message",
     [
-        quoting(lambda value: SignedLetter(value, 1), LONG_TEXT, "letter index must be a positive integer, got {}",
+        quoting(lambda value: ClaspWord([(value, 1)]), LONG_TEXT, "a run's key must be a nonzero integer, got {}",
                 repr("x" * QUOTE_CHARS + "...")),
-        quoting(lambda value: SignedLetter(1, value), LONG_TEXT, "letter sign must be +1 or -1, got {}",
+        quoting(lambda value: ClaspWord([(1, value)]), LONG_TEXT, "a run's count must be a positive integer, got {}",
                 repr("x" * QUOTE_CHARS + "...")),
-        quoting(ClaspWord, LONG_TEXT, "a clasp word takes a sequence of letters, not a string, got {}",
+        quoting(ClaspWord, LONG_TEXT, "a clasp word takes a sequence of (key, count) runs, not a string, got {}",
                 repr("x" * QUOTE_CHARS + "...")),
-        quoting(lambda value: ClaspWord([value]), LONG_TEXT, "letters of a clasp word must be SignedLetter records, got {}",
+        quoting(lambda value: ClaspWord([value]), LONG_TEXT, "a run of a clasp word must be a (key, count) tuple, got {}",
                 repr("x" * QUOTE_CHARS + "...")),
         quoting(lambda value: CComplex(value, (), ()), LONG_TEXT, "component count must be a nonnegative integer, got {}",
                 repr("x" * QUOTE_CHARS + "...")),
         # repr refuses these ints, so they are shown by their bit length
-        quoting(lambda value: SignedLetter(value, 1), -HUGE, "letter index must be a positive integer, got {}",
+        quoting(lambda value: ClaspWord([(1, value)]), -HUGE, "a run's count must be a positive integer, got {}",
                 "<negative int of 16610 bits>"),
         quoting(generate_brn, HUGE, "n may be at most 100000, got {}", "<int of 16610 bits>"),
         quoting(verify_min_perimeter, HUGE, "max_area {} exceeds the cap 10", "<int of 16610 bits>"),
         quoting(count_fixed_polyominoes, -HUGE, "max_area must be at least 1, got {}", "<negative int of 16610 bits>"),
         # repr refuses a container of such an int too, so it is shown by its type
-        quoting(lambda value: SignedLetter(1, value), (HUGE,), "letter sign must be +1 or -1, got {}",
+        quoting(lambda value: ClaspWord([value]), (HUGE,), "a run of a clasp word must be a (key, count) tuple, got {}",
                 "<tuple that repr refuses>"),
         # the longest int that repr converts keeps its text
         quoting(generate_brn, 10**4299, "n may be at most 100000, got {}", "1" + "0" * (QUOTE_CHARS - 1) + "..."),
