@@ -34,7 +34,9 @@ bytes: a parsed word holds one tuple a distinct term, and a clasp word one
 a distinct letter.  A word's value is its runs with equal neighbours
 merged, so it compares, hashes, copies and pickles by them, and no letter
 is ever built; ``repr`` shows the runs it holds.  ``ClaspWord(runs)``
-takes ``(key, count)`` tuples: a nonzero int key and an int count from 1.
+takes ``(key, count)`` tuples: a nonzero int key of at most
+``WORD_INDEX_DIGITS`` digits, so that the word's text parses, and an int
+count from 1.
 
 A parsed word may hold at most ``WORD_LETTER_CAP`` letters.  An exponent
 writes many letters in a few characters (``x1^1000000000``), so the cap is
@@ -99,6 +101,8 @@ class ClaspWord(FrozenRecord):
             key, count = run
             if type(key) is not int or not key:  # type(): True, a bool, would pass as 1
                 raise ValueError(f"a run's key must be a nonzero integer, got {quote(key)}")
+            if not -_KEY_LIMIT < key < _KEY_LIMIT:  # str() refuses past 4,300 digits
+                raise ValueError(f"a run's key may have at most {WORD_INDEX_DIGITS} digits, got {quote(key)}")
             if type(count) is not int or count < 1:
                 raise ValueError(f"a run's count must be a positive integer, got {quote(count)}")
             kept.append(shared.setdefault(run, run))
@@ -111,9 +115,11 @@ class ClaspWord(FrozenRecord):
 
     def _values(self) -> tuple:
         # equal neighbours merged: ==, hash, copy and pickle do not depend on
-        # how the word is cut into runs
+        # how the word is cut into runs; with none to merge, the stored runs,
+        # whose equal runs pickle's memo writes once
         groups = groupby(self.runs, itemgetter(0))
-        return (tuple([(key, sum(map(itemgetter(1), group))) for key, group in groups]),)
+        merged = tuple([(key, sum(map(itemgetter(1), group))) for key, group in groups])
+        return (self.runs if len(merged) == len(self.runs) else merged,)
 
     def __len__(self) -> int:
         return sum(map(itemgetter(1), self.runs))
@@ -129,6 +135,7 @@ WORD_LETTER_CAP = 10_000_000  # letters in one parsed word
 # Digits in a component index: far more than any complex has components,
 # and fewer than the least limit int() can be set to convert (640).
 WORD_INDEX_DIGITS = 100
+_KEY_LIMIT = 10**WORD_INDEX_DIGITS  # the least key of more digits
 # An exponent with more digits than the letter cap writes more letters than
 # the cap allows, whatever the digits are, so it is never converted.
 _CAP_DIGITS = len(str(WORD_LETTER_CAP))

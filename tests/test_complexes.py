@@ -2,8 +2,6 @@ import inspect
 import itertools
 import random
 import re
-import sys
-import tracemalloc
 from collections import defaultdict
 from pathlib import Path
 
@@ -30,6 +28,7 @@ from clasplink.complexes import (
 )
 from clasplink.invariants import e_ij, pairwise_linking, triple_linking
 from clasplink.words import ClaspWord, parse_word
+from test_memory_budgets import traced
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -634,20 +633,6 @@ def test_triple_linking_reads_the_words_the_reference_reads():
             assert triple_linking(F, i, j, k).contributions == expected
 
 
-def test_three_words_of_a_million_components_take_no_component_sized_memory():
-    # a table per component was 7.63 MiB here
-    text = "clasp a 1 2 +\nclasp b 2 3 -\nclasp c 3 1 +\norder 1 a c\norder 2 a b\norder 3 b c\n"
-    F = parse_complex("components 1000000\n" + text)
-    tracemalloc.start()
-    try:
-        result = triple_linking(F, 1, 2, 3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert result == triple_linking(parse_complex("components 3\n" + text), 1, 2, 3)
-    assert peak < 2**20
-
-
 def test_letter_multisets_match_clasp_signs():
     rng = random.Random(23)
     complexes = [parse_complex(BORROMEAN_TEXT), generate_brn(3)]
@@ -723,65 +708,9 @@ def test_generate_brn_rejects_bad_n():
 
 
 def test_generate_brn_refuses_n_past_the_cap_before_building():
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match=f"at most {BRN_CAP}, got {BRN_CAP + 1}"):
-            generate_brn(BRN_CAP + 1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    excinfo, peak, _ = traced(pytest.raises, ValueError, generate_brn, BRN_CAP + 1)
+    assert excinfo.match(f"at most {BRN_CAP}, got {BRN_CAP + 1}")
     assert peak < 100_000
-
-
-def complex_size(F):
-    """Bytes of F, its tuples, clasps and id strings, each object once."""
-    objects = {id(F): F, id(F.clasps): F.clasps, id(F.orders): F.orders}
-    for c in F.clasps:
-        objects[id(c)] = c
-        objects[id(c.id)] = c.id
-    for order in F.orders:
-        objects[id(order)] = order
-        objects.update((id(cid), cid) for cid in order)
-    return sum(map(sys.getsizeof, objects.values()))
-
-
-def test_parse_peak_stays_within_1_6_times_its_complex():
-    # it was 2.29 times when the whole text was split at once and validate
-    # kept its ids in sets
-    text = print_complex(generate_brn(5000))
-    tracemalloc.start()
-    try:
-        F = parse_complex(text)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.6 * complex_size(F)
-
-
-# Bytes more that a dict of Brn(5000)'s 20,000 ids takes before Python 3.11
-# while it grows from 16,384 slots to 32,768, holding both tables: their
-# 10,922 and 21,845 entries (two thirds of the slots) each store the key's
-# hash too, 8 bytes, which 3.11 drops from a dict of string keys.  Such a
-# dict, the ids read or the first order's, is validate's peak.
-DICT_HASHES_BEFORE_3_11 = 8 * (10_922 + 21_845) if sys.version_info < (3, 11) else 0
-
-
-def test_validate_peak_over_brn_5000_is_at_most_1_mib():
-    # 1.32 MiB when the ids read were held through the order checks; it is
-    # 0.92 MiB on Python 3.11 to 3.13, and 1.17 MiB on 3.10
-    F = generate_brn(5000)
-    tracemalloc.start()
-    try:
-        assert validate(F.n, F.clasps, F.orders) == []
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2**20 + DICT_HASHES_BEFORE_3_11
-
-
-def test_parsed_complex_holds_one_string_an_id():
-    # 4.76 MiB when each order held its own copy of every id
-    assert complex_size(parse_complex(print_complex(generate_brn(5000)))) <= 2.9 * 2**20
 
 
 def test_with_rotated_order():

@@ -2,7 +2,6 @@ import copy
 import itertools
 import pickle
 import random
-import tracemalloc
 from dataclasses import dataclass
 from itertools import accumulate, islice
 from operator import eq
@@ -17,6 +16,7 @@ from clasplink.bounds import ceil_two_sqrt
 from clasplink.curves import DOWN, LEFT, RIGHT, UP, LatticeCurve, build_curve
 from clasplink.invariants import e_ij
 from clasplink.words import ClaspWord, parse_word
+from test_memory_budgets import comb_steps, traced
 
 STAIRCASE = "x1 x2 x1 x2 x1^-2 x2^-2"
 
@@ -473,50 +473,6 @@ def test_equal_steps_give_equal_curves_and_hashes():
     assert first != LatticeCurve(steps[:-1])
 
 
-# --- memory -----------------------------------------------------------------
-
-
-def comb_word(teeth: int, height: int) -> ClaspWord:
-    """A closed simple comb read with (i, j) = (1, 2): teeth up and down
-    along x, closed by a base line one step below."""
-    pairs = []  # (index, sign) a letter
-    for _ in range(teeth):
-        pairs += [(2, 1)] * height + [(1, 1)] + [(2, -1)] * height + [(1, 1)]
-    pairs += [(2, -1)] + [(1, -1)] * (2 * teeth) + [(2, 1)]
-    return ClaspWord((i * s, 1) for i, s in pairs)
-
-
-COMB = comb_word(teeth=250, height=200)  # about 1e5 vertices, coordinates past 256
-
-
-def test_curve_holds_one_byte_a_step():
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        curve = build_curve(COMB, 1, 2)
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert curve.length > 100_000
-    # one code byte a step, and the bytes and curve objects' headers
-    assert held <= 2 * curve.length
-
-
-def test_is_simple_peak_stays_near_its_sorted_codes():
-    curve = build_curve(COMB, 1, 2)
-    tracemalloc.start()
-    try:
-        simple = curve.is_simple()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert simple
-    # the bitmap holds one byte a cell of the box, about one a step here;
-    # the sort it replaced held one int and one list slot per interior
-    # vertex, plus its merge space, and a set of the points over 60 bytes
-    assert peak <= 50 * (curve.length + 1)
-
-
 # --- is_simple: the bitmap and the fallback against the sort ----------------
 
 
@@ -567,48 +523,11 @@ def test_is_simple_agrees_with_the_sort_on_every_path(steps):
             assert curve.is_simple() == expected, cells
 
 
-def comb_steps(teeth, detour=None):
-    """The comb of ``curve simple-400000`` as step codes, teeth in rising
-    order: tooth k goes up column 2k and down column 2k + 1, and a base line
-    one step below closes it.  With ``detour = k`` the base line crosses
-    tooth k on the way back: up two, left one and down two."""
-    parts = []
-    for height in range(teeth // 2 + 1, teeth // 2 + 1 + teeth):
-        parts += [bytes([UP]) * height, bytes([RIGHT]), bytes([DOWN]) * height, bytes([RIGHT])]
-    parts.append(bytes([DOWN]))
-    if detour is None:
-        parts.append(bytes([LEFT]) * (2 * teeth))
-    else:
-        parts += [bytes([LEFT]) * (2 * (teeth - detour) - 1), bytes([UP, UP, LEFT, DOWN, DOWN]),
-                  bytes([LEFT]) * (2 * detour)]
-    parts.append(bytes([UP]))
-    return b"".join(parts)
-
-
-def traced_is_simple(curve):
-    tracemalloc.start()
-    try:
-        simple = curve.is_simple()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return simple, peak
-
-
-def test_is_simple_maps_the_benchmark_comb_in_under_a_mebibyte():
-    curve = LatticeCurve(comb_steps(387))
-    assert curve.length == 301_088
-    simple, peak = traced_is_simple(curve)
-    assert simple
-    # a 775-by-582 box, 1.5 cells a step; the sort peaked at 11.7 MiB
-    assert peak < 1 << 20
-
-
 def test_is_simple_bitmap_finds_a_crossing_past_the_probe():
     steps = comb_steps(387, detour=200)
     curve = LatticeCurve(steps)
     assert curve.is_closed() and steps.index(bytes([UP, UP, LEFT])) > 4096
-    simple, peak = traced_is_simple(curve)
+    simple, peak, _ = traced(curve.is_simple)
     assert not simple and not reference_is_simple(curve)
     # under a mebibyte: the bitmap found it, not the sort
     assert peak < 1 << 20
@@ -624,6 +543,6 @@ def test_is_simple_sorts_a_long_staircase(detour):
     curve = LatticeCurve(bytes([RIGHT, UP]) * m + detour + bytes([LEFT]) * m + bytes([DOWN]) * m)
     box = (m + 1) ** 2
     assert curve.length > 4096 and box > curves._BOX_CELLS_PER_STEP * curve.length
-    simple, peak = traced_is_simple(curve)
+    simple, peak, _ = traced(curve.is_simple)
     assert simple == reference_is_simple(curve) == (not detour)
     assert peak < box // 4  # the sort ran; the box was never allocated

@@ -9,7 +9,6 @@ text.
 """
 
 import random
-import tracemalloc
 from unittest import mock
 
 import pytest
@@ -145,48 +144,3 @@ def test_render_matches_the_reference_on_random_walks(runs, grid, window):
     with mock.patch("clasplink.curves._WINDOW", window):
         svg = render(curve, grid=grid)
     assert svg == reference_render_curve_svg(curve, grid=grid)
-
-
-@pytest.mark.parametrize("grid", [False, True])
-def test_writer_peak_stays_within_a_quarter_of_its_svg(grid):
-    # the sink keeps no text, so the peak is the writer's own: it fails if
-    # the pieces are collected, not only if the whole document is built
-    curve = random_walk(100_000, seed=5)
-    written = 0
-
-    def count(piece: str) -> None:
-        nonlocal written
-        written += len(piece)
-
-    tracemalloc.start()
-    try:
-        write_svg(curve, count, grid=grid)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert written == len(render(curve, grid=grid))
-    assert peak <= written / 4
-
-
-SIDE = 100_000
-BOX_RUNS = {
-    "flat": [(RIGHT, SIDE), (UP, 1), (LEFT, SIDE), (DOWN, 1)],
-    "tall": [(UP, SIDE), (RIGHT, 1), (DOWN, SIDE), (LEFT, 1)],
-}
-
-
-@pytest.mark.parametrize("name", sorted(BOX_RUNS))
-@pytest.mark.parametrize("grid", [False, True])
-def test_writer_peak_per_column_and_row_of_the_box(name, grid):
-    # one table of formatted coordinates an axis is about 66 bytes a column
-    # or row of the box; a second table of either axis passes 100
-    curve = straight(*BOX_RUNS[name])
-    min_x, max_x, min_y, max_y = curve.bounding_box()
-    lines = (max_x - min_x + 1) + (max_y - min_y + 1)
-    tracemalloc.start()
-    try:
-        write_svg(curve, lambda piece: None, grid=grid)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 100 * lines

@@ -1,11 +1,7 @@
 import copy
-import os
 import pickle
 import random
-import subprocess
-import sys
 import time
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -24,6 +20,7 @@ from clasplink.words import (
     WordSyntaxError,
     parse_word,
 )
+from test_memory_budgets import traced
 
 GOLDEN_WORDS = Path(__file__).resolve().parent / "golden" / "words"
 
@@ -153,14 +150,22 @@ def test_word_stores_its_letters_as_a_tuple():
         ([1, 2], "a run of a clasp word must be a (key, count) tuple, got 1"),
         (((1, 1), [2, 1]), "a run of a clasp word must be a (key, count) tuple, got [2, 1]"),
         ([(1, 1), "x" * 100], f"a run of a clasp word must be a (key, count) tuple, got {clip('x' * 100)!r}"),
+        # str() of a word once raised past 4,300 digits
+        ([(10**5000, 1)], "a run's key may have at most 100 digits, got <int of 16610 bits>"),
+        ([(1, 1), (-(10**WORD_INDEX_DIGITS), 1)], f"a run's key may have at most 100 digits, got -1{'0' * 38}..."),
     ],
-    ids=["string", "empty-string", "ints", "pair", "long-string-letter"],
+    ids=["string", "empty-string", "ints", "pair", "long-string-letter", "key-past-4300-digits", "key-of-101-digits"],
 )
 def test_word_refuses_anything_that_is_not_a_letter(runs, message):
     # a string was once split into a word of its characters, shown as "x 1   x 2"
     with pytest.raises(ValueError) as caught:
         ClaspWord(runs)
     assert str(caught.value) == message
+
+
+def test_a_key_of_as_many_digits_as_a_parsed_index_round_trips():
+    w = ClaspWord([(10**WORD_INDEX_DIGITS - 1, 1), (1 - 10**WORD_INDEX_DIGITS, 2)])
+    assert parse_word(str(w)) == w
 
 
 def test_round_trip_many_random_words():
@@ -257,6 +262,13 @@ def test_value_operations_on_the_cap_word_read_its_runs():
     assert pickle.loads(pickle.dumps(w)) == w
 
 
+def test_a_pickled_word_writes_its_equal_runs_once():
+    # 6.0 bytes a run when the pickle held a fresh tuple a run
+    w = parse_word("x1 x2^3 " * 100_000)
+    assert len(pickle.dumps(w)) <= 3 * len(w.runs)
+    assert pickle.loads(pickle.dumps(w)) == w
+
+
 # Letter-by-letter references, as e_ij and build_curve were written before
 # they read a word's runs; each takes the word as (index, sign) pairs.
 def reference_e_ij(pairs, i, j):
@@ -328,13 +340,7 @@ def test_letter_cap_is_fixed():
     ],
 )
 def test_huge_exponent_is_refused_before_it_expands(text, column):
-    tracemalloc.start()
-    try:
-        with pytest.raises(WordSyntaxError) as excinfo:
-            parse_word(text)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    excinfo, peak, _ = traced(pytest.raises, WordSyntaxError, parse_word, text)
     assert peak < 1_000_000
     assert (excinfo.value.line, excinfo.value.column) == (1, column)
     assert f"past {WORD_LETTER_CAP} letters" in str(excinfo.value)
@@ -456,126 +462,3 @@ def test_cap_crossing_is_located_at_every_piece_size(monkeypatch, piece):
     assert outcome(text) == "line 3, column 11: term x1 takes the word past 10 letters"
     monkeypatch.setattr(_record, "PIECE", piece)
     assert outcome(text) == "line 3, column 11: term x1 takes the word past 10 letters"
-
-
-def ci_word_terms():
-    """The terms of the 400,000-letter word of CI's timing step: x1, x2 and
-    x3 in runs of 1 to 4, Random(1)."""
-    rng = random.Random(1)
-    terms, letters = [], 0
-    while letters < 400_000:
-        exponent = rng.choice((-4, -3, -2, -1, 1, 2, 3, 4))
-        terms.append(f"x{rng.randint(1, 3)}^{exponent}")
-        letters += abs(exponent)
-    return terms
-
-
-def parse_peak(text):
-    tracemalloc.start()
-    try:
-        parse_word(text)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-@pytest.mark.parametrize("sep", [" ", "."])
-def test_one_line_peak_is_near_the_short_line_peak(sep):
-    # 10.61 MiB against 3.83 MiB when a line was split whole
-    terms = ci_word_terms()
-    rng = random.Random(2)
-    lines, start = [], 0
-    while start < len(terms):
-        stop = start + rng.randint(6, 24)
-        lines.append(sep.join(terms[start:stop]))
-        start = stop
-    assert parse_peak(sep.join(terms)) <= 1.5 * parse_peak("\n".join(lines))
-
-
-def test_peak_of_one_letter_terms_is_at_most_6_times_the_text():
-    # 22.6 times when the text's lines and a line's terms were held whole,
-    # and 8.4 times when the word's runs were copied into two columns
-    text = "x1 " * 1_000_000
-    assert parse_peak(text) <= 6 * len(text)
-
-
-def test_a_parsed_word_keeps_at_most_9_bytes_a_run():
-    # 16 bytes a run when the word kept a key column and a count column
-    text = "x1 x2^3 " * 100_000
-    tracemalloc.start()
-    try:
-        w = parse_word(text)
-        kept = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert len(w.runs) == 200_000
-    assert kept <= 9 * len(w.runs)
-
-
-@pytest.mark.skipif(sys.version_info < (3, 11), reason="before 3.11 a call's arguments stay on the caller's stack")
-def test_a_text_passed_as_a_temporary_is_freed_before_the_word_is_built():
-    text = "x1 " * 1_000_000
-    held = parse_peak(text)
-    tracemalloc.start()
-    try:
-        parse_word("x1 " * 1_000_000)  # built in the call: parse_word holds its one reference
-        temporary = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # one text more, 3,000,000 bytes, when the text was held to the end
-    assert temporary - held < len(text) / 2
-
-
-# Address space a child CLI run may take: about 20 times the 15 MiB word
-# below.  Set in the child alone, before it runs Python.
-CHILD_ADDRESS_SPACE = 300 * 2**20
-
-
-def run_under_memory_limit(args, address_space, text=None):
-    """Run ``clasplink ARGS`` in a child whose address space is capped."""
-    resource = pytest.importorskip("resource")
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (address_space, resource.getrlimit(resource.RLIMIT_AS)[1]))
-
-    return subprocess.run(
-        [sys.executable, "-m", "clasplink.cli", *args],
-        input=text,
-        capture_output=True,
-        text=True,
-        preexec_fn=limit,
-        timeout=120,
-    )
-
-
-def test_half_the_cap_in_one_letter_terms_fits_the_memory_limit():
-    # a MemoryError traceback and exit 1 when the line's terms were held whole
-    result = run_under_memory_limit(["eij", "-", "1", "2"], CHILD_ADDRESS_SPACE, "x1 " * 5_000_000 + "x2")
-    assert (result.returncode, result.stdout, result.stderr) == (0, "5000000\n", "")
-
-
-def test_a_bad_term_past_5000000_terms_is_located_under_the_memory_limit():
-    result = run_under_memory_limit(["eij", "-", "1", "2"], CHILD_ADDRESS_SPACE, "x1 " * 5_000_000 + "y3")
-    assert (result.returncode, result.stdout) == (2, "")
-    assert result.stderr == (
-        "error: line 1, column 15000001: malformed term 'y3' (expected x<INT> or x<INT>^<SIGNEDINT>)\n"
-    )
-
-
-# A flat and a tall word of WORD_LETTER_CAP letters: the curve's box is
-# 5,000,001 columns or rows, and the SVG writer formats each of them once.
-# The request peaks at about 390 MiB of RSS.
-@pytest.mark.parametrize(
-    "word, area",
-    [("x1^4999999 x2 x1^-4999999 x2^-1", 4999999), ("x2^4999999 x1 x2^-4999999 x1^-1", -4999999)],
-)
-def test_a_curve_at_the_letter_cap_fits_the_memory_limit(word, area):
-    # a MemoryError and exit 1 if the writer keeps more than one table of
-    # formatted coordinates an axis
-    assert len(parse_word(word)) == WORD_LETTER_CAP
-    result = run_under_memory_limit(["curve", word, "1", "2", "--out", os.devnull], 500 * 2**20)
-    assert (result.returncode, result.stdout, result.stderr) == (
-        0,
-        f"length=10000000 closed simple area={area}\n",
-        "",
-    )
