@@ -1,7 +1,7 @@
 """Fixtures shared by the test modules."""
 
 import pytest
-from reference_polyominoes import fixed_polyominoes
+import reference
 
 
 @pytest.fixture(scope="session")
@@ -11,4 +11,4 @@ def shapes():
     Enumerated once per session: the enumeration takes seconds, and the
     oracle and bound tests read the same shapes.  Criterion 7 runs its
     own enumeration, because its time limit covers the enumerator."""
-    return fixed_polyominoes(10)
+    return reference.fixed_polyominoes(10)

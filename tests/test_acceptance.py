@@ -12,12 +12,11 @@ from contextlib import contextmanager
 from math import comb
 from pathlib import Path
 
-from reference_polyominoes import fixed_polyominoes
+from reference import fixed_polyominoes, word_tree
 
 from clasplink.bounds import bound_report, ceil_two_sqrt, three_component_lower_bound, two_component_clasp_number
 from clasplink.cli import main
 from clasplink.complexes import (
-    clasp_word,
     generate_brn,
     parse_complex,
     validate,
@@ -158,26 +157,10 @@ def test_criterion_8_word_length_oracle_gate():
         # a closed form, which certifies the sweep itself is exhaustive.
         bound = {a: 2 * ceil_two_sqrt(a) for a in range(0, 10)}
         seen = 0
-
-        def walk(x, y, depth, acc):
-            nonlocal seen
-            if x == 0 and y == 0:
+        for depth, x, y, integral in word_tree(12):
+            if x == y == 0:
                 seen += 1
-                assert depth >= bound[abs(acc)]
-            budget = 12 - depth - 1
-            if budget < 0:
-                return
-            ax, ay = abs(x), abs(y)
-            if abs(x + 1) + ay <= budget:
-                walk(x + 1, y, depth + 1, acc)
-            if abs(x - 1) + ay <= budget:
-                walk(x - 1, y, depth + 1, acc)
-            if ax + abs(y + 1) <= budget:
-                walk(x, y + 1, depth + 1, acc + x)
-            if ax + abs(y - 1) <= budget:
-                walk(x, y - 1, depth + 1, acc - x)
-
-        walk(0, 0, 0, 0)
+                assert depth >= bound[abs(integral)]
         assert seen == sum(comb(length, length // 2) ** 2 for length in range(0, 13, 2))
         assert time.perf_counter() - start < 120.0
 

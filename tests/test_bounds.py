@@ -2,7 +2,7 @@ import random
 from itertools import product
 
 import pytest
-from reference_polyominoes import perimeter
+from reference import perimeter, smallest_root_by_counting
 
 from clasplink.bounds import (
     BoundReport,
@@ -67,13 +67,6 @@ def test_three_component_lower_bound_examples():
     assert three_component_lower_bound(1) == 4
     assert three_component_lower_bound(4) == 6
     assert three_component_lower_bound(-4) == 6
-
-
-def smallest_root_by_counting(target, coeff):
-    m = 0
-    while coeff * m * m < target:
-        m += 1
-    return m
 
 
 def test_three_component_lower_bound_against_counting():

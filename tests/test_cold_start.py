@@ -3,7 +3,9 @@
 Every CLI request is a fresh interpreter, so whatever it imports it also
 pays for on every request.  Each test runs one family of subcommands in a
 fresh interpreter and diffs ``sys.modules`` from before ``clasplink.cli``
-is imported to after the family's ``cli.main`` calls return.
+is imported to after the family's ``cli.main`` calls return.  The last
+test checks that ``tests/reference.py``, which the tests compare the
+library with, loads no clasplink module at all.
 """
 
 import json
@@ -110,3 +112,12 @@ def test_importing_the_package_loads_no_submodule():
     code = "import sys, clasplink; print(sorted(m for m in sys.modules if m.startswith('clasplink')))"
     result = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert result.stdout.strip() == "['clasplink']"
+
+
+def test_the_test_reference_loads_no_clasplink():
+    # clasplink is importable here, so an import of it would show
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))
+    code = "import sys, reference; print(sorted(m for m in sys.modules if m.split('.')[0] == 'clasplink'))"
+    result = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -2,7 +2,6 @@ import inspect
 import itertools
 import random
 import re
-from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -10,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clasplink import _record, complexes
-from clasplink._record import QUOTE_CHARS, clip, pieces, quote
+from clasplink._record import QUOTE_CHARS, pieces
 from clasplink.cli import main
 from clasplink.complexes import (
     BRN_CAP,
@@ -26,8 +25,9 @@ from clasplink.complexes import (
     validate,
     with_rotated_order,
 )
-from clasplink.invariants import e_ij, pairwise_linking, triple_linking
+from clasplink.invariants import pairwise_linking, triple_linking
 from clasplink.words import ClaspWord, parse_word
+import reference
 from test_memory_budgets import traced
 
 DATA = Path(__file__).resolve().parents[1] / "data"
@@ -396,45 +396,15 @@ def test_validate_reports_a_wrong_number_of_orders(n, clasps, orders, violations
 # --- validate: the set comparison against the id-by-id walk ----------------
 
 
-def reference_validate(n, clasps, orders):
-    """The ``validate`` that walked every id of every order, before a
-    well-formed order was accepted with one set comparison."""
-    violations = []
-    if n < 1:
-        violations.append(f"component count must be at least 1, got {n}")
+def plain(clasps):
+    """Clasps as the reference takes them: (id, a, b, sign) tuples."""
+    return [(c.id, c.a, c.b, c.sign) for c in clasps]
 
-    seen = {}
-    incident = defaultdict(set)
-    for c in clasps:
-        if c.id in seen:
-            violations.append(f"duplicate clasp id {quote(c.id)}")
-            continue
-        seen[c.id] = c
-        if c.a == c.b:
-            violations.append(f"clasp {quote(c.id)} is a self-clasp (both ends on component {c.a})")
-        if c.b > n:
-            for endpoint in sorted({c.a, c.b}):
-                if endpoint > n:
-                    violations.append(f"clasp {quote(c.id)} references unknown component {clip(str(endpoint))}")
-        elif c.a != c.b:
-            incident[c.a].add(c.id)
-            incident[c.b].add(c.id)
 
-    for k in range(1, n + 1):
-        expected = incident.get(k, set())
-        listed = set()
-        for cid in orders[k - 1]:
-            if cid in listed:
-                violations.append(f"order for component {k} repeats clasp id {quote(cid)}")
-                continue
-            listed.add(cid)
-            if cid not in seen:
-                violations.append(f"order for component {k} references unknown clasp id {quote(cid)}")
-            elif cid not in expected:
-                violations.append(f"order for component {k} lists non-incident clasp {quote(cid)}")
-        for cid in sorted(expected - listed):
-            violations.append(f"order for component {k} is incomplete: missing clasp id {quote(cid)}")
-    return violations
+def words_by_reference(F):
+    """The letter keys of each word of F, as the reference reads them."""
+    clasps = plain(F.clasps)
+    return [reference.clasp_word(clasps, F.orders, k) for k in range(1, F.n + 1)]
 
 
 CLASP_IDS = ("a", "b", "c", "d", "e", "f")  # few, so ids repeat
@@ -488,7 +458,8 @@ def complex_parts(draw):
 # an order of the right length that lists a clasp on an unknown component in place of a
 @example((2, (Clasp("a", 1, 2, 1), Clasp("b", 1, 3, -1)), (("b",), ("a",))))
 def test_validate_agrees_with_the_walk(parts):
-    assert validate(*parts) == reference_validate(*parts)
+    n, clasps, orders = parts
+    assert validate(n, clasps, orders) == reference.validate(n, plain(clasps), orders)
 
 
 def test_clasp_constructor():
@@ -588,31 +559,15 @@ def test_handshake_identity():
         assert 2 * len(F.clasps) == word_lengths
 
 
-def reference_clasp_word(F, k):
-    """The per-component loop that ``clasp_word`` ran before every word was
-    read through one pass over the clasps: a pass of its own for each word,
-    with one run a letter, keyed by the other end times the sign."""
-    letter_of = {}
-    for c in F.clasps:
-        if c.a == k:
-            other = c.b
-        elif c.b == k:
-            other = c.a
-        else:
-            continue
-        letter_of[c.id] = (other * c.sign, 1)
-    return ClaspWord(tuple(letter_of[cid] for cid in F.orders[k - 1]))
-
-
 def test_clasp_words_read_each_word_as_clasp_word_does():
     rng = random.Random(5)
     complexes = [parse_complex(BORROMEAN_TEXT), generate_brn(4), CComplex(1, (), ((),))]
     complexes += [random_valid_complex(rng, n=rng.randint(1, 6), max_pairs=8) for _ in range(50)]
     complexes += [random_valid_complex(rng, n=rng.randint(3, 6), max_pairs=12) for _ in range(50)]
     for F in complexes:
-        expected = [reference_clasp_word(F, k) for k in range(1, F.n + 1)]
-        assert [clasp_word(F, k) for k in range(1, F.n + 1)] == expected
-        assert clasp_words(F) == expected
+        expected = words_by_reference(F)
+        assert [reference.letters(clasp_word(F, k).runs) for k in range(1, F.n + 1)] == expected
+        assert [reference.letters(w.runs) for w in clasp_words(F)] == expected
 
 
 def test_a_clasp_word_holds_one_run_object_a_distinct_letter():
@@ -627,9 +582,9 @@ def test_triple_linking_reads_the_words_the_reference_reads():
     rng = random.Random(17)
     complexes = [random_valid_complex(rng, n=rng.randint(3, 6), max_pairs=12) for _ in range(40)]
     for F in complexes:
-        w = [None] + [reference_clasp_word(F, k) for k in range(1, F.n + 1)]
+        w = [None] + words_by_reference(F)
         for i, j, k in itertools.permutations(range(1, F.n + 1), 3):
-            expected = (e_ij(w[k], i, j), e_ij(w[i], j, k), e_ij(w[j], k, i))
+            expected = (reference.e_ij(w[k], i, j), reference.e_ij(w[i], j, k), reference.e_ij(w[j], k, i))
             assert triple_linking(F, i, j, k).contributions == expected
 
 

@@ -2,11 +2,9 @@ import copy
 import itertools
 import pickle
 import random
-from dataclasses import dataclass
-from itertools import accumulate, islice
-from operator import eq
 
 import pytest
+import reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -21,13 +19,12 @@ from test_memory_budgets import comb_steps, traced
 STAIRCASE = "x1 x2 x1 x2 x1^-2 x2^-2"
 
 TWO_INDEX_ALPHABET = ((1, 1), (-1, 1), (2, 1), (-2, 1))  # x1, x1^-1, x2, x2^-1 as runs
-CODES = {(1, 0): RIGHT, (-1, 0): LEFT, (0, 1): UP, (0, -1): DOWN}
 
 
 def curve_of(vertices):
     """The curve through vertices that start at (0, 0) and move by unit
     cardinal steps."""
-    return LatticeCurve(bytes([CODES[x1 - x0, y1 - y0] for (x0, y0), (x1, y1) in zip(vertices, vertices[1:])]))
+    return LatticeCurve(reference.codes_of(vertices))
 
 
 def two_index_words(max_len):
@@ -60,37 +57,6 @@ def closed_self_avoiding_curves(max_len):
 
     dfs()
     return found
-
-
-def enclosed_cell_count(curve):
-    """Even-odd fill: cells whose rightward ray crosses an odd number of
-    vertical curve edges.  Independent of the line integral."""
-    vertical = [
-        (x0, min(y0, y1))
-        for (x0, y0), (x1, y1) in zip(curve.vertices, curve.vertices[1:])
-        if x0 == x1
-    ]
-    xs = [x for x, _ in curve.vertices]
-    ys = [y for _, y in curve.vertices]
-    count = 0
-    for cx in range(min(xs), max(xs)):
-        for cy in range(min(ys), max(ys)):
-            crossings = sum(1 for ex, ey in vertical if ey == cy and ex > cx)
-            if crossings % 2 == 1:
-                count += 1
-    return count
-
-
-def quarter_turns(curve):
-    """Sum of signed turns along a closed curve; +4 means counterclockwise."""
-    dirs = [
-        (x1 - x0, y1 - y0)
-        for (x0, y0), (x1, y1) in zip(curve.vertices, curve.vertices[1:])
-    ]
-    return sum(
-        dx0 * dy1 - dy0 * dx1
-        for (dx0, dy0), (dx1, dy1) in zip(dirs, dirs[1:] + dirs[:1])
-    )
 
 
 def test_build_curve_unit_square():
@@ -152,7 +118,7 @@ def test_build_curve_output_passes_the_public_check():
             for _ in range(rng.randint(0, 30))
         )
         curve = build_curve(w, 1, 2)
-        assert ReferenceLatticeCurve(curve.vertices).vertices == curve.vertices
+        assert reference.TupleCurve(curve.vertices).vertices == curve.vertices
         assert curve_of(curve.vertices) == LatticeCurve(curve.steps) == curve
 
 
@@ -242,12 +208,13 @@ def test_simple_closed_curves_enclose_integral_many_cells():
     assert len(curves) > 2000
     for curve in curves:
         assert curve.is_simple()
-        cells = enclosed_cell_count(curve)
+        vertices = reference.vertices_of(curve.steps)
+        cells = reference.enclosed_cell_count(vertices)
         integral = curve.line_integral_x_dy()
         if cells == 0:
             assert integral == 0
         else:
-            turns = quarter_turns(curve)
+            turns = reference.quarter_turns(vertices)
             assert turns in (4, -4)
             assert integral == (cells if turns == 4 else -cells)
 
@@ -277,59 +244,6 @@ def test_closed_curve_length_bound_exhaustive():
 # --- the step-coded curve against the tuple-stored one it replaced ----------
 
 
-@dataclass(frozen=True)
-class ReferenceLatticeCurve:
-    """The curve as it was kept before its coordinate columns and its step
-    codes: a tuple of ``(x, y)`` points, with the same checks and methods."""
-
-    vertices: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        if not self.vertices:
-            raise ValueError("a curve needs at least its start vertex")
-        if self.vertices[0] != (0, 0):
-            raise ValueError(f"curve must start at (0, 0), got {self.vertices[0]}")
-        for (x0, y0), (x1, y1) in zip(self.vertices, islice(self.vertices, 1, None)):
-            if abs(x1 - x0) + abs(y1 - y0) != 1:
-                raise ValueError(f"step from ({x0}, {y0}) to ({x1}, {y1}) is not a unit cardinal step")
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices) - 1
-
-    def is_closed(self) -> bool:
-        return self.vertices[-1] == (0, 0)
-
-    def is_simple(self) -> bool:
-        if not self.is_closed():
-            raise ValueError("simplicity is only defined for closed curves")
-        interior = len(self.vertices) - 1
-        return len(set(islice(self.vertices, interior))) == interior
-
-    def line_integral_x_dy(self) -> int:
-        total = 0
-        for (x0, y0), (_, y1) in zip(self.vertices, islice(self.vertices, 1, None)):
-            total += x0 * (y1 - y0)
-        return total
-
-    def reversed(self) -> "ReferenceLatticeCurve":
-        xe, ye = self.vertices[-1]
-        return ReferenceLatticeCurve(tuple((x - xe, y - ye) for x, y in reversed(self.vertices)))
-
-
-STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
-
-
-def walk(steps):
-    x = y = 0
-    vertices = [(0, 0)]
-    for dx, dy in steps:
-        x += dx
-        y += dy
-        vertices.append((x, y))
-    return tuple(vertices)
-
-
 def rebased(loop, k):
     """A closed loop's vertices started at its k-th vertex, moved to (0, 0)."""
     k %= len(loop) - 1
@@ -343,18 +257,18 @@ def figure_eight(a, c, d, e, k):
     c-by-d loop hangs below it and an a-by-e loop closes above it."""
     steps = ([(1, 0)] * a + [(0, -1)] * d + [(1, 0)] * c + [(0, 1)] * d + [(-1, 0)] * c
              + [(0, 1)] * e + [(-1, 0)] * a + [(0, -1)] * e)
-    return rebased(walk(steps), k)
+    return rebased(reference.walk(steps), k)
 
 
 def rectangle(a, b, k):
     steps = [(1, 0)] * a + [(0, 1)] * b + [(-1, 0)] * a + [(0, -1)] * b
-    return rebased(walk(steps), k)
+    return rebased(reference.walk(steps), k)
 
 
-open_walks = st.lists(st.sampled_from(STEPS), max_size=40).map(walk)
+open_walks = st.lists(st.sampled_from(reference.STEPS), max_size=40).map(reference.walk)
 # out and back the same way: closed, and non-simple unless empty
-retraced = st.lists(st.sampled_from(STEPS), max_size=20).map(
-    lambda steps: walk(steps + [(-dx, -dy) for dx, dy in reversed(steps)])
+retraced = st.lists(st.sampled_from(reference.STEPS), max_size=20).map(
+    lambda steps: reference.walk(steps + [(-dx, -dy) for dx, dy in reversed(steps)])
 )
 sides = st.integers(1, 5)
 rectangles = st.builds(rectangle, sides, sides, st.integers(0, 40))
@@ -381,17 +295,17 @@ def simplicity(curve):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(curve_vertices)
 def test_columns_agree_with_the_tuple_curve(vertices):
-    curve, reference = curve_of(vertices), ReferenceLatticeCurve(vertices)
-    assert curve.vertices == reference.vertices
-    assert curve.length == reference.length
-    assert curve.is_closed() == reference.is_closed()
-    assert simplicity(curve) == simplicity(reference)
-    assert curve.line_integral_x_dy() == reference.line_integral_x_dy()
-    assert curve.reversed().vertices == reference.reversed().vertices
-    assert curve == curve_of(reference.vertices)
-    assert hash(curve) == hash(curve_of(reference.vertices))
+    curve, tuple_curve = curve_of(vertices), reference.TupleCurve(vertices)
+    assert curve.vertices == tuple_curve.vertices
+    assert curve.length == tuple_curve.length
+    assert curve.is_closed() == tuple_curve.is_closed()
+    assert simplicity(curve) == simplicity(tuple_curve)
+    assert curve.line_integral_x_dy() == tuple_curve.line_integral_x_dy()
+    assert curve.reversed().vertices == tuple_curve.reversed().vertices
+    assert curve == curve_of(tuple_curve.vertices)
+    assert hash(curve) == hash(curve_of(tuple_curve.vertices))
     assert curve.reversed().reversed() == curve
-    xs, ys = zip(*reference.vertices)
+    xs, ys = zip(*tuple_curve.vertices)
     assert curve.bounding_box() == (min(xs), max(xs), min(ys), max(ys))
 
 
@@ -405,16 +319,16 @@ def test_long_thin_curves_agree_with_the_tuple_curve(vertices):
     # x * span + y here passes 2**30, past the one-digit ints sort fastest;
     # the tall eight meets its repeated point only past the first 4,096
     # vertices, which is_simple once probed before the rest
-    curve, reference = curve_of(vertices), ReferenceLatticeCurve(vertices)
-    assert curve.is_simple() == reference.is_simple()
-    assert curve.line_integral_x_dy() == reference.line_integral_x_dy()
+    curve, tuple_curve = curve_of(vertices), reference.TupleCurve(vertices)
+    assert curve.is_simple() == tuple_curve.is_simple()
+    assert curve.line_integral_x_dy() == tuple_curve.line_integral_x_dy()
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(curve_vertices, curve_vertices)
 def test_columns_compare_and_hash_as_the_tuple_curve(first, second):
     curves = curve_of(first), curve_of(second)
-    references = ReferenceLatticeCurve(first), ReferenceLatticeCurve(second)
+    references = reference.TupleCurve(first), reference.TupleCurve(second)
     assert (curves[0] == curves[1]) == (references[0] == references[1])
     assert (curves[0] != curves[1]) == (references[0] != references[1])
     if curves[0] == curves[1]:
@@ -473,19 +387,13 @@ def test_equal_steps_give_equal_curves_and_hashes():
     assert first != LatticeCurve(steps[:-1])
 
 
-# --- is_simple: the bitmap and the fallback against the sort ----------------
+# --- is_simple: the bitmap and the sort fallback against the vertex set -----
 
 
-def reference_is_simple(curve):
-    """The sort-based ``is_simple`` that the bitmap replaced: each interior
-    vertex coded as ``x * span + y``, a repeat shown by equal sorted
-    neighbours."""
-    if not curve.is_closed():
-        raise ValueError("simplicity is only defined for closed curves")
-    span = 2 * len(curve.steps) + 1
-    code_delta = [span, -span, 1, -1]  # of each step code
-    codes = sorted(islice(accumulate(map(code_delta.__getitem__, curve.steps), initial=0), len(curve.steps)))
-    return not any(map(eq, codes, islice(codes, 1, None)))
+def simple_by_vertex_set(steps):
+    """Whether the closed curve of the steps meets no vertex twice before
+    its end, by the reference's own vertices."""
+    return reference.TupleCurve(reference.vertices_of(steps)).is_simple()
 
 
 def closed(codes):
@@ -516,7 +424,7 @@ SPLIT = curves._WINDOW + 10  # a straight run that segments() yields as two
                + [DOWN] * 2 + [LEFT] * (SPLIT - 2) + [UP]))
 def test_is_simple_agrees_with_the_sort_on_every_path(steps):
     curve = LatticeCurve(steps)
-    expected = reference_is_simple(curve)
+    expected = simple_by_vertex_set(steps)
     for cells in PATHS:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(curves, "_BOX_CELLS_PER_STEP", cells)
@@ -528,7 +436,7 @@ def test_is_simple_bitmap_finds_a_crossing_past_the_probe():
     curve = LatticeCurve(steps)
     assert curve.is_closed() and steps.index(bytes([UP, UP, LEFT])) > 4096
     simple, peak, _ = traced(curve.is_simple)
-    assert not simple and not reference_is_simple(curve)
+    assert not simple and not simple_by_vertex_set(steps)
     # under a mebibyte: the bitmap found it, not the sort
     assert peak < 1 << 20
 
@@ -544,5 +452,5 @@ def test_is_simple_sorts_a_long_staircase(detour):
     box = (m + 1) ** 2
     assert curve.length > 4096 and box > curves._BOX_CELLS_PER_STEP * curve.length
     simple, peak, _ = traced(curve.is_simple)
-    assert simple == reference_is_simple(curve) == (not detour)
+    assert simple == simple_by_vertex_set(curve.steps) == (not detour)
     assert peak < box // 4  # the sort ran; the box was never allocated

@@ -1,12 +1,12 @@
 """Fuzz the word parser against a reference, and the exit contract of eij
 and curve.
 
-``reference_parse_word`` is the per-token parser that ``parse_word``
-replaced: it builds one letter per token and expands each term in place.
-It holds its own copy of that parser's grammar, so it shares none with the
-code it checks.
-On any text whose expansion stays small the two must return equal words or
-raise identical ``WordSyntaxError``s, line and column included.
+``reference.parse_word`` is the per-token parser that ``parse_word``
+replaced: it expands each term in place into letter keys.  It holds its
+own copy of that parser's grammar and of the error quoting, so it shares
+none with the code it checks.
+On any text whose expansion stays small the two must give the same letters,
+or the same error message at the same line and column.
 
 Every eij or curve run ends in exit 0 with a result, or exit 2 with an
 ``error:`` line on stderr.  Never a traceback, and never exit 1: the two
@@ -17,15 +17,15 @@ import io
 import re
 import sys
 import tempfile
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout, suppress
 from pathlib import Path
 
+import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clasplink._record import clip, quote
 from clasplink.cli import main
-from clasplink.words import WORD_INDEX_DIGITS, ClaspWord, WordSyntaxError, parse_word
+from clasplink.words import ClaspWord, WordSyntaxError, parse_word
 
 ROOT = Path(__file__).resolve().parents[1]
 SHIPPED = [
@@ -33,46 +33,6 @@ SHIPPED = [
     for path in [ROOT / "data" / "staircase.word", *sorted((ROOT / "tests" / "golden" / "words").glob("*.word"))]
 ]
 FUZZ = settings(max_examples=100, deadline=None, derandomize=True)
-
-
-# the grammar as the replaced parser read it: a strict term, and a second
-# match that words the error of a rejected one
-_TERM_RE = re.compile(rf"x([1-9][0-9]{{0,{WORD_INDEX_DIGITS - 1}}})(?:\^(-?[1-9][0-9]*))?\Z")
-_TOKEN_RE = re.compile(r"[^\s.]+")
-
-
-def _term_error(token: str) -> str:
-    # digits are compared as text: int() refuses very long digit strings
-    m = re.match(r"x(-?[0-9]+)(?:\^(-?[0-9]+))?\Z", token)
-    if m:
-        index_text, exp_text = m.group(1), m.group(2)
-        if index_text.startswith("-") or not index_text.strip("0"):
-            return f"component index must be at least 1, got {clip(index_text)}"
-        if index_text.startswith("0"):
-            return f"component index may not have a leading zero: {clip(index_text)}"
-        if len(index_text) > WORD_INDEX_DIGITS:
-            return f"component index has more than {WORD_INDEX_DIGITS} digits"
-        if exp_text is not None:
-            if not exp_text.lstrip("-").strip("0"):
-                return "exponent must be nonzero"
-            return f"exponent may not have a leading zero: {clip(exp_text)}"
-    return f"malformed term {quote(token)} (expected x<INT> or x<INT>^<SIGNEDINT>)"
-
-
-def reference_parse_word(text: str) -> ClaspWord:
-    keys: list[int] = []  # index * sign, one a letter
-    for line_no, line in enumerate(text.splitlines() or [""], start=1):
-        if line.lstrip().startswith("#"):
-            continue
-        for match in _TOKEN_RE.finditer(line):
-            token = match.group()
-            term = _TERM_RE.match(token)
-            if term is None:
-                raise WordSyntaxError(_term_error(token), line_no, match.start() + 1)
-            index = int(term.group(1))
-            exponent = int(term.group(2)) if term.group(2) else 1
-            keys.extend([index if exponent > 0 else -index] * abs(exponent))
-    return ClaspWord((key, 1) for key in keys)
 
 
 def small_expansion(text: str) -> bool:
@@ -127,25 +87,28 @@ def mutated_words(draw):
 INPUTS = st.one_of(st.text(), st.lists(TOKENS).map(" ".join), mutated_words())
 
 
-def outcome(parse, text):
+def outcome(text):
+    """The letter keys of parse_word's word, or its error as (message, line, column)."""
     try:
-        return parse(text)
+        runs = parse_word(text).runs
     except WordSyntaxError as exc:
-        return f"WordSyntaxError: {exc}"
+        return exc.message, exc.line, exc.column
+    return reference.letters(runs)
 
 
 def test_reference_agrees_on_the_shipped_words():
     for text in SHIPPED:
-        assert outcome(parse_word, text) == outcome(reference_parse_word, text)
+        assert outcome(text) == reference.parse_word(text)
 
 
 @FUZZ
 @given(INPUTS)
 def test_parse_word_matches_the_reference(text):
     if small_expansion(text):
-        assert outcome(parse_word, text) == outcome(reference_parse_word, text)
+        assert outcome(text) == reference.parse_word(text)
     else:
-        assert isinstance(outcome(parse_word, text), (ClaspWord, str))
+        with suppress(WordSyntaxError):
+            assert isinstance(parse_word(text), ClaspWord)
 
 
 PAIRS = st.tuples(st.integers(-1, 5), st.integers(-1, 5)).map(lambda p: [str(p[0]), str(p[1])])

@@ -1,5 +1,5 @@
 import pytest
-from reference_polyominoes import fixed_polyominoes, is_connected, normalize, perimeter
+from reference import fixed_polyominoes, is_connected, normalize, perimeter, word_tree
 
 from clasplink.bounds import (
     BoundReport,
@@ -22,17 +22,6 @@ from clasplink.oracles import (
 # Fixed polyominoes (translations distinct from rotations/reflections) by
 # area; the standard reference counts.
 KNOWN_FIXED_COUNTS = [1, 2, 6, 19, 63, 216, 760, 2725, 9910, 36446]
-
-
-def boundary_edge_count(cells):
-    """Perimeter by direct edge enumeration: count (cell, side) pairs whose
-    neighbor is outside."""
-    edges = 0
-    for x, y in cells:
-        for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-            if nb not in cells:
-                edges += 1
-    return edges
 
 
 def test_enumeration_matches_known_counts(shapes):
@@ -81,12 +70,6 @@ def test_perimeter_examples():
     assert perimeter(bar) == 8
 
 
-def test_perimeter_equals_boundary_edge_count(shapes):
-    for area in range(1, 7):
-        for p in shapes[area]:
-            assert perimeter(p) == boundary_edge_count(p)
-
-
 def test_perimeter_invariant_under_grid_symmetries(shapes):
     transforms = [
         lambda x, y: (x, y),
@@ -130,62 +113,14 @@ def test_min_perimeter_matches_enumeration(shapes):
         assert r.observed == min(map(perimeter, shapes[r.parameter]))
 
 
-def tree_walk_word_lengths(max_len):
-    """Reference sweep: walk the 4-ary tree of words letter by letter and
-    record the minimal closing length for each |integral|."""
-    min_len = {0: 0}
-
-    def walk(x, y, depth, acc):
-        if x == 0 and y == 0 and depth:
-            a = abs(acc)
-            if a not in min_len or depth < min_len[a]:
-                min_len[a] = depth
-        budget = max_len - depth - 1
-        if budget < 0:
-            return
-        ax, ay = abs(x), abs(y)
-        if abs(x + 1) + ay <= budget:
-            walk(x + 1, y, depth + 1, acc)
-        if abs(x - 1) + ay <= budget:
-            walk(x - 1, y, depth + 1, acc)
-        if ax + abs(y + 1) <= budget:
-            walk(x, y + 1, depth + 1, acc + x)
-        if ax + abs(y - 1) <= budget:
-            walk(x, y - 1, depth + 1, acc - x)
-
-    walk(0, 0, 0, 0)
-    return [(a, min_len[a]) for a in sorted(min_len)]
-
-
 @pytest.mark.parametrize("max_len", range(1, 13))
 def test_word_search_matches_tree_walk(max_len):
+    min_len = {0: 0}  # the least length of a closed word, by |integral|
+    for depth, x, y, integral in word_tree(max_len):
+        if x == y == 0 and depth < min_len.get(abs(integral), depth + 1):
+            min_len[abs(integral)] = depth
     rows = [(r.parameter, r.observed) for r in verify_word_length_bound(max_len)]
-    assert rows == tree_walk_word_lengths(max_len)
-
-
-def tree_walk_states(max_len):
-    """Reference sweep: per word length 0..max_len, the states (x, y,
-    integral) of the words of that length inside the return-to-origin
-    budget, word by word through the 4-ary tree."""
-    states = [set() for _ in range(max_len + 1)]
-
-    def walk(x, y, depth, acc):
-        states[depth].add((x, y, acc))
-        budget = max_len - depth - 1
-        if budget < 0:
-            return
-        ax, ay = abs(x), abs(y)
-        if abs(x + 1) + ay <= budget:
-            walk(x + 1, y, depth + 1, acc)
-        if abs(x - 1) + ay <= budget:
-            walk(x - 1, y, depth + 1, acc)
-        if ax + abs(y + 1) <= budget:
-            walk(x, y + 1, depth + 1, acc + x)
-        if ax + abs(y - 1) <= budget:
-            walk(x, y - 1, depth + 1, acc - x)
-
-    walk(0, 0, 0, 0)
-    return states
+    assert rows == sorted(min_len.items())
 
 
 @pytest.mark.parametrize("max_len", range(1, 13))
@@ -194,7 +129,10 @@ def test_word_search_visits_every_state(max_len):
     integrals: a closed word keeps its integral under rotation, so a
     search that drops the last steps of some words can still reach every
     closed integral."""
-    assert list(_word_states(max_len)) == tree_walk_states(max_len)
+    states = [set() for _ in range(max_len + 1)]
+    for depth, *state in word_tree(max_len):
+        states[depth].add(tuple(state))
+    assert list(_word_states(max_len)) == states
 
 
 def test_verify_word_length_bound_small():

@@ -1,7 +1,8 @@
 """The SVG writer against the whole-string render it replaced.
 
-``reference_render_curve_svg`` builds every point string, the whole
-polyline and then the whole document before it joins them.  ``write_svg``
+``reference.render_curve_svg`` builds every point string, the whole
+polyline and then the whole document before it joins them, from the
+vertices the reference walks from the curve's steps.  ``write_svg``
 passes the points to its writer a straight segment at a time, from runs
 found a window of ``_WINDOW`` steps at a time.  On every curve, with and
 without grid lines, the pieces it writes, joined here, must be the same
@@ -12,49 +13,11 @@ import random
 from unittest import mock
 
 import pytest
+import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clasplink.curves import _WINDOW, DOWN, LEFT, RIGHT, SVG_SCALE, UP, LatticeCurve, write_svg
-
-STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
-
-
-def reference_render_curve_svg(curve: LatticeCurve, grid: bool = False) -> str:
-    scale = SVG_SCALE
-    xs = [x for x, _ in curve.vertices]
-    ys = [y for _, y in curve.vertices]
-    min_x, max_x, min_y, max_y = min(xs), max(xs), min(ys), max(ys)
-    width = (max_x - min_x + 2) * scale
-    height = (max_y - min_y + 2) * scale
-
-    px = {x: str((x - min_x + 1) * scale) for x in range(min_x - 1, max_x + 2)}
-    py = {y: str((max_y + 1 - y) * scale) for y in range(min_y - 1, max_y + 2)}
-
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-    ]
-    if grid:
-        for gx in range(min_x - 1, max_x + 2):
-            lines.append(
-                f'  <line x1="{px[gx]}" y1="0" x2="{px[gx]}" y2="{height}" '
-                'stroke="#cccccc" stroke-width="1"/>'
-            )
-        for gy in range(min_y - 1, max_y + 2):
-            lines.append(
-                f'  <line x1="0" y1="{py[gy]}" x2="{width}" y2="{py[gy]}" '
-                'stroke="#cccccc" stroke-width="1"/>'
-            )
-    if len(curve.vertices) > 1:
-        points = " ".join([f"{px[x]},{py[y]}" for x, y in curve.vertices])
-        lines.append(
-            f'  <polyline points="{points}" fill="none" stroke="#000000" stroke-width="2"/>'
-        )
-    lines.append(f'  <circle cx="{px[0]}" cy="{py[0]}" r="{scale // 8}" fill="#cc0000"/>')
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+from clasplink.curves import _WINDOW, LatticeCurve, write_svg
 
 
 def render(curve: LatticeCurve, grid: bool = False) -> str:
@@ -64,17 +27,19 @@ def render(curve: LatticeCurve, grid: bool = False) -> str:
     return "".join(pieces)
 
 
-CODES = {(1, 0): RIGHT, (-1, 0): LEFT, (0, 1): UP, (0, -1): DOWN}
+def expected(curve: LatticeCurve, grid: bool = False) -> str:
+    """The reference's SVG of the curve of the same steps."""
+    return reference.render_curve_svg(reference.vertices_of(curve.steps), grid=grid)
 
 
 def walk(steps) -> LatticeCurve:
     """The curve of the given ``(dx, dy)`` unit steps."""
-    return LatticeCurve(bytes([CODES[step] for step in steps]))
+    return LatticeCurve(reference.codes_of(reference.walk(steps)))
 
 
 def random_walk(vertex_count: int, seed: int) -> LatticeCurve:
     rng = random.Random(seed)
-    return walk(rng.choice(STEPS) for _ in range(vertex_count - 1))
+    return walk(rng.choice(reference.STEPS) for _ in range(vertex_count - 1))
 
 
 def straight(*runs) -> LatticeCurve:
@@ -82,7 +47,7 @@ def straight(*runs) -> LatticeCurve:
     return walk(step for step, count in runs for _ in range(count))
 
 
-RIGHT, LEFT, UP, DOWN = STEPS
+RIGHT, LEFT, UP, DOWN = reference.STEPS
 
 
 @pytest.mark.parametrize(
@@ -94,7 +59,7 @@ def test_render_matches_the_reference_at_chunk_edges(vertex_count, grid):
     # the segment search's window edges: a run that crosses one is split
     curve = random_walk(vertex_count, seed=vertex_count)
     assert len(curve.vertices) == vertex_count
-    assert render(curve, grid=grid) == reference_render_curve_svg(curve, grid=grid)
+    assert render(curve, grid=grid) == expected(curve, grid=grid)
 
 
 SEGMENT_CASES = {
@@ -119,7 +84,7 @@ SEGMENT_CASES = {
 @pytest.mark.parametrize("grid", [False, True])
 def test_render_matches_the_reference_at_segment_edges(name, grid):
     curve = SEGMENT_CASES[name]
-    assert render(curve, grid=grid) == reference_render_curve_svg(curve, grid=grid)
+    assert render(curve, grid=grid) == expected(curve, grid=grid)
 
 
 def test_segment_cases_are_what_they_claim():
@@ -134,7 +99,7 @@ def test_segment_cases_are_what_they_claim():
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
-    st.lists(st.tuples(st.sampled_from(STEPS), st.integers(1, 6)), max_size=30),
+    st.lists(st.tuples(st.sampled_from(reference.STEPS), st.integers(1, 6)), max_size=30),
     st.booleans(),
     st.integers(1, 8),
 )
@@ -143,4 +108,4 @@ def test_render_matches_the_reference_on_random_walks(runs, grid, window):
     curve = straight(*runs)
     with mock.patch("clasplink.curves._WINDOW", window):
         svg = render(curve, grid=grid)
-    assert svg == reference_render_curve_svg(curve, grid=grid)
+    assert svg == expected(curve, grid=grid)

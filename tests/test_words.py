@@ -5,13 +5,14 @@ import time
 from pathlib import Path
 
 import pytest
+import reference
 from hypothesis import given, strategies as st
 
 from clasplink import _record
 from clasplink import words as words_module
 from clasplink._record import QUOTE_CHARS, clip
 from clasplink.cli import main
-from clasplink.curves import DOWN, LEFT, RIGHT, UP, build_curve
+from clasplink.curves import build_curve
 from clasplink.invariants import e_ij
 from clasplink.words import (
     WORD_INDEX_DIGITS,
@@ -269,28 +270,6 @@ def test_a_pickled_word_writes_its_equal_runs_once():
     assert pickle.loads(pickle.dumps(w)) == w
 
 
-# Letter-by-letter references, as e_ij and build_curve were written before
-# they read a word's runs; each takes the word as (index, sign) pairs.
-def reference_e_ij(pairs, i, j):
-    running = total = 0
-    for index, sign in pairs:
-        if index == i:
-            running += sign
-        elif index == j:
-            total += running * sign
-    return total
-
-
-def reference_steps(pairs, i, j):
-    steps = bytearray()
-    for index, sign in pairs:
-        if index == i:
-            steps.append(RIGHT if sign == 1 else LEFT)
-        elif index == j:
-            steps.append(UP if sign == 1 else DOWN)
-    return bytes(steps)
-
-
 def term(index, exponent, write_one):
     """``x<index>^<exponent>``, or ``x<index>`` for an exponent of 1 unless
     ``write_one``."""
@@ -323,8 +302,9 @@ def test_split_runs_equal_one_letter_a_term(case, order):
     assert str(w) == str(expanded) == one_a_term
     assert len(w) == len(pairs)
     i, j = order[:2]
-    assert e_ij(w, i, j) == reference_e_ij(pairs, i, j)
-    assert build_curve(w, i, j).steps == reference_steps(pairs, i, j)
+    keys = [index * sign for index, sign in pairs]
+    assert e_ij(w, i, j) == reference.e_ij(keys, i, j)
+    assert build_curve(w, i, j).steps == reference.steps(keys, i, j)
 
 
 def test_letter_cap_is_fixed():
