@@ -25,12 +25,23 @@ or oracles (``eij --method sum`` no curves either, and ``eij --method
 integral`` no invariants), and the complex subcommands no curves or
 oracles.  An error line quotes at most ``QUOTE_CHARS`` characters of an
 argument, however long it is.
+
+Each subcommand is declared once, in ``COMMANDS``.  ``_read_args`` reads
+a well-formed line from that table without importing argparse: a command
+of the table, each option in its exact spelling and given once with its
+value (not starting with ``-``) in the next token, exactly the
+positionals the command takes (none starting with ``-`` but ``-``
+itself), integers in ASCII digits alone, choices from the table, and
+``--out`` for ``curve``.  Any other line, ``-h`` and every usage error
+among them, goes to the argparse parser that ``build_parser`` builds from
+the same table, so help and usage errors are argparse's own, byte for
+byte.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 
 def _read_text(source: str) -> str:
@@ -44,7 +55,7 @@ def _read_file(path: str) -> str:
         return handle.read()
 
 
-def cmd_eij(args: argparse.Namespace) -> int:
+def cmd_eij(args: SimpleNamespace) -> int:
     from .words import parse_word
 
     w = parse_word(_read_text(args.word))
@@ -67,7 +78,7 @@ def cmd_eij(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_curve(args: argparse.Namespace) -> int:
+def cmd_curve(args: SimpleNamespace) -> int:
     from .curves import build_curve, write_svg
     from .words import parse_word
 
@@ -85,7 +96,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_mu(args: argparse.Namespace) -> int:
+def cmd_mu(args: SimpleNamespace) -> int:
     from .complexes import parse_complex
     from .invariants import triple_linking
 
@@ -100,7 +111,7 @@ def cmd_mu(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_lk(args: argparse.Namespace) -> int:
+def cmd_lk(args: SimpleNamespace) -> int:
     from .complexes import parse_complex
     from .invariants import pairwise_linking
 
@@ -109,7 +120,7 @@ def cmd_lk(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_words(args: argparse.Namespace) -> int:
+def cmd_words(args: SimpleNamespace) -> int:
     from .complexes import clasp_words, parse_complex
 
     F = parse_complex(_read_file(args.file))
@@ -118,7 +129,7 @@ def cmd_words(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bounds(args: argparse.Namespace) -> int:
+def cmd_bounds(args: SimpleNamespace) -> int:
     from .bounds import bound_report
     from .complexes import parse_complex
 
@@ -127,7 +138,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def cmd_validate(args: SimpleNamespace) -> int:
     from .complexes import InvalidComplexError, parse_complex
 
     try:
@@ -140,14 +151,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_gen_brn(args: argparse.Namespace) -> int:
+def cmd_gen_brn(args: SimpleNamespace) -> int:
     from .complexes import generate_brn, print_complex
 
     sys.stdout.write(print_complex(generate_brn(args.n)))
     return 0
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
+def cmd_oracle(args: SimpleNamespace) -> int:
     # each oracle takes its own bound and refuses the other's
     if args.kind == "polyomino" and args.max_len is not None:
         raise ValueError("--max-len does not apply to oracle polyomino")
@@ -173,52 +184,125 @@ def _integer(text: str) -> int:
             return int(text)
         except ValueError:
             pass
+    import argparse
+
     from ._record import quote
 
     raise argparse.ArgumentTypeError(f"invalid int value: {quote(text)}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+_REQUIRED = object()  # the default of an option that must be given
+
+_WORD = ("word", str, 'word text, or "-" for stdin')
+_FILE = ("file", str, 'complex file, or "-" for stdin')
+_I, _J, _K, _N = ((name, _integer, None) for name in "ijkn")
+
+# Each subcommand once: name -> (summary, function, positionals, options).
+# A positional is (name, kind, help) and an option is flag -> (kind,
+# default, help).  A kind is str (any text), _integer, a tuple of choices,
+# or, for an option, bool (a flag that takes no value).
+COMMANDS = {
+    "eij": ("signed x_i-before-x_j count of a word", cmd_eij, (_WORD, _I, _J),
+            {"--method": (("sum", "integral", "both"), "both", None)}),
+    "curve": ("render a word's lattice curve to SVG", cmd_curve, (_WORD, _I, _J),
+              {"--out": (str, _REQUIRED, "output SVG path"), "--grid": (bool, False, "draw grid lines")}),
+    "mu": ("triple linking number of a complex", cmd_mu, (_FILE, _I, _J, _K), {}),
+    "lk": ("pairwise linking number of a complex", cmd_lk, (_FILE, _I, _J), {}),
+    "words": ("clasp word of every component", cmd_words, (_FILE,), {}),
+    "bounds": ("clasp-number bound report for a complex", cmd_bounds, (_FILE,), {}),
+    "validate": ("check a complex file's invariants", cmd_validate, (_FILE,), {}),
+    "gen-brn": ("emit the n-fold generalized Borromean complex", cmd_gen_brn, (_N,), {}),
+    # --max-area, --max-len and --cap default to the oracle's caps
+    "oracle": ("run a brute-force verification sweep", cmd_oracle, (("kind", ("polyomino", "words"), None),),
+               {"--max-area": (_integer, None, None), "--max-len": (_integer, None, None),
+                "--cap": (_integer, None, "raise the runtime guard")}),
+}
+
+
+def build_parser():
+    """The argparse parser of ``COMMANDS``: it parses every line that
+    :func:`_read_args` does not, and prints the help and usage errors."""
+    import argparse
+
+    def typed(kind) -> dict:
+        return {} if kind is str else {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+
     parser = argparse.ArgumentParser(
         prog="clasplink",
         description="Link invariants and clasp-number bounds from clasp data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sources = {"word": 'word text, or "-" for stdin', "file": 'complex file, or "-" for stdin'}
-
-    def command(name: str, summary: str, func, source: str | None = None, integers: str = "") -> argparse.ArgumentParser:
-        """A subcommand with its input source and one-letter integer arguments."""
+    for name, (summary, func, positionals, options) in COMMANDS.items():
         p = sub.add_parser(name, help=summary)
-        if source:
-            p.add_argument(source, help=sources[source])
-        for integer in integers:
-            p.add_argument(integer, type=_integer)
+        for dest, kind, about in positionals:
+            p.add_argument(dest, help=about, **typed(kind))
+        for flag, (kind, default, about) in options.items():
+            if kind is bool:
+                p.add_argument(flag, action="store_true", help=about)
+            else:
+                required = default is _REQUIRED
+                p.add_argument(flag, default=None if required else default, required=required, help=about,
+                               **typed(kind))
         p.set_defaults(func=func)
-        return p
-
-    p = command("eij", "signed x_i-before-x_j count of a word", cmd_eij, "word", "ij")
-    p.add_argument("--method", choices=("sum", "integral", "both"), default="both")
-    p = command("curve", "render a word's lattice curve to SVG", cmd_curve, "word", "ij")
-    p.add_argument("--out", required=True, help="output SVG path")
-    p.add_argument("--grid", action="store_true", help="draw grid lines")
-    command("mu", "triple linking number of a complex", cmd_mu, "file", "ijk")
-    command("lk", "pairwise linking number of a complex", cmd_lk, "file", "ij")
-    command("words", "clasp word of every component", cmd_words, "file")
-    command("bounds", "clasp-number bound report for a complex", cmd_bounds, "file")
-    command("validate", "check a complex file's invariants", cmd_validate, "file")
-    command("gen-brn", "emit the n-fold generalized Borromean complex", cmd_gen_brn, integers="n")
-    p = command("oracle", "run a brute-force verification sweep", cmd_oracle)
-    p.add_argument("kind", choices=("polyomino", "words"))
-    # --max-area, --max-len and --cap default to the oracle's caps
-    p.add_argument("--max-area", type=_integer, default=None)
-    p.add_argument("--max-len", type=_integer, default=None)
-    p.add_argument("--cap", type=_integer, default=None, help="raise the runtime guard")
-
     return parser
 
 
+def _value(kind, text: str):
+    """``text`` as a value of ``kind`` if it is well formed, else ValueError.
+    An integer is ASCII digits alone, which ``_integer`` reads as ``int``
+    does, and ``int`` refuses one of more than 4300 digits."""
+    if kind is str:
+        return text
+    if kind is _integer and text.isascii() and text.isdigit():
+        return int(text)
+    if isinstance(kind, tuple) and text in kind:
+        return text
+    raise ValueError(text)
+
+
+def _read_args(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace that ``build_parser().parse_args(argv)`` gives, read
+    from ``COMMANDS`` without argparse, if ``argv`` is a well-formed line
+    (see the module docstring); None otherwise."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, func, positionals, options = COMMANDS[argv[0]]
+    words, given = [], {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "-" or not token.startswith("-"):
+            words.append(token)
+        elif token not in options or token in given:
+            return None
+        elif options[token][0] is bool:
+            given[token] = True
+        else:
+            given[token] = next(tokens, "-")
+            if given[token].startswith("-"):
+                return None
+    if len(words) != len(positionals):
+        return None
+    values = {"command": argv[0], "func": func}
+    try:
+        for (dest, kind, _), text in zip(positionals, words):
+            values[dest] = _value(kind, text)
+        for flag, (kind, default, _) in options.items():
+            if flag in given:
+                value = given[flag] if kind is bool else _value(kind, given[flag])
+            elif default is _REQUIRED:
+                return None
+            else:
+                value = default
+            values[flag[2:].replace("-", "_")] = value
+    except ValueError:
+        return None
+    return SimpleNamespace(**values)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_args(argv) or build_parser().parse_args(argv, SimpleNamespace())
     try:
         return args.func(args)
     # every input error is a ValueError; an InvalidComplexError lists its violations

@@ -27,8 +27,6 @@ from .bounds import ceil_two_sqrt, min_polyomino_perimeter
 POLYOMINO_AREA_CAP = 10
 WORD_LENGTH_CAP = 12
 
-Cell = tuple[int, int]
-
 
 class CapExceededError(ValueError):
     """Raised when an oracle sweep is asked to exceed its runtime cap."""
@@ -73,9 +71,16 @@ def _redelmeier(max_area: int) -> tuple[list[int], list[int]]:
     candidate adds one adjacent pair per shape cell it touches, and the
     perimeter is 4*area - 2*(adjacent pairs).
 
+    A cell is one int, ``x + W*y`` plus an offset, with ``W = 2*max_area +
+    1``: every cell the walk reaches has ``|x| < max_area`` and ``-1 <= y <
+    max_area``, so rows do not run into each other, the four neighbours of
+    a cell are ``+1``, ``-1``, ``+W`` and ``-W``, and the half plane is the
+    cells numbered at least the origin's number.
+
     The walk recurses once per cell, and its first branch is a straight
     line of max_area cells, so an area deeper than the recursion limit
-    leaves is refused up front with :class:`CapExceededError`.
+    leaves is refused up front with :class:`CapExceededError`, before any
+    table is allocated.
     """
     depth, frame = 0, sys._getframe()
     while frame is not None:
@@ -86,9 +91,13 @@ def _redelmeier(max_area: int) -> tuple[list[int], list[int]]:
         )
     counts = [0] * (max_area + 1)
     min_perimeter = [4 * area for area in range(max_area + 1)]
-    touching: dict[Cell, int] = {(0, 0): 0}  # cell -> shape cells next to it
+    W = 2 * max_area + 1
+    origin = max_area + W  # (0, 0), with x = -max_area .. max_area and y = -1 .. max_area - 1
+    touching = [0] * (W * (max_area + 1))  # cell -> shape cells next to it
+    seen = bytearray(len(touching))
+    seen[origin] = 1
 
-    def grow(untried: list[Cell], seen: set[Cell], size: int, adjacent: int) -> None:
+    def grow(untried: list[int], size: int, adjacent: int) -> None:
         # Each candidate in untried gives one shape of this area.
         area = size + 1
         counts[area] += len(untried)
@@ -99,23 +108,21 @@ def _redelmeier(max_area: int) -> tuple[list[int], list[int]]:
             return
         while untried:
             cell = untried.pop()
-            cx, cy = cell
-            neighbors = ((cx + 1, cy), (cx - 1, cy), (cx, cy + 1), (cx, cy - 1))
+            neighbors = (cell + 1, cell - 1, cell + W, cell - W)
             added = []
             for nb in neighbors:
-                touching[nb] = touching.get(nb, 0) + 1
-                x, y = nb
-                if (y > 0 or (y == 0 and x >= 0)) and nb not in seen:
-                    seen.add(nb)
+                touching[nb] += 1
+                if nb >= origin and not seen[nb]:
+                    seen[nb] = 1
                     added.append(nb)
             if untried or added:
-                grow(untried + added, seen, area, adjacent + touching[cell])
+                grow(untried + added, area, adjacent + touching[cell])
             for nb in neighbors:
                 touching[nb] -= 1
             for nb in added:
-                seen.discard(nb)
+                seen[nb] = 0
 
-    grow([(0, 0)], {(0, 0)}, 0, 0)
+    grow([origin], 0, 0)
     return counts, min_perimeter
 
 

@@ -3,8 +3,10 @@
 Every CLI request is a fresh interpreter, so whatever it imports it also
 pays for on every request.  Each test runs one family of subcommands in a
 fresh interpreter and diffs ``sys.modules`` from before ``clasplink.cli``
-is imported to after the family's ``cli.main`` calls return.  The last
-test checks that ``tests/reference.py``, which the tests compare the
+is imported to after the family's ``cli.main`` calls return.  A
+well-formed line loads no argparse (nor the gettext and locale it
+imports); help and usage errors do, and print argparse's own text.  The
+last test checks that ``tests/reference.py``, which the tests compare the
 library with, loads no clasplink module at all.
 """
 
@@ -18,23 +20,31 @@ ROOT = Path(__file__).resolve().parents[1]
 BORROMEAN = str(ROOT / "data" / "borromean.cc")
 TWO = str(ROOT / "data" / "two_component_three_clasps.cc")
 
-# Prints, as JSON on its last stdout line, the modules that importing
-# clasplink.cli and running cli.main on each argv (given as JSON) loaded.
+# Prints, as JSON on its last stdout line, the exit code and stderr of
+# running cli.main on each argv (given as JSON), and the modules that
+# importing clasplink.cli and those runs loaded.
 PROBE = """
 import contextlib, io, json, sys
 argvs = json.loads(sys.argv[1])
 before = set(sys.modules)
 from clasplink import cli
-codes = []
-with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    for argv in argvs:
-        codes.append(cli.main(argv))
-print(json.dumps({"codes": codes, "loaded": sorted(set(sys.modules) - before)}))
+codes, errs = [], []
+for argv in argvs:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            codes.append(cli.main(argv))
+        except SystemExit as stopped:  # argparse's help and usage errors
+            codes.append(stopped.code)
+    errs.append(err.getvalue())
+print(json.dumps({"codes": codes, "errs": errs, "loaded": sorted(set(sys.modules) - before)}))
 """
+ARGPARSE = {"argparse", "gettext", "locale"}
 
 
-def loaded_by(*argvs: list[str]) -> tuple[list[int], set[str]]:
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def loaded_by(*argvs: list[str]) -> tuple[list[int], set[str], list[str]]:
+    # COLUMNS sets the width argparse wraps its usage lines at
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), COLUMNS="80")
     result = subprocess.run(
         [sys.executable, "-c", PROBE, json.dumps(argvs)],
         cwd=ROOT,
@@ -45,7 +55,7 @@ def loaded_by(*argvs: list[str]) -> tuple[list[int], set[str]]:
     )
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout.splitlines()[-1])
-    return report["codes"], set(report["loaded"])
+    return report["codes"], set(report["loaded"]), report["errs"]
 
 
 def clasplink_modules(loaded: set[str]) -> set[str]:
@@ -53,20 +63,21 @@ def clasplink_modules(loaded: set[str]) -> set[str]:
 
 
 def test_oracle_loads_no_complex_or_curve_code():
-    codes, loaded = loaded_by(
+    codes, loaded, _ = loaded_by(
         ["oracle", "words", "--max-len", "4"],
         ["oracle", "polyomino", "--max-area", "3"],
         ["oracle", "words", "--max-len", "99"],  # refused by the cap: exit 2
     )
     assert codes == [0, 0, 2]
     assert "dataclasses" not in loaded
+    assert not loaded & ARGPARSE
     assert clasplink_modules(loaded) == {"cli", "_record", "bounds", "oracles"}
 
 
 def test_complex_subcommands_load_no_curves_or_oracles(tmp_path):
     bad = tmp_path / "bad.cc"
     bad.write_text("components 2\nclasp a 1 2 +\norder 1 a\norder 2\n", encoding="utf-8")
-    codes, loaded = loaded_by(
+    codes, loaded, _ = loaded_by(
         ["bounds", BORROMEAN],
         ["bounds", TWO],
         ["mu", BORROMEAN, "1", "2", "3"],
@@ -78,11 +89,12 @@ def test_complex_subcommands_load_no_curves_or_oracles(tmp_path):
     )
     assert codes == [0, 0, 0, 0, 0, 0, 2, 0]
     assert "dataclasses" not in loaded
+    assert not loaded & ARGPARSE
     assert clasplink_modules(loaded) == {"cli", "_record", "bounds", "complexes", "invariants", "words"}
 
 
 def test_word_subcommands_load_no_bounds_or_oracles(tmp_path):
-    codes, loaded = loaded_by(
+    codes, loaded, _ = loaded_by(
         ["eij", "x1 x2 x1^-1 x2^-1", "1", "2"],
         ["eij", "x1 x2", "1", "2", "--method", "sum"],
         ["curve", "x1 x2 x1^-1 x2^-1", "1", "2", "--out", str(tmp_path / "c.svg"), "--grid"],
@@ -90,21 +102,44 @@ def test_word_subcommands_load_no_bounds_or_oracles(tmp_path):
     )
     assert codes == [0, 0, 0, 2]
     assert "dataclasses" not in loaded
+    assert not loaded & ARGPARSE
     modules = clasplink_modules(loaded)
     assert not modules & {"bounds", "oracles", "complexes"}
     assert {"cli", "words", "curves", "invariants"} <= modules
 
 
 def test_eij_by_the_sum_alone_loads_no_curves():
-    codes, loaded = loaded_by(["eij", "x1 x2 x1^-1 x2^-1", "1", "2", "--method", "sum"])
+    codes, loaded, _ = loaded_by(["eij", "x1 x2 x1^-1 x2^-1", "1", "2", "--method", "sum"])
     assert codes == [0]
+    assert not loaded & ARGPARSE
     assert clasplink_modules(loaded) == {"cli", "_record", "words", "invariants"}
 
 
 def test_eij_by_the_integral_alone_loads_no_invariants():
-    codes, loaded = loaded_by(["eij", "x1 x2 x1^-1 x2^-1", "1", "2", "--method", "integral"])
+    codes, loaded, _ = loaded_by(["eij", "x1 x2 x1^-1 x2^-1", "1", "2", "--method", "integral"])
     assert codes == [0]
+    assert not loaded & ARGPARSE
     assert clasplink_modules(loaded) == {"cli", "_record", "words", "curves"}
+
+
+def test_help_and_usage_errors_load_argparse():
+    codes, loaded, errs = loaded_by(
+        ["eij", "-h"],
+        ["lk", BORROMEAN, "1"],
+        ["oracle", "words", "--max-len", "x"],
+    )
+    assert codes == [0, 2, 2]
+    assert ARGPARSE <= loaded
+    # byte for byte what clasplink printed when argparse read every line
+    assert errs == [
+        "",
+        "usage: clasplink lk [-h] file i j\n"
+        "clasplink lk: error: the following arguments are required: j\n",
+        "usage: clasplink oracle [-h] [--max-area MAX_AREA] [--max-len MAX_LEN]\n"
+        "                        [--cap CAP]\n"
+        "                        {polyomino,words}\n"
+        "clasplink oracle: error: argument --max-len: invalid int value: 'x'\n",
+    ]
 
 
 def test_importing_the_package_loads_no_submodule():

@@ -9,6 +9,11 @@ Option names, ``--method``, ``--grid`` and both oracle kinds with
 ``--max-len``, ``--max-area`` and ``--cap`` end in exit 0, 1 or 2: an
 error is one ``error:`` line or argparse's usage error, never a
 traceback.  No fuzzed run sweeps past length 8 or area 6.
+
+Every fuzzed line is also read by ``cli._read_args``, the reader of
+well-formed lines: it gives argparse's namespace or hands the line to
+argparse.  The lines that the benchmark and the golden files send are all
+well formed.
 """
 
 import io
@@ -20,7 +25,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from clasplink.cli import main
+from clasplink.cli import _read_args, build_parser, main
 
 BORROMEAN = str(Path(__file__).resolve().parents[1] / "data" / "borromean.cc")
 FUZZ = settings(max_examples=100, deadline=None, derandomize=True)
@@ -43,6 +48,14 @@ COMMANDS = {
 }
 
 
+def assert_read_as_argparse_reads(argv):
+    """The reader gives no namespace, or the one argparse gives."""
+    read = _read_args(argv)
+    if read is not None:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert vars(read) == vars(build_parser().parse_args(argv))
+
+
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -62,6 +75,7 @@ def test_integer_arguments_keep_the_exit_contract(command, text):
             assume(int(text) <= largest)
         except ValueError:
             pass
+    assert_read_as_argparse_reads(build(text))
     code, out, err = run(build(text))
     assert "Traceback" not in out + err
     if code != 0:
@@ -147,6 +161,7 @@ def test_options_keep_the_exit_contract(workdir, argv):
     if sweep is not None:
         kind, bound = sweep
         assume(bound <= (8 if kind == "words" else 6))
+    assert_read_as_argparse_reads(argv)
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
@@ -161,3 +176,65 @@ def test_options_keep_the_exit_contract(workdir, argv):
         assert ": error: " in err  # argparse's usage error
     elif code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# The lines of bench/workloads.py and tests/golden/, by shape: the benchmark
+# measures the reader, not argparse.
+SENT_LINES = [
+    ["bounds", "/work/brn-1000.cc"],
+    ["bounds", "-"],
+    ["words", "/work/random3-2000.cc"],
+    ["lk", "/work/random2-3000.cc", "2", "1"],
+    ["lk", "/golden/five-component.cc", "2", "5"],
+    ["validate", "/work/corrupt-syntax-bad_sign.cc"],
+    ["mu", "/work/brn-20000.cc", "1", "2", "3"],
+    ["mu", "-", "5", "2", "4"],
+    ["gen-brn", "2507"],
+    ["eij", "-", "3", "1"],
+    ["eij", "-", "2", "4", "--method", "sum"],
+    ["eij", "-", "1", "2", "--method", "integral"],
+    ["eij", "-", "1", "2", "--method", "both"],
+    ["curve", "-", "4", "2", "--out", "/work/curve.svg"],
+    ["curve", "-", "1", "3", "--out", "/work/curve.svg", "--grid"],
+    ["oracle", "words", "--max-len", "12"],
+    ["oracle", "polyomino", "--max-area", "9"],
+]
+
+
+@pytest.mark.parametrize("argv", SENT_LINES, ids=" ".join)
+def test_sent_lines_are_read_without_argparse(argv):
+    read = _read_args(argv)
+    assert read is not None
+    assert vars(read) == vars(build_parser().parse_args(argv))
+
+
+HUGE = "7" * 5000  # ASCII digits that int() refuses: more than 4300 of them
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen-brn", HUGE],
+        ["oracle", "words", "--max-len", HUGE],
+        ["gen-brn", "+2"],
+        ["gen-brn", " 2"],
+        ["lk", "-1", "1", "2"],
+        ["oracle", "words", "--max-len", "-1"],
+        ["curve", "x1", "1", "2", "--out", "-"],
+        ["curve", "x1", "1", "2"],
+        ["eij", "x1", "1", "2", "--method", "sum", "--method", "sum"],
+        ["eij", "x1", "1", "2", "--meth", "sum"],
+        ["eij", "x1", "1", "2", "--method=sum"],
+        ["eij", "x1", "1", "2", "--method"],
+        ["eij", "x1", "1", "2", "3"],
+        ["eij", "--", "x1", "1", "2"],
+        ["oracle", "word", "--max-len", "3"],
+        ["eij", "-h"],
+        ["-h"],
+        ["egg"],
+        [],
+    ],
+    ids=lambda argv: " ".join(argv)[:40],
+)
+def test_other_lines_go_to_argparse(argv):
+    assert _read_args(argv) is None

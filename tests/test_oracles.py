@@ -1,5 +1,6 @@
 import pytest
 from reference import fixed_polyominoes, is_connected, normalize, perimeter, word_tree
+from test_memory_budgets import traced
 
 from clasplink.bounds import (
     BoundReport,
@@ -11,6 +12,7 @@ from clasplink.bounds import (
 from clasplink.complexes import generate_brn
 from clasplink.oracles import (
     CapExceededError,
+    _redelmeier,
     _word_states,
     OracleReport,
     count_fixed_polyominoes,
@@ -20,16 +22,17 @@ from clasplink.oracles import (
 )
 
 # Fixed polyominoes (translations distinct from rotations/reflections) by
-# area; the standard reference counts.
-KNOWN_FIXED_COUNTS = [1, 2, 6, 19, 63, 216, 760, 2725, 9910, 36446]
+# area; the standard reference counts (OEIS A001168).
+KNOWN_FIXED_COUNTS = [1, 2, 6, 19, 63, 216, 760, 2725, 9910, 36446, 135268, 505861]
 
 
 def test_enumeration_matches_known_counts(shapes):
-    assert [len(shapes[area]) for area in range(1, 11)] == KNOWN_FIXED_COUNTS
+    assert [len(shapes[area]) for area in range(1, 11)] == KNOWN_FIXED_COUNTS[:10]
 
 
 def test_second_method_matches_known_counts():
-    assert count_fixed_polyominoes(10) == KNOWN_FIXED_COUNTS
+    assert count_fixed_polyominoes(10) == KNOWN_FIXED_COUNTS[:10]
+    assert count_fixed_polyominoes(12) == KNOWN_FIXED_COUNTS
 
 
 def test_both_methods_agree(shapes):
@@ -105,6 +108,17 @@ def test_verify_min_perimeter_small():
 
 def test_verify_min_perimeter_full_range():
     assert all(r.agree for r in verify_min_perimeter(10))
+    reports = verify_min_perimeter(12, cap=12)
+    assert [r.parameter for r in reports] == list(range(1, 13))
+    assert all(r.agree for r in reports)
+
+
+def test_walk_past_the_recursion_limit_allocates_no_grid():
+    # the refusal comes before the walk's tables, which for area 2000 hold
+    # 4001 * 2001 cells, 61 MiB of list alone
+    caught, peak, _ = traced(pytest.raises, CapExceededError, _redelmeier, 2000)
+    assert "deeper recursion" in str(caught.value)
+    assert peak < 64 * 1024
 
 
 def test_min_perimeter_matches_enumeration(shapes):
