@@ -12,7 +12,10 @@ oracles double-checking the closed forms at desk scale.
 Every name in ``__all__`` is loaded on first use (PEP 562): ``import
 clasplink`` runs none of the submodules, and ``clasplink.parse_word``
 imports :mod:`clasplink.words` alone.  The command line relies on this to
-load only the modules a subcommand runs.
+load only the modules a subcommand runs.  No module imports a name that
+only its annotations use: with ``from __future__ import annotations`` no
+annotation is evaluated, so an annotation may name a type it does not
+import, and nothing loads :mod:`typing`.
 """
 
 from importlib import import_module

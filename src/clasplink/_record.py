@@ -14,14 +14,13 @@ through :func:`quote`, so that no error line grows with its input.
 :func:`require_int` checks an integer argument.  Records, components and
 letter indices keep their own checks, one message for a wrong type or
 value: one helper for ``Clasp``'s three made ``parse_complex`` 7% slower.
+:func:`ascii_int` reads an integer of input text, ASCII digits alone.
 :func:`pieces` cuts a text into pieces of about ``PIECE`` characters at a
 separator, so that a parser splits one piece at a time and never holds a
 whole text's lines or a whole line's tokens.
 """
 
 from __future__ import annotations
-
-from collections.abc import Iterator
 
 # Characters of input that an error message quotes: a longer piece is cut
 # there and marked with "...", so no error line grows with its input.
@@ -47,6 +46,20 @@ def quote(value: object) -> str:
         if isinstance(value, int):
             return f"<{'negative ' if value < 0 else ''}int of {value.bit_length()} bits>"
         return f"<{clip(type(value).__qualname__)} that repr refuses>"
+
+
+def ascii_int(text: str) -> int | None:
+    """The value of a run of ASCII digits 0-9, else None.
+
+    str.isdigit() also accepts digits such as '²' that int() rejects, and
+    int() also reads '1_0' as 10 and non-ASCII digits such as '٣' as 3.
+    """
+    if not (text.isascii() and text.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        return None
 
 
 def require_int(name: str, value: object, least: int | None = 1) -> None:

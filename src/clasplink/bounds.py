@@ -14,12 +14,8 @@ Ceilings of square roots are computed through integer inequalities only
 from __future__ import annotations
 
 from math import isqrt
-from typing import TYPE_CHECKING
 
 from ._record import FrozenRecord, quote, require_int
-
-if TYPE_CHECKING:
-    from .complexes import CComplex
 
 
 def _smallest_root_at_least(target: int, coeff: int) -> int:

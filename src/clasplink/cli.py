@@ -23,8 +23,9 @@ A subcommand imports only the modules it runs, when it runs: ``oracle``
 loads no complex or curve code, ``eij`` and ``curve`` no complexes, bounds
 or oracles (``eij --method sum`` no curves either, and ``eij --method
 integral`` no invariants), and the complex subcommands no curves or
-oracles.  An error line quotes at most ``QUOTE_CHARS`` characters of an
-argument, however long it is.
+oracles.  No subcommand loads :mod:`typing`, and ``oracle`` loads no
+:mod:`re` either.  An error line quotes at most ``QUOTE_CHARS``
+characters of an argument, however long it is.
 
 Each subcommand is declared once, in ``COMMANDS``.  ``_read_args`` reads
 a well-formed line from that table without importing argparse: a command
@@ -249,12 +250,14 @@ def build_parser():
 
 def _value(kind, text: str):
     """``text`` as a value of ``kind`` if it is well formed, else ValueError.
-    An integer is ASCII digits alone, which ``_integer`` reads as ``int``
-    does, and ``int`` refuses one of more than 4300 digits."""
+    An integer is what :func:`~clasplink._record.ascii_int` reads, which
+    ``_integer`` reads as ``int`` does."""
+    from ._record import ascii_int
+
     if kind is str:
         return text
-    if kind is _integer and text.isascii() and text.isdigit():
-        return int(text)
+    if kind is _integer and (value := ascii_int(text)) is not None:
+        return value
     if isinstance(kind, tuple) and text in kind:
         return text
     raise ValueError(text)

@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections import defaultdict
 from itertools import chain, filterfalse
 
-from ._record import FrozenRecord, pieces, quote, require_int
+from ._record import FrozenRecord, ascii_int, pieces, quote, require_int
 from .words import ClaspWord
 
 
@@ -294,20 +294,6 @@ def generate_brn(n: int) -> CComplex:
     return CComplex(3, clasps, (order1, order2, order3))
 
 
-def _ascii_int(text: str) -> int | None:
-    """The value of a run of ASCII digits 0-9, else None.
-
-    str.isdigit() also accepts digits such as '²' that int() rejects, and
-    int() also reads '1_0' as 10 and non-ASCII digits such as '٣' as 3.
-    """
-    if not (text.isascii() and text.isdigit()):
-        return None
-    try:
-        return int(text)
-    except ValueError:  # more digits than int() converts
-        return None
-
-
 _SIGNS = {"+": 1, "-": -1}
 
 def _read_order(fields: list[str], ids: dict[str, str]) -> tuple[str, ...]:
@@ -336,7 +322,7 @@ def parse_complex(text: str) -> CComplex:
         return ComplexFormatError(f"line {line_no}: {message}")
 
     # endpoint text -> its value: a file names few components, so each
-    # distinct text is read by _ascii_int once, and a refused one never
+    # distinct text is read by ascii_int once, and a refused one never
     ints: dict[str, int] = {}
     for line_no, raw in enumerate(chain.from_iterable(map(str.splitlines, pieces(text, "\n"))), start=1):
         # five fields at most, so an order line's ids are not split here: a
@@ -353,7 +339,7 @@ def parse_complex(text: str) -> CComplex:
             _, cid, a_text, b_text, sign_text = fields
             a, b = ints.get(a_text), ints.get(b_text)
             if a is None or b is None:
-                a, b = _ascii_int(a_text), _ascii_int(b_text)
+                a, b = ascii_int(a_text), ascii_int(b_text)
                 if a is None or b is None:
                     raise fail(line_no, f"clasp endpoints must be integers, got {quote(a_text)} {quote(b_text)}")
                 ints[a_text], ints[b_text] = a, b
@@ -370,7 +356,7 @@ def parse_complex(text: str) -> CComplex:
         elif keyword == "components":
             if n is not None:
                 raise fail(line_no, "duplicate components line")
-            n = _ascii_int(fields[1]) if len(fields) == 2 else None
+            n = ascii_int(fields[1]) if len(fields) == 2 else None
             if n is None:
                 raise fail(line_no, "expected: components <n>")
             if n > COMPONENT_CAP:
@@ -378,7 +364,7 @@ def parse_complex(text: str) -> CComplex:
         elif keyword == "order":
             if n is None:
                 raise fail(line_no, "order line before components line")
-            k = _ascii_int(fields[1]) if len(fields) >= 2 else None
+            k = ascii_int(fields[1]) if len(fields) >= 2 else None
             if k is None:
                 raise fail(line_no, "expected: order <k> <id> ...")
             if not 1 <= k <= n:

@@ -24,10 +24,9 @@ from __future__ import annotations
 import re
 from itertools import accumulate, islice
 from operator import eq
-from typing import Callable, Iterator
 
 from ._record import FrozenRecord
-from .words import ClaspWord, _require_letter_index
+from .words import _require_letter_index
 
 Point = tuple[int, int]
 

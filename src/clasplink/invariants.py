@@ -8,13 +8,8 @@ just the signed clasp count between two components.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from ._record import FrozenRecord
-from .words import ClaspWord, _require_letter_index
-
-if TYPE_CHECKING:
-    from .complexes import CComplex
+from .words import _require_letter_index
 
 
 def e_ij(w: ClaspWord, i: int, j: int) -> int:

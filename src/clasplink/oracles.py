@@ -19,7 +19,6 @@ raised from the CLI.
 from __future__ import annotations
 
 import sys
-from typing import Iterator
 
 from ._record import FrozenRecord, quote, require_int
 from .bounds import ceil_two_sqrt, min_polyomino_perimeter

@@ -53,7 +53,6 @@ from __future__ import annotations
 import re
 from itertools import chain, groupby
 from operator import itemgetter
-from typing import Iterable, Iterator
 
 from ._record import FrozenRecord, clip, pieces, quote
 

@@ -3,41 +3,48 @@
 Every CLI request is a fresh interpreter, so whatever it imports it also
 pays for on every request.  Each test runs one family of subcommands in a
 fresh interpreter and diffs ``sys.modules`` from before ``clasplink.cli``
-is imported to after the family's ``cli.main`` calls return.  A
-well-formed line loads no argparse (nor the gettext and locale it
-imports); help and usage errors do, and print argparse's own text.  The
-last test checks that ``tests/reference.py``, which the tests compare the
-library with, loads no clasplink module at all.
+is imported to after the family's ``cli.main`` calls return.  The child
+runs under ``python -S``, so no ``site`` hook imports a module first, and
+it imports nothing but ``clasplink.cli``: every module it lists is one the
+request loaded.  No request loads :mod:`typing`, and ``oracle`` loads no
+:mod:`re` either.  A well-formed line loads no argparse (nor the gettext
+and locale it imports); help and usage errors do, and print argparse's
+own text.  The last test checks that ``tests/reference.py``, which the
+tests compare the library with, loads no clasplink module at all.
 """
 
-import json
+import ast
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 BORROMEAN = str(ROOT / "data" / "borromean.cc")
 TWO = str(ROOT / "data" / "two_component_three_clasps.cc")
 
-# Prints, as JSON on its last stdout line, the exit code and stderr of
-# running cli.main on each argv (given as JSON), and the modules that
-# importing clasplink.cli and those runs loaded.
+# Run under ``python -S`` in an empty directory: takes sys.modules before
+# it imports anything, then runs cli.main on each argv (a literal the test
+# wrote) with stdout sent to one file and stderr to another.  It prints the
+# exit codes, the stderr texts and the modules that importing clasplink.cli
+# and those runs loaded as the repr of a dict, with builtins alone.
 PROBE = """
-import contextlib, io, json, sys
-argvs = json.loads(sys.argv[1])
+import sys
 before = set(sys.modules)
 from clasplink import cli
 codes, errs = [], []
-for argv in argvs:
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        try:
-            codes.append(cli.main(argv))
-        except SystemExit as stopped:  # argparse's help and usage errors
-            codes.append(stopped.code)
-    errs.append(err.getvalue())
-print(json.dumps({"codes": codes, "errs": errs, "loaded": sorted(set(sys.modules) - before)}))
+with open("stdout", "w", encoding="utf-8") as sys.stdout:
+    for argv in eval(sys.argv[1]):
+        with open("stderr", "w", encoding="utf-8") as sys.stderr:
+            try:
+                codes.append(cli.main(argv))
+            except SystemExit as stopped:  # argparse's help and usage errors
+                codes.append(stopped.code)
+        with open("stderr", encoding="utf-8") as err:
+            errs.append(err.read())
+sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__
+print(repr({"codes": codes, "errs": errs, "loaded": sorted(set(sys.modules) - before)}))
 """
 ARGPARSE = {"argparse", "gettext", "locale"}
 
@@ -45,16 +52,17 @@ ARGPARSE = {"argparse", "gettext", "locale"}
 def loaded_by(*argvs: list[str]) -> tuple[list[int], set[str], list[str]]:
     # COLUMNS sets the width argparse wraps its usage lines at
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), COLUMNS="80")
-    result = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(argvs)],
-        cwd=ROOT,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    with tempfile.TemporaryDirectory() as empty:
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", PROBE, repr(argvs)],
+            cwd=empty,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
     assert result.returncode == 0, result.stderr
-    report = json.loads(result.stdout.splitlines()[-1])
+    report = ast.literal_eval(result.stdout)
     return report["codes"], set(report["loaded"]), report["errs"]
 
 
@@ -69,7 +77,7 @@ def test_oracle_loads_no_complex_or_curve_code():
         ["oracle", "words", "--max-len", "99"],  # refused by the cap: exit 2
     )
     assert codes == [0, 0, 2]
-    assert "dataclasses" not in loaded
+    assert not loaded & {"dataclasses", "typing", "re", "enum", "collections"}
     assert not loaded & ARGPARSE
     assert clasplink_modules(loaded) == {"cli", "_record", "bounds", "oracles"}
 
@@ -88,7 +96,7 @@ def test_complex_subcommands_load_no_curves_or_oracles(tmp_path):
         ["gen-brn", "2"],
     )
     assert codes == [0, 0, 0, 0, 0, 0, 2, 0]
-    assert "dataclasses" not in loaded
+    assert not loaded & {"dataclasses", "typing"}
     assert not loaded & ARGPARSE
     assert clasplink_modules(loaded) == {"cli", "_record", "bounds", "complexes", "invariants", "words"}
 
@@ -101,7 +109,7 @@ def test_word_subcommands_load_no_bounds_or_oracles(tmp_path):
         ["eij", "x0", "1", "2"],  # a syntax error: exit 2
     )
     assert codes == [0, 0, 0, 2]
-    assert "dataclasses" not in loaded
+    assert not loaded & {"dataclasses", "typing"}
     assert not loaded & ARGPARSE
     modules = clasplink_modules(loaded)
     assert not modules & {"bounds", "oracles", "complexes"}
@@ -130,6 +138,7 @@ def test_help_and_usage_errors_load_argparse():
     )
     assert codes == [0, 2, 2]
     assert ARGPARSE <= loaded
+    assert "typing" not in loaded
     # byte for byte what clasplink printed when argparse read every line
     assert errs == [
         "",
@@ -140,6 +149,13 @@ def test_help_and_usage_errors_load_argparse():
         "                        {polyomino,words}\n"
         "clasplink oracle: error: argument --max-len: invalid int value: 'x'\n",
     ]
+
+
+def test_importing_the_cli_loads_no_other_clasplink_module():
+    # the import that the benchmark's setup_s times
+    codes, loaded, _ = loaded_by()
+    assert codes == []
+    assert clasplink_modules(loaded) == {"cli"}
 
 
 def test_importing_the_package_loads_no_submodule():

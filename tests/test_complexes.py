@@ -131,12 +131,12 @@ EVERY_BREAK = "".join(f"line {i}{brk}" for i, brk in enumerate(BREAKS))
     ],
 )
 @pytest.mark.parametrize("piece", range(1, 9))
-def test_lines_split_as_splitlines_does(monkeypatch, text, piece):
+def test_pieces_split_as_splitlines_does(monkeypatch, text, piece):
     monkeypatch.setattr(_record, "PIECE", piece)
     assert list(itertools.chain.from_iterable(map(str.splitlines, pieces(text, "\n")))) == text.splitlines()
 
 
-def test_lines_cut_right_after_a_crlf(monkeypatch):
+def test_pieces_cut_right_after_a_crlf(monkeypatch):
     assert list(map(str.splitlines, pieces("ab\r\ncd", "\n"))) == [["ab", "cd"]]
     # the search for a line feed starts on the one of "\r\n"
     monkeypatch.setattr(_record, "PIECE", 4)
@@ -157,7 +157,7 @@ TOKEN_TEXTS = [
 
 @pytest.mark.parametrize("text", TOKEN_TEXTS)
 @pytest.mark.parametrize("size", range(1, 9))
-def test_split_slices_split_as_split_does(monkeypatch, text, size):
+def test_pieces_split_as_split_does(monkeypatch, text, size):
     monkeypatch.setattr(_record, "PIECE", size)
     assert list(itertools.chain.from_iterable(map(str.split, pieces(text, " ")))) == text.split()
 

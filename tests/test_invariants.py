@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from clasplink import complexes, invariants
 from clasplink._record import QUOTE_CHARS
+from clasplink.bounds import bound_report
 from clasplink.cli import main
 from clasplink.complexes import (
     CComplex,
@@ -247,6 +248,58 @@ def test_well_defined_is_whether_the_pairwise_linking_numbers_vanish(F, order):
     i, j, k = order
     vanish = not any(pairwise_linking(F, a, b) for a, b in ((i, j), (j, k), (k, i)))
     assert triple_linking(F, i, j, k).well_defined == vanish
+
+
+def shuffled_complex(draw, n, pairs):
+    """The complex on n components with one clasp of sign s joining a and
+    b for each ((a, b), s) of ``pairs``, each clasp's ends in a random
+    order, the clasps in a random order and each component's order
+    shuffled."""
+    ends = [(draw(st.permutations(pair)), sign) for pair, sign in pairs]
+    clasps = tuple(draw(st.permutations([Clasp(f"c{m}", a, b, sign) for m, ((a, b), sign) in enumerate(ends)])))
+    orders = tuple(tuple(draw(st.permutations([c.id for c in clasps if k in (c.a, c.b)]))) for k in range(1, n + 1))
+    return CComplex(n, clasps, orders)
+
+
+@st.composite
+def balanced_complexes(draw):
+    """A complex on three components whose pairwise linking numbers all
+    vanish: for each pair, k in 0..3 clasps of each sign."""
+    counts = [draw(st.integers(0, 3)) for _ in range(3)]
+    pairs = [(pair, sign) for pair, k in zip(((1, 2), (1, 3), (2, 3)), counts) for sign in (1, -1) for _ in range(k)]
+    return shuffled_complex(draw, 3, pairs)
+
+
+@st.composite
+def two_component_complexes(draw):
+    """A complex on two components with 0 to 9 clasps of either sign."""
+    return shuffled_complex(draw, 2, [((1, 2), sign) for sign in draw(st.lists(st.sampled_from((1, -1)), max_size=9))])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(balanced_complexes())
+def test_triple_linking_bounds_the_clasp_count_from_below(F):
+    assert triple_linking(F, 1, 2, 3).well_defined
+    assert bound_report(F).lower_C <= len(F.clasps)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(balanced_complexes(), st.lists(st.integers(0, 11), min_size=3, max_size=3))
+def test_mu_of_a_balanced_complex_is_kept_by_a_basepoint_rotation(F, rotations):
+    expected = triple_linking(F, 1, 2, 3).value
+    for k, r in enumerate(rotations, start=1):
+        F = with_rotated_order(F, k, r)
+    assert triple_linking(F, 1, 2, 3).value == expected
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(two_component_complexes())
+def test_the_clasp_count_is_at_least_lk_and_has_its_parity(F):
+    lk, clasps = pairwise_linking(F, 1, 2), len(F.clasps)
+    exact = bound_report(F).exact_C
+    values = exact if isinstance(exact, frozenset) else {exact}
+    assert min(values) == abs(lk) <= clasps
+    assert all((clasps - value) % 2 == 0 for value in values)
 
 
 def test_triple_linking_rejects_bad_indices():
