@@ -157,7 +157,7 @@ TOKEN_TEXTS = [
 
 @pytest.mark.parametrize("text", TOKEN_TEXTS)
 @pytest.mark.parametrize("size", range(1, 9))
-def test_pieces_split_as_split_does(monkeypatch, text, size):
+def test_split_slices_split_as_split_does(monkeypatch, text, size):
     monkeypatch.setattr(_record, "PIECE", size)
     assert list(itertools.chain.from_iterable(map(str.split, pieces(text, " ")))) == text.split()
 
