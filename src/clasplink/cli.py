@@ -21,11 +21,11 @@ deterministic byte for byte.
 
 A subcommand imports only the modules it runs, when it runs: ``oracle``
 loads no complex or curve code, ``eij`` and ``curve`` no complexes, bounds
-or oracles (``eij --method sum`` no curves either, and ``eij --method
-integral`` no invariants), and the complex subcommands no curves or
-oracles.  No subcommand loads :mod:`typing`, and ``oracle`` loads no
-:mod:`re` either.  An error line quotes at most ``QUOTE_CHARS``
-characters of an argument, however long it is.
+or oracles (``eij --method sum`` no curves, ``--method integral`` no
+invariants), the complex subcommands no curves or oracles (``lk``,
+``validate``, ``gen-brn`` and a 2-component ``bounds`` no words), and no
+subcommand :mod:`typing` (``oracle`` no :mod:`re` either).  An error line
+quotes at most ``QUOTE_CHARS`` characters of an argument.
 
 Each subcommand is declared once, in ``COMMANDS``.  ``_read_args`` reads
 a well-formed line from that table without importing argparse: a command

@@ -36,7 +36,6 @@ from collections import defaultdict
 from itertools import chain, filterfalse
 
 from ._record import FrozenRecord, ascii_int, pieces, quote, require_int
-from .words import ClaspWord
 
 
 # A complex holds one traversal order per component, so a file's component
@@ -231,6 +230,8 @@ def _read_words(F: CComplex, components: range | tuple[int, ...]) -> list[ClaspW
     """The words of the given distinct components, in that order, from one
     pass over the clasps.  The components are checked first, in that order.
     A word holds one run a letter, and one run object a distinct letter."""
+    from .words import ClaspWord  # here, so that a request that reads no word loads no word code
+
     for k in components:
         _require_component(F, k)
     # Along component k a clasp joining a and b with sign s reads as the

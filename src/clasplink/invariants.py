@@ -9,11 +9,12 @@ just the signed clasp count between two components.
 from __future__ import annotations
 
 from ._record import FrozenRecord
-from .words import _require_letter_index
 
 
 def e_ij(w: ClaspWord, i: int, j: int) -> int:
     """Signed count of x_i-before-x_j pairs in w."""
+    from .words import _require_letter_index  # loaded already: w is a word
+
     if i == j:
         raise ValueError("e_ij requires two distinct indices")
     _require_letter_index(i)

@@ -1,7 +1,14 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures and the Hypothesis policy shared by the test modules."""
 
 import pytest
 import reference
+from hypothesis import settings
+
+# Every property draws the same examples on every run, and no example is
+# timed out: the suite runs on shared machines, where a slow example is
+# not a failure.  A decorator sets max_examples and nothing else.
+settings.register_profile("clasplink", deadline=None, derandomize=True)
+settings.load_profile("clasplink")
 
 
 @pytest.fixture(scope="session")

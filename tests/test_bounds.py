@@ -1,8 +1,10 @@
-import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference import perimeter, smallest_root_by_counting
+from test_invariants import shuffled_complexes
 
 from clasplink.bounds import (
     BoundReport,
@@ -172,16 +174,13 @@ def test_bound_report_rejects_invalid_complex():
         bound_report(CComplex(2, (Clasp("a", 1, 2, 1),), ((), ())))
 
 
-def test_bound_report_on_random_valid_complexes():
-    from test_complexes import random_valid_complex
-
-    rng = random.Random(61)
-    for _ in range(200):
-        F = random_valid_complex(rng, n=rng.choice((2, 3)), balanced=rng.random() < 0.5)
-        report = bound_report(F)  # constructor asserts lower <= upper
-        assert report.upper_C == len(F.clasps)
-        assert report.upper_B == report.upper_C
-        assert set(report.provenance) >= {"lower_C", "upper_C", "lower_B", "upper_B"}
+@settings(max_examples=100)
+@given(st.one_of(shuffled_complexes(2, 3, max_clasps=4), shuffled_complexes(2, 3, balanced=True, max_clasps=8)))
+def test_bound_report_on_random_valid_complexes(F):
+    report = bound_report(F)  # constructor asserts lower <= upper
+    assert report.upper_C == len(F.clasps)
+    assert report.upper_B == report.upper_C
+    assert set(report.provenance) >= {"lower_C", "upper_C", "lower_B", "upper_B"}
 
 
 def test_bound_report_invariants_enforced():

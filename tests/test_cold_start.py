@@ -7,9 +7,10 @@ is imported to after the family's ``cli.main`` calls return.  The child
 runs under ``python -S``, so no ``site`` hook imports a module first, and
 it imports nothing but ``clasplink.cli``: every module it lists is one the
 request loaded.  No request loads :mod:`typing`, and ``oracle`` loads no
-:mod:`re` either.  A well-formed line loads no argparse (nor the gettext
-and locale it imports); help and usage errors do, and print argparse's
-own text.  The last test checks that ``tests/reference.py``, which the
+:mod:`re` either, nor does a complex request that reads no clasp word,
+which loads no ``words``.  A well-formed line loads no argparse (nor the
+gettext and locale it imports); help and usage errors do, and print
+argparse's own text.  The last test checks that ``tests/reference.py``, which the
 tests compare the library with, loads no clasplink module at all.
 """
 
@@ -99,6 +100,20 @@ def test_complex_subcommands_load_no_curves_or_oracles(tmp_path):
     assert not loaded & {"dataclasses", "typing"}
     assert not loaded & ARGPARSE
     assert clasplink_modules(loaded) == {"cli", "_record", "bounds", "complexes", "invariants", "words"}
+
+
+def test_complex_subcommands_that_read_no_word_load_no_word_code():
+    # a 2-component bounds reads lk alone; only mu, words and a
+    # 3-component bounds read clasp words
+    codes, loaded, _ = loaded_by(
+        ["lk", BORROMEAN, "1", "2"],
+        ["validate", BORROMEAN],
+        ["gen-brn", "2"],
+        ["bounds", TWO],
+    )
+    assert codes == [0, 0, 0, 0]
+    assert "re" not in loaded
+    assert clasplink_modules(loaded) == {"cli", "_record", "bounds", "complexes", "invariants"}
 
 
 def test_word_subcommands_load_no_bounds_or_oracles(tmp_path):

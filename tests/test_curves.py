@@ -292,7 +292,7 @@ def simplicity(curve):
         return str(exc)
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
+@settings(max_examples=400)
 @given(curve_vertices)
 def test_columns_agree_with_the_tuple_curve(vertices):
     curve, tuple_curve = curve_of(vertices), reference.TupleCurve(vertices)
@@ -324,7 +324,7 @@ def test_long_thin_curves_agree_with_the_tuple_curve(vertices):
     assert curve.line_integral_x_dy() == tuple_curve.line_integral_x_dy()
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(curve_vertices, curve_vertices)
 def test_columns_compare_and_hash_as_the_tuple_curve(first, second):
     curves = curve_of(first), curve_of(second)
@@ -348,7 +348,7 @@ def test_curve_refuses_all_but_bytes_of_step_codes(steps):
         LatticeCurve(steps)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(st.binary(max_size=40))
 def test_curve_takes_exactly_the_bytes_of_step_codes(steps):
     if all(code <= DOWN for code in steps):
@@ -411,7 +411,7 @@ PATHS = [0, curves._BOX_CELLS_PER_STEP]
 SPLIT = curves._WINDOW + 10  # a straight run that segments() yields as two
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
+@settings(max_examples=400)
 @given(closed_walks)
 @example(b"")
 @example(bytes([RIGHT, LEFT]))  # a backtrack of length 2 is simple

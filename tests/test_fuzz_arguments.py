@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from clasplink.cli import _read_args, build_parser, main
 
 BORROMEAN = str(Path(__file__).resolve().parents[1] / "data" / "borromean.cc")
-FUZZ = settings(max_examples=100, deadline=None, derandomize=True)
+FUZZ = settings(max_examples=100)
 
 # ASCII, Arabic-Indic, Devanagari and fullwidth digits: int() reads them all
 DIGITS = "".join(chr(start + k) for start in (0x30, 0x660, 0x966, 0xFF10) for k in range(10))

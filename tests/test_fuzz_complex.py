@@ -18,7 +18,7 @@ from clasplink.complexes import CComplex, ComplexFormatError, InvalidComplexErro
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 SHIPPED = [path.read_text() for path in sorted(DATA.glob("*.cc"))]
-FUZZ = settings(max_examples=100, deadline=None, derandomize=True)
+FUZZ = settings(max_examples=100)
 
 COMMANDS = st.sampled_from([
     ["bounds", "-"],

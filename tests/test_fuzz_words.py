@@ -32,7 +32,7 @@ SHIPPED = [
     path.read_text()
     for path in [ROOT / "data" / "staircase.word", *sorted((ROOT / "tests" / "golden" / "words").glob("*.word"))]
 ]
-FUZZ = settings(max_examples=100, deadline=None, derandomize=True)
+FUZZ = settings(max_examples=100)
 
 
 def small_expansion(text: str) -> bool:

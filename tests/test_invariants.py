@@ -1,9 +1,10 @@
+import functools
 import itertools
 import random
 
 import pytest
 import reference
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from clasplink import complexes, invariants
 from clasplink._record import QUOTE_CHARS
@@ -118,6 +119,32 @@ BORROMEAN = CComplex(
 )
 
 
+@functools.cache
+def signed_ends(n):
+    """A clasp's two distinct ends among n components, in either order, and its sign.
+
+    Made once for each n: a strategy made anew at every draw is validated
+    anew, and that was a fifth of the time of drawing a complex."""
+    return st.tuples(st.sampled_from(list(itertools.permutations(range(1, n + 1), 2))), st.sampled_from((1, -1)))
+
+
+@st.composite
+def shuffled_complexes(draw, n, max_n=None, balanced=False, max_clasps=12):
+    """A well-formed complex on n components, or on n to max_n of them,
+    with at most max_clasps clasps.  Each clasp joins two distinct
+    components and has either sign; with balanced=True the clasps come in
+    pairs of opposite sign on the same two components, so every pairwise
+    linking number vanishes.  Each clasp's ends are drawn in a random order,
+    the clasps in a random order and each component's order shuffled.
+    Every random complex of the tests is drawn here."""
+    n = draw(st.integers(n, n if max_n is None else max_n))
+    drawn = draw(st.lists(signed_ends(n), max_size=max_clasps // 2 if balanced else max_clasps)) if n > 1 else []
+    pairs = [(pair, s) for pair, sign in drawn for s in ((sign, -sign) if balanced else (sign,))]
+    clasps = tuple(draw(st.permutations([Clasp(f"c{m}", a, b, sign) for m, ((a, b), sign) in enumerate(pairs)])))
+    orders = tuple(tuple(draw(st.permutations([c.id for c in clasps if k in (c.a, c.b)]))) for k in range(1, n + 1))
+    return CComplex(n, clasps, orders)
+
+
 def test_pairwise_linking_borromean():
     for i, j in ((1, 2), (2, 3), (3, 1)):
         assert pairwise_linking(BORROMEAN, i, j) == 0
@@ -158,11 +185,6 @@ def test_triple_linking_borromean():
     assert result.value == 1
     assert result.contributions == (0, 1, 0)
     assert result.well_defined
-
-
-def test_triple_linking_family():
-    for n in range(1, 26):
-        assert triple_linking(generate_brn(n), 1, 2, 3).value == n * n
 
 
 def test_triple_linking_no_clasps():
@@ -220,71 +242,54 @@ BALANCED = CComplex(
 )
 
 
-def test_triple_linking_does_not_depend_on_how_its_words_are_cut_into_runs(monkeypatch):
-    read_words = complexes._read_words
-    cases = (BORROMEAN, generate_brn(4), BALANCED)
-    before = [triple_linking(F, *order) for F in cases for order in itertools.permutations((1, 2, 3))]
-    assert all(result.well_defined for result in before)
+@settings(max_examples=50)
+@given(shuffled_complexes(3, balanced=True))
+@example(BALANCED)
+@example(BORROMEAN)
+@example(generate_brn(4))
+def test_triple_linking_does_not_depend_on_how_its_words_are_cut_into_runs(F):
     assert len(merged_runs(clasp_word(BALANCED, 1)).runs) < len(clasp_word(BALANCED, 1).runs)
-    monkeypatch.setattr(complexes, "_read_words", lambda F, components: list(map(merged_runs, read_words(F, components))))
-    after = [triple_linking(F, *order) for F in cases for order in itertools.permutations((1, 2, 3))]
+    read_words = complexes._read_words
+    before = [triple_linking(F, *order) for order in itertools.permutations((1, 2, 3))]
+    assert all(result.well_defined for result in before)
+    # the monkeypatch fixture would be shared by every example
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(complexes, "_read_words", lambda G, components: list(map(merged_runs, read_words(G, components))))
+        after = [triple_linking(F, *order) for order in itertools.permutations((1, 2, 3))]
     assert after == before
 
 
-@st.composite
-def three_component_complexes(draw):
-    """A valid complex on three components: clasps of either sign between
-    any two, often on the same pair in a row, each order shuffled."""
-    ends = st.sampled_from(((1, 2), (1, 3), (2, 3), (2, 1), (3, 1), (3, 2)))
-    pairs = draw(st.lists(st.tuples(ends, st.sampled_from((1, -1))), max_size=12))
-    clasps = tuple(Clasp(f"c{number}", a, b, sign) for number, ((a, b), sign) in enumerate(pairs))
-    orders = tuple(tuple(draw(st.permutations([c.id for c in clasps if k in (c.a, c.b)]))) for k in (1, 2, 3))
-    return CComplex(3, clasps, orders)
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(three_component_complexes(), st.permutations((1, 2, 3)))
+@settings(max_examples=300)
+@given(shuffled_complexes(3), st.permutations((1, 2, 3)))
 def test_well_defined_is_whether_the_pairwise_linking_numbers_vanish(F, order):
     i, j, k = order
     vanish = not any(pairwise_linking(F, a, b) for a, b in ((i, j), (j, k), (k, i)))
     assert triple_linking(F, i, j, k).well_defined == vanish
 
 
-def shuffled_complex(draw, n, pairs):
-    """The complex on n components with one clasp of sign s joining a and
-    b for each ((a, b), s) of ``pairs``, each clasp's ends in a random
-    order, the clasps in a random order and each component's order
-    shuffled."""
-    ends = [(draw(st.permutations(pair)), sign) for pair, sign in pairs]
-    clasps = tuple(draw(st.permutations([Clasp(f"c{m}", a, b, sign) for m, ((a, b), sign) in enumerate(ends)])))
-    orders = tuple(tuple(draw(st.permutations([c.id for c in clasps if k in (c.a, c.b)]))) for k in range(1, n + 1))
-    return CComplex(n, clasps, orders)
+# one clasp of each sign on each pair, and each word a commutator: mu = 3
+# from 6 clasps, against a bound of 2 ceil(2 sqrt(|mu| / 3)) = 4, and of 8
+# were the bound's / 3 dropped
+COMMUTATORS = CComplex(
+    3,
+    (Clasp("a", 1, 2, 1), Clasp("b", 1, 2, -1), Clasp("c", 1, 3, 1), Clasp("d", 1, 3, -1),
+     Clasp("e", 2, 3, 1), Clasp("f", 2, 3, -1)),
+    (("a", "c", "b", "d"), ("e", "a", "f", "b"), ("c", "e", "d", "f")),
+)
 
 
-@st.composite
-def balanced_complexes(draw):
-    """A complex on three components whose pairwise linking numbers all
-    vanish: for each pair, k in 0..3 clasps of each sign."""
-    counts = [draw(st.integers(0, 3)) for _ in range(3)]
-    pairs = [(pair, sign) for pair, k in zip(((1, 2), (1, 3), (2, 3)), counts) for sign in (1, -1) for _ in range(k)]
-    return shuffled_complex(draw, 3, pairs)
-
-
-@st.composite
-def two_component_complexes(draw):
-    """A complex on two components with 0 to 9 clasps of either sign."""
-    return shuffled_complex(draw, 2, [((1, 2), sign) for sign in draw(st.lists(st.sampled_from((1, -1)), max_size=9))])
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(balanced_complexes())
+@settings(max_examples=200)
+@given(shuffled_complexes(3, balanced=True, max_clasps=18))
+@example(COMMUTATORS)
 def test_triple_linking_bounds_the_clasp_count_from_below(F):
     assert triple_linking(F, 1, 2, 3).well_defined
     assert bound_report(F).lower_C <= len(F.clasps)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(balanced_complexes(), st.lists(st.integers(0, 11), min_size=3, max_size=3))
+@settings(max_examples=200)
+@given(shuffled_complexes(3, balanced=True, max_clasps=18), st.lists(st.integers(0, 11), min_size=3, max_size=3))
+@example(BORROMEAN, [1, 1, 1])
+@example(BORROMEAN, [3, 1, 0])
 def test_mu_of_a_balanced_complex_is_kept_by_a_basepoint_rotation(F, rotations):
     expected = triple_linking(F, 1, 2, 3).value
     for k, r in enumerate(rotations, start=1):
@@ -292,14 +297,25 @@ def test_mu_of_a_balanced_complex_is_kept_by_a_basepoint_rotation(F, rotations):
     assert triple_linking(F, 1, 2, 3).value == expected
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(two_component_complexes())
+@settings(max_examples=200)
+@given(shuffled_complexes(2, max_clasps=9))
 def test_the_clasp_count_is_at_least_lk_and_has_its_parity(F):
     lk, clasps = pairwise_linking(F, 1, 2), len(F.clasps)
     exact = bound_report(F).exact_C
     values = exact if isinstance(exact, frozenset) else {exact}
     assert min(values) == abs(lk) <= clasps
     assert all((clasps - value) % 2 == 0 for value in values)
+
+
+@settings(max_examples=50)
+@given(st.one_of(shuffled_complexes(3), shuffled_complexes(3, balanced=True)), st.data())
+def test_relabelling_and_reordering_the_clasps_keep_mu_and_the_bounds(F, data):
+    ids = [c.id for c in F.clasps]
+    relabel = dict(zip(ids, data.draw(st.permutations(ids))))
+    clasps = data.draw(st.permutations([Clasp(relabel[c.id], c.a, c.b, c.sign) for c in F.clasps]))
+    G = CComplex(F.n, tuple(clasps), tuple(tuple(map(relabel.get, order)) for order in F.orders))
+    assert triple_linking(G, 1, 2, 3) == triple_linking(F, 1, 2, 3)
+    assert bound_report(G) == bound_report(F)
 
 
 def test_triple_linking_rejects_bad_indices():
@@ -321,27 +337,6 @@ def test_triple_linking_refuses_an_unhashable_component(args, shown):
         triple_linking(BORROMEAN, *args)
     assert str(caught.value) == f"component {shown} is not a component of this complex (n=3)"
 
-
-def test_basepoint_rotations_preserve_mu():
-    for F in (BORROMEAN, generate_brn(1), generate_brn(2), generate_brn(3)):
-        expected = triple_linking(F, 1, 2, 3).value
-        for k in range(1, 4):
-            for r in range(len(F.orders[k - 1])):
-                rotated = with_rotated_order(F, k, r)
-                assert triple_linking(rotated, 1, 2, 3).value == expected
-
-
-def test_combined_basepoint_rotations_preserve_mu():
-    expected = triple_linking(BORROMEAN, 1, 2, 3).value
-    for r1 in range(4):
-        for r2 in range(2):
-            for r3 in range(2):
-                F = with_rotated_order(BORROMEAN, 1, r1)
-                F = with_rotated_order(F, 2, r2)
-                F = with_rotated_order(F, 3, r3)
-                assert triple_linking(F, 1, 2, 3).value == expected
-
-
 def flip_all_signs(F):
     return CComplex(
         F.n,
@@ -354,38 +349,33 @@ def reverse_all_orders(F):
     return CComplex(F.n, F.clasps, tuple(o[::-1] for o in F.orders))
 
 
-def test_global_sign_flip_preserves_mu():
+@settings(max_examples=50)
+@given(shuffled_complexes(3, balanced=True), shuffled_complexes(2))
+@example(generate_brn(7), CComplex(2, (Clasp("a", 1, 2, 1),), (("a",), ("a",))))
+def test_global_sign_flip_preserves_mu(F, G):
     """Each pair count multiplies two letter signs, so negating every
     clasp sign cancels out (unlike the linking number, which negates)."""
-    for n in range(1, 8):
-        F = generate_brn(n)
-        flipped = flip_all_signs(F)
-        assert triple_linking(flipped, 1, 2, 3).value == triple_linking(F, 1, 2, 3).value
-        one_pair = CComplex(2, (Clasp("a", 1, 2, 1),), (("a",), ("a",)))
-        assert pairwise_linking(flip_all_signs(one_pair), 1, 2) == -1
+    assert triple_linking(flip_all_signs(F), 1, 2, 3).value == triple_linking(F, 1, 2, 3).value
+    assert pairwise_linking(flip_all_signs(G), 1, 2) == -pairwise_linking(G, 1, 2)
 
 
-def test_traversal_reversal_negates_mu():
+@settings(max_examples=50)
+@given(shuffled_complexes(3, balanced=True))
+@example(BORROMEAN)
+@example(generate_brn(7))
+def test_traversal_reversal_negates_mu(F):
     """Reversing every component's traversal (reversing all component
     orientations) negates the triple linking number when the pairwise
     linking numbers vanish."""
-    for n in range(1, 8):
-        F = generate_brn(n)
-        assert triple_linking(reverse_all_orders(F), 1, 2, 3).value == -(n * n)
-    assert triple_linking(reverse_all_orders(BORROMEAN), 1, 2, 3).value == -1
+    assert triple_linking(reverse_all_orders(F), 1, 2, 3).value == -triple_linking(F, 1, 2, 3).value
 
 
-def test_transpositions_negate_mu():
-    for F in (BORROMEAN, generate_brn(2), generate_brn(3)):
-        value = triple_linking(F, 1, 2, 3).value
-        assert triple_linking(F, 2, 1, 3).value == -value
-        assert triple_linking(F, 1, 3, 2).value == -value
-        assert triple_linking(F, 3, 2, 1).value == -value
-        assert triple_linking(F, 2, 3, 1).value == value
-        assert triple_linking(F, 3, 1, 2).value == value
-
-
-def test_mu_value_equals_contribution_sum():
-    for n in range(1, 10):
-        result = triple_linking(generate_brn(n), 1, 2, 3)
-        assert result.value == sum(result.contributions)
+@settings(max_examples=50)
+@given(shuffled_complexes(3, balanced=True))
+@example(BORROMEAN)
+@example(generate_brn(3))
+def test_transpositions_negate_mu(F):
+    value = triple_linking(F, 1, 2, 3).value
+    for order in itertools.permutations((1, 2, 3)):
+        sign = 1 if order in ((1, 2, 3), (2, 3, 1), (3, 1, 2)) else -1
+        assert triple_linking(F, *order).value == sign * value

@@ -97,7 +97,7 @@ def test_segment_cases_are_what_they_claim():
     assert [len(run) for run in SEGMENT_CASES["long-up"].segments()] == [_WINDOW, _WINDOW, _WINDOW, 5]
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(
     st.lists(st.tuples(st.sampled_from(reference.STEPS), st.integers(1, 6)), max_size=30),
     st.booleans(),
