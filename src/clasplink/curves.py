@@ -28,8 +28,6 @@ from operator import eq
 from ._record import FrozenRecord
 from .words import _require_letter_index
 
-Point = tuple[int, int]
-
 _BOX_CELLS_PER_STEP = 8  # the largest bounding box is_simple maps, per step
 
 RIGHT, LEFT, UP, DOWN = range(4)  # the step codes
@@ -92,7 +90,7 @@ class LatticeCurve(FrozenRecord):
         return accumulate(map(delta.__getitem__, self.steps), initial=0)
 
     @property
-    def vertices(self) -> tuple[Point, ...]:
+    def vertices(self) -> tuple[tuple[int, int], ...]:
         """The path's grid points, built anew on each access."""
         return tuple(zip(self._coordinates(_DX), self._coordinates(_DY)))
 

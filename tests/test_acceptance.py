@@ -15,7 +15,6 @@ from pathlib import Path
 from reference import fixed_polyominoes, word_tree
 
 from clasplink.bounds import bound_report, ceil_two_sqrt, three_component_lower_bound, two_component_clasp_number
-from clasplink.cli import main
 from clasplink.complexes import (
     generate_brn,
     parse_complex,
@@ -26,6 +25,7 @@ from clasplink.curves import build_curve
 from clasplink.invariants import e_ij, pairwise_linking, triple_linking
 from clasplink.oracles import count_fixed_polyominoes, verify_min_perimeter, verify_word_length_bound
 from clasplink.words import ClaspWord, parse_word
+from test_cli import run_cli
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -84,31 +84,18 @@ def test_criterion_4_generalized_borromean_family():
         assert time.perf_counter() - start < 1.0
 
 
-def test_criterion_5_triple_linking_lower_bound(capsys):
+def test_criterion_5_triple_linking_lower_bound():
     with criterion(5, "lower bound: mu=1 -> 4, mu=4 -> 6; report on the 2-fold complex prints 6 <= C <= 8"):
         assert three_component_lower_bound(1) == 4
         assert three_component_lower_bound(4) == 6
         report = bound_report(generate_brn(2))
         assert (report.lower_C, report.upper_C) == (6, 8)
         assert "6 <= C <= 8" in report.format()
-        text = print_complex_via_cli(capsys)
-        assert text.splitlines()[0] == "6 <= C <= 8"
-
-
-def print_complex_via_cli(capsys):
-    import io
-
-    gen_code = main(["gen-brn", "2"])
-    gen_out = capsys.readouterr().out
-    assert gen_code == 0
-    sys.stdin = io.StringIO(gen_out)
-    try:
-        bounds_code = main(["bounds", "-"])
-    finally:
-        sys.stdin = sys.__stdin__
-    out = capsys.readouterr().out
-    assert bounds_code == 0
-    return out
+        code, text, _ = run_cli(["gen-brn", "2"])
+        assert code == 0
+        code, out, _ = run_cli(["bounds", "-"], text)
+        assert code == 0
+        assert out.splitlines()[0] == "6 <= C <= 8"
 
 
 def test_criterion_6_equivalence_exhaustive_and_random():

@@ -1,6 +1,8 @@
 import argparse
+import io
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -28,77 +30,75 @@ order 3 r1 s1
 """
 
 
-def run(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+def run_cli(argv, stdin=None):
+    """``main(argv)`` in this process: (exit code, stdout, stderr).
+
+    ``stdin`` is the text that an argument "-" reads, and the ``sys.stdin``
+    it replaces is put back afterwards.  argparse's usage errors and ``-h``
+    end in SystemExit, whose code is returned.  Every test runs the command
+    line in process through this one function; unlike ``capsys`` it works
+    inside a Hypothesis test."""
+    out, err, stdin_before = io.StringIO(), io.StringIO(), sys.stdin
+    if stdin is not None:
+        sys.stdin = io.StringIO(stdin)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(list(argv))
+            except SystemExit as stopped:
+                code = stopped.code
+    finally:
+        sys.stdin = stdin_before
+    return code, out.getvalue(), err.getvalue()
 
 
-def test_eij(capsys):
-    code, out, _ = run(capsys, "eij", "x1 x2 x1^-1 x2^-1", "1", "2")
+def test_eij():
+    code, out, _ = run_cli(["eij", "x1 x2 x1^-1 x2^-1", "1", "2"])
     assert (code, out) == (0, "1\n")
-    code, out, _ = run(capsys, "eij", "", "1", "2")
+    code, out, _ = run_cli(["eij", "", "1", "2"])
     assert (code, out) == (0, "0\n")
-    code, out, _ = run(capsys, "eij", "x1 x2 x1 x2 x1^-2 x2^-2", "1", "2")
+    code, out, _ = run_cli(["eij", "x1 x2 x1 x2 x1^-2 x2^-2", "1", "2"])
     assert (code, out) == (0, "3\n")
 
 
-def test_eij_methods_agree(capsys):
-    word = "x1 x2 x1 x2 x1^-2 x2^-2"
-    outputs = set()
-    for method in ("sum", "integral", "both"):
-        code, out, _ = run(capsys, "eij", word, "1", "2", "--method", method)
-        assert code == 0
-        outputs.add(out)
-    assert outputs == {"3\n"}
+def test_eij_reads_stdin():
+    before = sys.stdin
+    assert run_cli(["eij", "-", "1", "2"], stdin="x1 x2\nx1^-1 x2^-1\n") == (0, "1\n", "")
+    assert sys.stdin is before
 
 
-def test_eij_methods_disagree(capsys, monkeypatch):
+def test_eij_methods_disagree(monkeypatch):
     from clasplink import invariants
 
     monkeypatch.setattr(invariants, "e_ij", lambda w, i, j: 7)
-    code, out, err = run(capsys, "eij", "x1 x2 x1^-1 x2^-1", "1", "2", "--method", "both")
+    code, out, err = run_cli(["eij", "x1 x2 x1^-1 x2^-1", "1", "2", "--method", "both"])
     assert (code, out) == (1, "")
     assert err == "error: double sum gave 7 but the line integral gave 1\n"
 
 
-def test_eij_reads_stdin(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", __import__("io").StringIO("x1 x2\nx1^-1 x2^-1\n"))
-    code, out, _ = run(capsys, "eij", "-", "1", "2")
-    assert (code, out) == (0, "1\n")
-
-
-def test_eij_error_paths(capsys):
-    code, _, err = run(capsys, "eij", "x1 xx", "1", "2")
+def test_eij_error_paths():
+    code, _, err = run_cli(["eij", "x1 xx", "1", "2"])
     assert code == 2
     assert "column 4" in err
-    code, _, err = run(capsys, "eij", "x1", "2", "2")
+    code, _, err = run_cli(["eij", "x1", "2", "2"])
     assert code == 2
     assert "distinct" in err
 
 
 @pytest.mark.parametrize("i, j, bad", [("0", "2", "0"), ("-1", "2", "-1"), ("1", "0", "0")])
-def test_eij_and_curve_refuse_an_index_below_one(capsys, tmp_path, i, j, bad):
+def test_eij_and_curve_refuse_an_index_below_one(tmp_path, i, j, bad):
     error = f"error: letter index must be a positive integer, got {bad}\n"
     for method in ("sum", "integral", "both"):
-        assert run(capsys, "eij", "x1 x2", i, j, "--method", method) == (2, "", error)
+        assert run_cli(["eij", "x1 x2", i, j, "--method", method]) == (2, "", error)
     svg = tmp_path / "f.svg"
-    assert run(capsys, "curve", "x1 x2 x2^-1", i, j, "--out", str(svg)) == (2, "", error)
+    assert run_cli(["curve", "x1 x2 x2^-1", i, j, "--out", str(svg)]) == (2, "", error)
     assert not svg.exists()
 
 
-def test_mu_rejects_invalid_complex(capsys, tmp_path):
-    bad = tmp_path / "bad.cc"
-    bad.write_text("components 2\nclasp a 1 1 +\norder 1 a\norder 2\n")
-    code, _, err = run(capsys, "mu", str(bad), "1", "2", "3")
-    assert code == 2
-    assert "self-clasp" in err
-
-
-def test_lk(capsys):
-    code, out, _ = run(capsys, "lk", THREE_CLASPS, "1", "2")
+def test_lk():
+    code, out, _ = run_cli(["lk", THREE_CLASPS, "1", "2"])
     assert (code, out) == (0, "1\n")
-    code, out, _ = run(capsys, "lk", BORROMEAN, "1", "3")
+    code, out, _ = run_cli(["lk", BORROMEAN, "1", "3"])
     assert (code, out) == (0, "0\n")
 
 
@@ -111,7 +111,7 @@ def chain_text(n):
     return "\n".join(lines) + "\n"
 
 
-def test_words_reads_a_long_chain_in_one_pass(capsys, monkeypatch, tmp_path):
+def test_words_reads_a_long_chain_in_one_pass(monkeypatch, tmp_path):
     n = 20_000
     text = chain_text(n)
     path = tmp_path / "chain.cc"
@@ -142,7 +142,7 @@ def test_words_reads_a_long_chain_in_one_pass(capsys, monkeypatch, tmp_path):
             return read_words(F, components)
 
     monkeypatch.setattr(complexes, "_read_words", counting_read_words)
-    code, out, _ = run(capsys, "words", str(path))
+    code, out, _ = run_cli(["words", str(path)])
     assert code == 0
     # one pass: all n words from one call, which reads each clasp's ends
     # once; one clasp_word call per component read every clasp n times
@@ -183,7 +183,7 @@ COMB_TEXT = f"x2^{HEIGHT} x1 x2^-{HEIGHT} x1 " * TEETH + f"x2^-1 x1^-{2 * TEETH}
     ],
     ids=["closed-comb", "open"],
 )
-def test_curve_walks_the_segments_once_a_use(capsys, monkeypatch, tmp_path, text, line, walks):
+def test_curve_walks_the_segments_once_a_use(monkeypatch, tmp_path, text, line, walks):
     walked = []
     segments = LatticeCurve.segments
 
@@ -193,7 +193,7 @@ def test_curve_walks_the_segments_once_a_use(capsys, monkeypatch, tmp_path, text
 
     monkeypatch.setattr(LatticeCurve, "segments", counting_segments)
     svg_path = tmp_path / "curve.svg"
-    assert run(capsys, "curve", text, "1", "2", "--out", str(svg_path)) == (0, line, "")
+    assert run_cli(["curve", text, "1", "2", "--out", str(svg_path)]) == (0, line, "")
     assert len(walked) == walks and walked[0] > 4096
     monkeypatch.undo()
     # the polyline passes through every vertex, with y flipped and one unit
@@ -207,7 +207,7 @@ def test_curve_walks_the_segments_once_a_use(capsys, monkeypatch, tmp_path, text
     assert svg.split('points="')[1].split('"')[0] == points
 
 
-def test_mu_builds_only_the_three_words_it_reads(capsys, monkeypatch, tmp_path):
+def test_mu_builds_only_the_three_words_it_reads(monkeypatch, tmp_path):
     path = tmp_path / "chain.cc"
     path.write_text(chain_text(20_000))
     built = []
@@ -218,7 +218,7 @@ def test_mu_builds_only_the_three_words_it_reads(capsys, monkeypatch, tmp_path):
         return of_runs(runs)
 
     monkeypatch.setattr(ClaspWord, "_of_runs", counting_of_runs)
-    code, out, _ = run(capsys, "mu", str(path), "1", "2", "3")
+    code, out, _ = run_cli(["mu", str(path), "1", "2", "3"])
     assert code == 0
     assert out == "mu = 0\ne_12(w3) = 0\ne_23(w1) = 0\ne_31(w2) = 0\nNOT-WELL-DEFINED\n"
     # w1, w2 and w3, of one, two and two letters: no word of the other
@@ -226,67 +226,42 @@ def test_mu_builds_only_the_three_words_it_reads(capsys, monkeypatch, tmp_path):
     assert built == [1, 2, 2]
 
 
-def test_validate(capsys, tmp_path):
-    code, out, _ = run(capsys, "validate", BORROMEAN)
-    assert (code, out) == (0, "OK\n")
-    bad = tmp_path / "bad.cc"
-    bad.write_text("components 2\nclasp a 1 2 +\norder 1 a\norder 2\n")
-    code, out, _ = run(capsys, "validate", str(bad))
-    assert code == 2
-    assert "incomplete" in out
-
-
-def test_validate_names_an_unknown_self_clasp_end_once(capsys, tmp_path):
+def test_validate_names_an_unknown_self_clasp_end_once(tmp_path):
     bad = tmp_path / "bad.cc"
     bad.write_text("components 3\nclasp x 5 5 +\norder 1\norder 2\norder 3\n")
     lines = "clasp 'x' is a self-clasp (both ends on component 5)\nclasp 'x' references unknown component 5\n"
-    assert run(capsys, "validate", str(bad)) == (2, lines, "")
+    assert run_cli(["validate", str(bad)]) == (2, lines, "")
     errors = "".join(f"error: {line}\n" for line in lines.splitlines())
-    assert run(capsys, "bounds", str(bad)) == (2, "", errors)
+    assert run_cli(["bounds", str(bad)]) == (2, "", errors)
 
 
-def test_gen_brn_golden(capsys):
-    code, out, _ = run(capsys, "gen-brn", "1")
+def test_gen_brn_golden():
+    code, out, _ = run_cli(["gen-brn", "1"])
     assert (code, out) == (0, GEN_BRN_1)
 
 
-def test_gen_brn_rejects_zero(capsys):
-    code, _, err = run(capsys, "gen-brn", "0")
+def test_gen_brn_rejects_zero():
+    code, _, err = run_cli(["gen-brn", "0"])
     assert code == 2
     assert "at least 1" in err
 
 
 @pytest.mark.parametrize("n", [BRN_CAP + 1, 100_000_000])
-def test_gen_brn_refuses_n_past_the_cap(capsys, n):
-    assert run(capsys, "gen-brn", str(n)) == (2, "", f"error: n may be at most {BRN_CAP}, got {n}\n")
+def test_gen_brn_refuses_n_past_the_cap(n):
+    assert run_cli(["gen-brn", str(n)]) == (2, "", f"error: n may be at most {BRN_CAP}, got {n}\n")
 
 
-def test_curve_svg(capsys, tmp_path):
-    out_path = tmp_path / "stair.svg"
-    code, out, _ = run(
-        capsys, "curve", "x1 x2 x1 x2 x1^-2 x2^-2", "1", "2", "--out", str(out_path)
-    )
-    assert code == 0
-    assert out == "length=8 closed simple area=3\n"
-    svg = out_path.read_text()
-    assert svg.startswith('<?xml version="1.0"')
-    assert svg.count("<polyline") == 1
-    points = svg.split('points="')[1].split('"')[0]
-    assert len(points.split()) == 9  # one pair per vertex
-    assert "<circle" in svg
-
-
-def test_curve_open_word(capsys, tmp_path):
+def test_curve_open_word(tmp_path):
     out_path = tmp_path / "open.svg"
-    code, out, _ = run(capsys, "curve", "x1 x2", "1", "2", "--out", str(out_path))
+    code, out, _ = run_cli(["curve", "x1 x2", "1", "2", "--out", str(out_path)])
     assert code == 0
     assert out == "length=2 open area=1\n"
     assert out_path.exists()
 
 
-def test_curve_empty_word(capsys, tmp_path):
+def test_curve_empty_word(tmp_path):
     out_path = tmp_path / "point.svg"
-    code, out, _ = run(capsys, "curve", "", "1", "2", "--out", str(out_path))
+    code, out, _ = run_cli(["curve", "", "1", "2", "--out", str(out_path)])
     assert code == 0
     assert out == "length=0 closed simple area=0\n"
     svg = out_path.read_text()
@@ -294,35 +269,33 @@ def test_curve_empty_word(capsys, tmp_path):
     assert "<circle" in svg
 
 
-def test_curve_unwritable_path(capsys, tmp_path):
-    code, _, err = run(
-        capsys, "curve", "x1", "1", "2", "--out", str(tmp_path / "no" / "dir" / "x.svg")
-    )
+def test_curve_unwritable_path(tmp_path):
+    code, _, err = run_cli(["curve", "x1", "1", "2", "--out", str(tmp_path / "no" / "dir" / "x.svg")])
     assert code == 3
     assert "error" in err
 
 
-def test_missing_input_file(capsys):
-    code, _, err = run(capsys, "mu", "/no/such/file.cc", "1", "2", "3")
+def test_missing_input_file():
+    code, _, err = run_cli(["mu", "/no/such/file.cc", "1", "2", "3"])
     assert code == 3
 
 
-def test_oracle_disagreement_exit_code(capsys, monkeypatch):
+def test_oracle_disagreement_exit_code(monkeypatch):
     from clasplink import oracles
     from clasplink.oracles import OracleReport
 
     monkeypatch.setattr(
         oracles, "verify_min_perimeter", lambda **bounds: [OracleReport(1, 4, 6)]
     )
-    code, out, _ = run(capsys, "oracle", "polyomino", "--max-area", "1")
+    code, out, _ = run_cli(["oracle", "polyomino", "--max-area", "1"])
     assert code == 1
     assert "no" in out
 
 
-def test_oracle_cap_errors(capsys):
-    code, _, err = run(capsys, "oracle", "polyomino", "--max-area", "0")
+def test_oracle_cap_errors():
+    code, _, err = run_cli(["oracle", "polyomino", "--max-area", "0"])
     assert code == 2
-    code, _, err = run(capsys, "oracle", "polyomino", "--max-area", "12")
+    code, _, err = run_cli(["oracle", "polyomino", "--max-area", "12"])
     assert code == 2
     assert "cap" in err
 
@@ -335,15 +308,15 @@ def test_oracle_cap_errors(capsys):
     ],
     ids=["words-max-area", "polyomino-max-len"],
 )
-def test_oracle_refuses_the_other_kinds_bound(capsys, argv, message):
-    code, out, err = run(capsys, *argv)
+def test_oracle_refuses_the_other_kinds_bound(argv, message):
+    code, out, err = run_cli(argv)
     assert (code, out, err) == (2, "", message)
 
 
-def test_oracle_polyomino_deeper_than_recursion_limit(capsys):
+def test_oracle_polyomino_deeper_than_recursion_limit():
     # The Redelmeier walk recurses once per cell; an area past the
     # recursion limit is refused before the walk starts.
-    code, out, err = run(capsys, "oracle", "polyomino", "--max-area", "2000", "--cap", "2000")
+    code, out, err = run_cli(["oracle", "polyomino", "--max-area", "2000", "--cap", "2000"])
     assert code == 2
     assert out == ""
     assert err.startswith("error: max_area 2000 needs a deeper recursion")
@@ -356,12 +329,12 @@ HUGE = "9" * 3000  # converts: int() refuses only past 4300 digits
 CLIPPED = "9" * QUOTE_CHARS + "..."
 
 
-def usage_error(capsys, *argv) -> str:
+def usage_error(argv) -> str:
     """The last stderr line of an argparse usage error (exit 2)."""
-    with pytest.raises(SystemExit) as stopped:
-        main(list(argv))
-    assert stopped.value.code == 2
-    return capsys.readouterr().err.splitlines()[-1]
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: clasplink")
+    return err.splitlines()[-1]
 
 
 @pytest.mark.parametrize(
@@ -376,9 +349,9 @@ def usage_error(capsys, *argv) -> str:
         (("oracle", "polyomino", "--max-area", "3", "--cap", "12" * 3000), "--cap"),
     ],
 )
-def test_invalid_int_argument_is_clipped(capsys, argv, name):
+def test_invalid_int_argument_is_clipped(argv, name):
     bad = next(arg for arg in argv if len(arg) > 1000)
-    line = usage_error(capsys, *argv)
+    line = usage_error(argv)
     assert line.endswith(f"error: argument {name}: invalid int value: {bad[:QUOTE_CHARS] + '...'!r}")
     assert len(line) < 150
 
@@ -392,7 +365,7 @@ def test_invalid_int_argument_quotes_short_values_as_argparse_does(capsys, value
     with pytest.raises(SystemExit):
         plain.parse_args(["x1", "1", value])
     expected = capsys.readouterr().err.splitlines()[-1]
-    assert usage_error(capsys, "eij", "x1", "1", value) == expected
+    assert usage_error(["eij", "x1", "1", value]) == expected
 
 
 @pytest.mark.parametrize(
@@ -404,10 +377,10 @@ def test_invalid_int_argument_quotes_short_values_as_argparse_does(capsys, value
     ],
     ids=["arabic-indic-two", "underscore", "arabic-indic-twelve"],
 )
-def test_integer_arguments_take_ascii_digits_only(capsys, argv, name, value):
+def test_integer_arguments_take_ascii_digits_only(argv, name, value):
     # int() reads each of these; complex files take ASCII digits only, and
     # so does the command line
-    line = usage_error(capsys, *argv)
+    line = usage_error(argv)
     assert line == f"clasplink {argv[0]}: error: argument {name}: invalid int value: {value!r}"
 
 
@@ -420,8 +393,8 @@ def test_integer_arguments_take_ascii_digits_only(capsys, argv, name, value):
     ],
     ids=["plus-sign", "leading-space", "negative"],
 )
-def test_ascii_integer_arguments_keep_their_output(capsys, j, expected):
-    assert run(capsys, "lk", BORROMEAN, "1", j) == expected
+def test_ascii_integer_arguments_keep_their_output(j, expected):
+    assert run_cli(["lk", BORROMEAN, "1", j]) == expected
 
 
 @pytest.mark.parametrize(
@@ -433,13 +406,10 @@ def test_ascii_integer_arguments_keep_their_output(capsys, j, expected):
     ],
     ids=["missing-argument", "bad-choice", "bad-integer"],
 )
-def test_usage_errors_print_the_usage_then_one_error_line(capsys, argv, message):
+def test_usage_errors_print_the_usage_then_one_error_line(argv, message):
     # argparse's own errors are the one exception to a single error line
-    with pytest.raises(SystemExit) as stopped:
-        main(list(argv))
-    assert stopped.value.code == 2
-    out, err = capsys.readouterr()
-    assert out == ""
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
     lines = err.splitlines()
     assert lines[0].startswith(f"usage: clasplink {argv[0]} [-h]")
     assert lines[-1].startswith(message)  # newer Pythons drop the quotes from a choice list
@@ -447,14 +417,14 @@ def test_usage_errors_print_the_usage_then_one_error_line(capsys, argv, message)
 
 
 @pytest.mark.parametrize("argv", [("lk", BORROMEAN, "1", HUGE), ("mu", BORROMEAN, HUGE, "2", "3")])
-def test_component_past_the_complex_is_clipped(capsys, argv):
-    assert run(capsys, *argv) == (2, "", f"error: component {CLIPPED} is not a component of this complex (n=3)\n")
-    assert run(capsys, "lk", BORROMEAN, "1", "4") == (2, "", "error: component 4 is not a component of this complex (n=3)\n")
+def test_component_past_the_complex_is_clipped(argv):
+    assert run_cli(argv) == (2, "", f"error: component {CLIPPED} is not a component of this complex (n=3)\n")
+    assert run_cli(["lk", BORROMEAN, "1", "4"]) == (2, "", "error: component 4 is not a component of this complex (n=3)\n")
 
 
-def test_gen_brn_past_the_cap_is_clipped(capsys):
-    assert run(capsys, "gen-brn", HUGE) == (2, "", f"error: n may be at most {BRN_CAP}, got {CLIPPED}\n")
-    assert run(capsys, "gen-brn", "-" + HUGE) == (2, "", f"error: n must be at least 1, got -{CLIPPED[:-4]}...\n")
+def test_gen_brn_past_the_cap_is_clipped():
+    assert run_cli(["gen-brn", HUGE]) == (2, "", f"error: n may be at most {BRN_CAP}, got {CLIPPED}\n")
+    assert run_cli(["gen-brn", "-" + HUGE]) == (2, "", f"error: n must be at least 1, got -{CLIPPED[:-4]}...\n")
 
 
 @pytest.mark.parametrize(
@@ -469,11 +439,11 @@ def test_gen_brn_past_the_cap_is_clipped(capsys):
         (("oracle", "words", "--max-len", "13"), "max_len 13 exceeds the cap 12"),
     ],
 )
-def test_oracle_cap_messages_are_clipped(capsys, argv, message):
-    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+def test_oracle_cap_messages_are_clipped(argv, message):
+    assert run_cli(argv) == (2, "", f"error: {message}\n")
 
 
-def test_cli_outputs_are_deterministic(capsys, tmp_path):
+def test_cli_outputs_are_deterministic(tmp_path):
     invocations = [
         ("mu", BORROMEAN, "1", "2", "3"),
         ("bounds", BORROMEAN),
@@ -487,14 +457,14 @@ def test_cli_outputs_are_deterministic(capsys, tmp_path):
         ("oracle", "words", "--max-len", "6"),
     ]
     for argv in invocations:
-        first = run(capsys, *argv)
-        second = run(capsys, *argv)
+        first = run_cli(argv)
+        second = run_cli(argv)
         assert first == second
 
     svg_a = tmp_path / "a.svg"
     svg_b = tmp_path / "b.svg"
-    run(capsys, "curve", "x1 x2 x1 x2 x1^-2 x2^-2", "1", "2", "--out", str(svg_a), "--grid")
-    run(capsys, "curve", "x1 x2 x1 x2 x1^-2 x2^-2", "1", "2", "--out", str(svg_b), "--grid")
+    run_cli(["curve", "x1 x2 x1 x2 x1^-2 x2^-2", "1", "2", "--out", str(svg_a), "--grid"])
+    run_cli(["curve", "x1 x2 x1 x2 x1^-2 x2^-2", "1", "2", "--out", str(svg_b), "--grid"])
     assert svg_a.read_bytes() == svg_b.read_bytes()
 
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from clasplink import _record, complexes
 from clasplink._record import QUOTE_CHARS, pieces
 from clasplink.bounds import bound_report
-from clasplink.cli import main
 from clasplink.complexes import (
     BRN_CAP,
     CComplex,
@@ -28,6 +27,7 @@ from clasplink.complexes import (
 from clasplink.invariants import pairwise_linking, triple_linking
 from clasplink.words import ClaspWord, parse_word
 import reference
+from test_cli import run_cli
 from test_invariants import shuffled_complexes
 from test_memory_budgets import traced
 
@@ -213,12 +213,11 @@ LONG_FIELD = "q" * 3000
     ],
     ids=["keyword", "endpoint", "sign"],
 )
-def test_error_line_quotes_a_bounded_prefix_of_a_long_field(tmp_path, capsys, line, message):
+def test_error_line_quotes_a_bounded_prefix_of_a_long_field(tmp_path, line, message):
     # the whole field once made the error line about as long as the field
     path = tmp_path / "long.cx"
     path.write_text(f"components 2\n{line}\n", encoding="utf-8")
-    assert main(["bounds", str(path)]) == 2
-    assert capsys.readouterr() == ("", f"error: line 2: {message}\n")
+    assert run_cli(["bounds", str(path)]) == (2, "", f"error: line 2: {message}\n")
 
 
 LONG_ID = "a" * 3000
@@ -226,16 +225,13 @@ QUOTED_ID = f"'{LONG_ID[:QUOTE_CHARS]}...'"
 
 
 @pytest.mark.parametrize("command", ["bounds", "validate"])
-def test_violation_quotes_a_bounded_prefix_of_a_long_id(tmp_path, capsys, command):
+def test_violation_quotes_a_bounded_prefix_of_a_long_id(tmp_path, command):
     # the whole id once made a 3,063-byte bounds line and a 3,056-byte validate line
     path = tmp_path / "long-id.cc"
     path.write_text(f"components 2\nclasp {LONG_ID} 1 2 +\norder 1 {LONG_ID}\norder 2\n", encoding="utf-8")
-    assert main([command, str(path)]) == 2
     line = f"order for component 2 is incomplete: missing clasp id {QUOTED_ID}\n"
-    if command == "bounds":
-        assert capsys.readouterr() == ("", "error: " + line)
-    else:
-        assert capsys.readouterr() == (line, "")
+    expected = (2, "", "error: " + line) if command == "bounds" else (2, line, "")
+    assert run_cli([command, str(path)]) == expected
 
 
 def test_every_violation_quotes_a_bounded_prefix():

@@ -189,17 +189,6 @@ def test_integral_matches_pair_count_exhaustively():
         assert e_ij(w, 1, 2) == build_curve(w, 1, 2).line_integral_x_dy()
 
 
-def test_integral_matches_pair_count_random_three_index():
-    rng = random.Random(20260810)
-    for _ in range(10_000):
-        w = ClaspWord(
-            (rng.randint(1, 3) * rng.choice((1, -1)), 1)
-            for _ in range(rng.randint(0, 30))
-        )
-        i, j = rng.sample((1, 2, 3), 2)
-        assert e_ij(w, i, j) == build_curve(w, i, j).line_integral_x_dy()
-
-
 def test_simple_closed_curves_enclose_integral_many_cells():
     """Exhaustive to length 12: for each simple closed curve the even-odd
     cell count equals |integral|, with the sign given by the traversal

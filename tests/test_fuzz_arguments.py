@@ -25,7 +25,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from clasplink.cli import _read_args, build_parser, main
+from clasplink.cli import _read_args, build_parser
+from test_cli import run_cli
 
 BORROMEAN = str(Path(__file__).resolve().parents[1] / "data" / "borromean.cc")
 FUZZ = settings(max_examples=100)
@@ -48,22 +49,21 @@ COMMANDS = {
 }
 
 
+def parsed(argv):
+    """argparse's namespace of ``argv``, or None where it prints a usage
+    error or the help and exits."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return build_parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
 def assert_read_as_argparse_reads(argv):
     """The reader gives no namespace, or the one argparse gives."""
     read = _read_args(argv)
     if read is not None:
-        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-            assert vars(read) == vars(build_parser().parse_args(argv))
-
-
-def run(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as stopped:  # argparse's usage errors, and --help
-            code = stopped.code
-    return code, out.getvalue(), err.getvalue()
+        assert vars(read) == vars(parsed(argv))
 
 
 @FUZZ
@@ -76,7 +76,7 @@ def test_integer_arguments_keep_the_exit_contract(command, text):
         except ValueError:
             pass
     assert_read_as_argparse_reads(build(text))
-    code, out, err = run(build(text))
+    code, out, err = run_cli(build(text))
     assert "Traceback" not in out + err
     if code != 0:
         assert code == 2
@@ -127,15 +127,10 @@ def option_argvs(draw):
 
 def sweep_size(argv):
     """The (kind, bound) of the sweep an oracle argv starts, else None."""
-    from clasplink.cli import build_parser
     from clasplink.oracles import POLYOMINO_AREA_CAP, WORD_LENGTH_CAP
 
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-        try:
-            args = build_parser().parse_args(argv)
-        except SystemExit:
-            return None
-    if args.command != "oracle":
+    args = parsed(argv)
+    if args is None or args.command != "oracle":
         return None
     if args.kind == "words" and args.max_area is None:
         return "words", WORD_LENGTH_CAP if args.max_len is None else args.max_len
@@ -165,7 +160,7 @@ def test_options_keep_the_exit_contract(workdir, argv):
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
-        code, out, err = run(argv)
+        code, out, err = run_cli(argv)
     finally:
         os.chdir(cwd)
     assert "Traceback" not in out + err

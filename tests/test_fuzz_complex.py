@@ -5,16 +5,13 @@ on stderr (``validate`` prints its violations on stdout instead).  Never a
 traceback, and never exit 1, which is kept for oracle disagreement.
 """
 
-import io
-import sys
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clasplink.cli import main
 from clasplink.complexes import CComplex, ComplexFormatError, InvalidComplexError, parse_complex
+from test_cli import run_cli
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 SHIPPED = [path.read_text() for path in sorted(DATA.glob("*.cc"))]
@@ -78,14 +75,7 @@ def test_parse_complex_returns_or_raises_format_error(text):
 @FUZZ
 @given(INPUTS, COMMANDS)
 def test_complex_subcommands_keep_the_exit_contract(text, argv):
-    out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
-    sys.stdin = io.StringIO(text)
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(argv)
-    finally:
-        sys.stdin = stdin
-    out, err = out.getvalue(), err.getvalue()
+    code, out, err = run_cli(argv, text)
     if code == 0:
         assert err == ""
         assert out

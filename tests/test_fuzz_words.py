@@ -13,19 +13,17 @@ Every eij or curve run ends in exit 0 with a result, or exit 2 with an
 eij methods always agree.
 """
 
-import io
 import re
-import sys
 import tempfile
-from contextlib import redirect_stderr, redirect_stdout, suppress
+from contextlib import suppress
 from pathlib import Path
 
 import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clasplink.cli import main
 from clasplink.words import ClaspWord, WordSyntaxError, parse_word
+from test_cli import run_cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SHIPPED = [
@@ -123,17 +121,10 @@ COMMANDS = st.one_of(
 @FUZZ
 @given(INPUTS, COMMANDS)
 def test_word_subcommands_keep_the_exit_contract(text, argv):
-    out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
-    sys.stdin = io.StringIO(text)
-    try:
-        with tempfile.TemporaryDirectory() as tmp:
-            svg = Path(tmp) / "curve.svg"
-            with redirect_stdout(out), redirect_stderr(err):
-                code = main([str(svg) if arg == "OUT" else arg for arg in argv])
-            written = svg.exists()
-    finally:
-        sys.stdin = stdin
-    out, err = out.getvalue(), err.getvalue()
+    with tempfile.TemporaryDirectory() as tmp:
+        svg = Path(tmp) / "curve.svg"
+        code, out, err = run_cli([str(svg) if arg == "OUT" else arg for arg in argv], text)
+        written = svg.exists()
     if code == 0:
         assert err == ""
         assert out

@@ -26,15 +26,18 @@ stdout, stderr, exit code and the SVG bytes, on data/staircase.word,
 three seeded words of 1e3 to 1e4 letters and one malformed word per
 kind of bad term, all kept next to the outputs.  cases.json gives each
 case's stdin, argv ("OUT" stands for the SVG path) and exit code.
+
+These files are the command line's byte contract: every case runs through
+``test_cli.run_cli``, the one in-process runner, and no hand-written test
+asserts the same bytes again.
 """
 
-import io
 import json
 from pathlib import Path
 
 import pytest
 
-from clasplink.cli import main
+from test_cli import run_cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text())
@@ -55,12 +58,8 @@ def test_golden_set_is_complete():
 
 
 @pytest.mark.parametrize("name", sorted(EXIT_CODES))
-def test_oracle_matches_golden(capsys, name):
-    code = main(argv_for(name))
-    captured = capsys.readouterr()
-    assert code == EXIT_CODES[name]
-    assert captured.out == (GOLDEN / name).read_text()
-    assert captured.err == ""
+def test_oracle_matches_golden(name):
+    assert run_cli(argv_for(name)) == (EXIT_CODES[name], (GOLDEN / name).read_text(), "")
 
 
 DATA = GOLDEN.parents[1] / "data"
@@ -118,16 +117,15 @@ def test_complex_golden_set_is_complete():
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_complex_subcommand_matches_golden(capsys, monkeypatch, name):
+def test_complex_subcommand_matches_golden(name):
     argv, brn = CASES[name]
+    stdin = None
     if brn is not None:
-        assert main(["gen-brn", str(brn)]) == 0
-        monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
-    code = main(argv)
-    captured = capsys.readouterr()
-    assert code == COMPLEX_EXIT_CODES[name]
-    assert captured.out == (COMPLEX / f"{name}.out").read_text()
-    assert captured.err == (COMPLEX / f"{name}.err").read_text()
+        code, stdin, _ = run_cli(["gen-brn", str(brn)])
+        assert code == 0
+    assert run_cli(argv, stdin) == (
+        COMPLEX_EXIT_CODES[name], (COMPLEX / f"{name}.out").read_text(), (COMPLEX / f"{name}.err").read_text()
+    )
 
 
 WORDS = GOLDEN / "words"
@@ -150,16 +148,13 @@ def test_word_golden_set_is_complete():
 
 
 @pytest.mark.parametrize("name", sorted(WORD_CASES))
-def test_word_subcommand_matches_golden(capsys, monkeypatch, tmp_path, name):
+def test_word_subcommand_matches_golden(tmp_path, name):
     case = WORD_CASES[name]
     svg = tmp_path / "curve.svg"
     text = (GOLDEN.parents[1] / case["stdin"]).read_text(encoding="utf-8")
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
-    code = main([str(svg) if arg == "OUT" else arg for arg in case["argv"]])
-    captured = capsys.readouterr()
-    assert code == case["exit"]
-    assert captured.out == (WORDS / f"{name}.out").read_text()
-    assert captured.err == (WORDS / f"{name}.err").read_text()
+    assert run_cli([str(svg) if arg == "OUT" else arg for arg in case["argv"]], text) == (
+        case["exit"], (WORDS / f"{name}.out").read_text(), (WORDS / f"{name}.err").read_text()
+    )
     expected_svg = WORDS / f"{name}.svg"
     if expected_svg.exists():
         assert svg.read_bytes() == expected_svg.read_bytes()

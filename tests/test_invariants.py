@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 from clasplink import complexes, invariants
 from clasplink._record import QUOTE_CHARS
 from clasplink.bounds import bound_report
-from clasplink.cli import main
 from clasplink.complexes import (
     CComplex,
     Clasp,
@@ -20,6 +19,7 @@ from clasplink.complexes import (
 )
 from clasplink.invariants import e_ij, pairwise_linking, triple_linking
 from clasplink.words import ClaspWord, parse_word
+from test_cli import run_cli
 
 letters = st.builds(
     lambda index, sign: (index * sign, 1),  # a run of one letter
@@ -205,7 +205,7 @@ def test_triple_linking_not_well_defined_when_linked():
     assert not result.well_defined
 
 
-def test_triple_linking_reads_well_defined_from_its_words(monkeypatch, tmp_path, capsys):
+def test_triple_linking_reads_well_defined_from_its_words(monkeypatch, tmp_path):
     def refuse(*args):
         raise AssertionError("triple_linking counts clasps in its words")
 
@@ -218,8 +218,8 @@ def test_triple_linking_reads_well_defined_from_its_words(monkeypatch, tmp_path,
     assert after == before and all(result.well_defined for result in after)
     F = parse_complex(linked.read_text())
     assert not any(triple_linking(F, *order).well_defined for order in itertools.permutations((1, 2, 3)))
-    assert main(["mu", str(linked), "1", "2", "3"]) == 0
-    assert capsys.readouterr().out.endswith("NOT-WELL-DEFINED\n")
+    code, out, _ = run_cli(["mu", str(linked), "1", "2", "3"])
+    assert code == 0 and out.endswith("NOT-WELL-DEFINED\n")
 
 
 def merged_runs(w):

@@ -35,11 +35,6 @@ def test_second_method_matches_known_counts():
     assert count_fixed_polyominoes(12) == KNOWN_FIXED_COUNTS
 
 
-def test_both_methods_agree(shapes):
-    growth = [len(shapes[a]) for a in range(1, 11)]
-    assert growth == count_fixed_polyominoes(10)
-
-
 def test_small_enumerations_by_hand(shapes):
     assert [sorted(p) for p in shapes[1]] == [[(0, 0)]]
     assert set(shapes[2]) == {

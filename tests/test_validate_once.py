@@ -21,6 +21,7 @@ from clasplink.complexes import (
     with_rotated_order,
 )
 from clasplink.invariants import triple_linking
+from test_cli import run_cli
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "data"
@@ -54,12 +55,11 @@ def test_bound_report_checks_once(validate_calls, name):
     assert len(validate_calls) == 1  # nothing checks a built complex again
 
 
-def test_cli_bounds_checks_once(validate_calls, capsys):
-    assert cli.main(["bounds", str(DATA / "borromean.cc")]) == 0
+def test_cli_bounds_checks_once(validate_calls):
+    assert run_cli(["bounds", str(DATA / "borromean.cc")])[0] == 0
     assert len(validate_calls) == 1
-    assert cli.main(["mu", str(DATA / "borromean.cc"), "1", "2", "3"]) == 0
+    assert run_cli(["mu", str(DATA / "borromean.cc"), "1", "2", "3"])[0] == 0
     assert len(validate_calls) == 2  # a new parse is a new instance
-    capsys.readouterr()
 
 
 def test_explicit_validate_always_checks(validate_calls):

@@ -11,7 +11,6 @@ from hypothesis import given, strategies as st
 from clasplink import _record
 from clasplink import words as words_module
 from clasplink._record import QUOTE_CHARS, clip
-from clasplink.cli import main
 from clasplink.curves import build_curve
 from clasplink.invariants import e_ij
 from clasplink.words import (
@@ -21,6 +20,7 @@ from clasplink.words import (
     WordSyntaxError,
     parse_word,
 )
+from test_cli import run_cli
 from test_memory_budgets import traced
 
 GOLDEN_WORDS = Path(__file__).resolve().parent / "golden" / "words"
@@ -345,14 +345,12 @@ def test_cap_counts_repeated_terms_across_lines(monkeypatch):
         parse_word("x1^9 y1 x2^2")
 
 
-def test_cli_refuses_a_word_past_the_cap(capsys):
-    assert main(["eij", "x1^1000000000 x2", "1", "2"]) == 2
-    assert main(["eij", "x1 x2 x1^999999999999999999999999999999", "1", "2"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        f"error: line 1, column 1: term x1^1000000000 takes the word past {WORD_LETTER_CAP} letters\n"
-        "error: line 1, column 7: term x1^999999999999999999999999999999 takes the word past "
+def test_cli_refuses_a_word_past_the_cap():
+    assert run_cli(["eij", "x1^1000000000 x2", "1", "2"]) == (
+        2, "", f"error: line 1, column 1: term x1^1000000000 takes the word past {WORD_LETTER_CAP} letters\n"
+    )
+    assert run_cli(["eij", "x1 x2 x1^999999999999999999999999999999", "1", "2"]) == (
+        2, "", "error: line 1, column 7: term x1^999999999999999999999999999999 takes the word past "
         f"{WORD_LETTER_CAP} letters\n"
     )
 
@@ -369,13 +367,12 @@ LONG = "7" * 5000
         (f"x1\n  x0{LONG}", f"component index may not have a leading zero: 0{LONG[:39]}..."),
     ],
 )
-def test_overlong_digit_runs_are_located(capsys, text, message):
+def test_overlong_digit_runs_are_located(text, message):
     with pytest.raises(WordSyntaxError) as excinfo:
         parse_word(text)
     assert (excinfo.value.line, excinfo.value.column) == (2, 3)
     assert str(excinfo.value) == f"line 2, column 3: {message}"
-    assert main(["eij", text, "1", "2"]) == 2
-    assert capsys.readouterr() == ("", f"error: line 2, column 3: {message}\n")
+    assert run_cli(["eij", text, "1", "2"]) == (2, "", f"error: line 2, column 3: {message}\n")
 
 
 def test_clip_cuts_only_past_the_quote_limit():
@@ -397,10 +394,9 @@ def test_clip_cuts_only_past_the_quote_limit():
     ids=["past-the-cap", "unknown-letter", "malformed", "index-below-1", "index-leading-zero",
          "exponent-leading-zero"],
 )
-def test_error_line_quotes_a_bounded_prefix_of_a_long_term(capsys, term, message):
+def test_error_line_quotes_a_bounded_prefix_of_a_long_term(term, message):
     # the whole term once made the error line about as long as the term
-    assert main(["eij", f"x1 {term}", "1", "2"]) == 2
-    assert capsys.readouterr() == ("", f"error: line 1, column 4: {message}\n")
+    assert run_cli(["eij", f"x1 {term}", "1", "2"]) == (2, "", f"error: line 1, column 4: {message}\n")
     assert len(message) < 2 * QUOTE_CHARS + 60
 
 
