@@ -17,7 +17,8 @@ of violation (duplicate clasp id, unknown component, an order that repeats
 an id, lists an unknown id or lists a non-incident clasp) and one with
 several kinds at once that pins the order of the lines, were captured
 through all five subcommands before validate accepted a well-formed order
-with one set comparison.
+with one set comparison.  exit_codes.json there gives every complex
+case's exit code.
 
 The files in tests/golden/words/ were captured from eij (all three
 methods) and curve (with and without --grid) before parse_word read each
@@ -64,14 +65,7 @@ def test_oracle_matches_golden(name):
 
 DATA = GOLDEN.parents[1] / "data"
 COMPLEX = GOLDEN / "complex"
-# the five-component and the later invalid cases were captured later, with
-# their exit codes in files of their own, so the earlier captures stay byte
-# for byte as taken
-COMPLEX_EXIT_CODES = {
-    **json.loads((COMPLEX / "exit_codes.json").read_text()),
-    **json.loads((COMPLEX / "five-component-exit_codes.json").read_text()),
-    **json.loads((COMPLEX / "invalid-kinds-exit_codes.json").read_text()),
-}
+COMPLEX_EXIT_CODES = json.loads((COMPLEX / "exit_codes.json").read_text())
 SUBCOMMANDS = {
     "bounds": [],
     "words": [],
