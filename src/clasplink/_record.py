@@ -73,10 +73,11 @@ def require_int(name: str, value: object, least: int | None = 1) -> None:
 
 # Characters of a piece: every cut of word and complex text is at least
 # this far from the last.  A piece's lines or tokens are a parse's largest
-# transient.  On Brn(5000) text a fresh `bounds`, `validate` or `mu` process
-# peaked 0.1 to 0.3 MiB of RSS lower with 4 KiB than with 64 KiB, and a
-# fresh `eij` process on a 400,000-letter word 16.3 MiB against 17.4 to
-# 17.9, neither slower (Python 3.11, 2 vCPUs).
+# transient.  It is also the number of steps a curve's segment search
+# takes at a time.  On Brn(5000) text a fresh `bounds`, `validate` or `mu`
+# process peaked 0.1 to 0.3 MiB of RSS lower with 4 KiB than with 64 KiB,
+# and a fresh `eij` process on a 400,000-letter word 16.3 MiB against 17.4
+# to 17.9, neither slower (Python 3.11, 2 vCPUs).
 PIECE = 1 << 12
 
 

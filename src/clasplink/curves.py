@@ -25,6 +25,7 @@ import re
 from itertools import accumulate, islice
 from operator import eq
 
+from . import _record
 from ._record import FrozenRecord
 from .words import _require_letter_index
 
@@ -38,7 +39,6 @@ _DY = [0, 0, 1, -1]
 _CODES = bytes([RIGHT, LEFT, UP, DOWN])
 _FLIP = bytes.maketrans(_CODES, bytes([LEFT, RIGHT, DOWN, UP]))
 _SEGMENT = re.compile(rb"\x00+|\x01+|\x02+|\x03+")  # a maximal straight run
-_WINDOW = 4096  # steps searched for straight runs at a time
 SVG_SCALE = 40  # pixels per lattice unit
 
 
@@ -101,12 +101,12 @@ class LatticeCurve(FrozenRecord):
 
     def segments(self) -> Iterator[bytes]:
         """The curve's straight runs of steps in order, each one step code
-        repeated.  They are found ``_WINDOW`` steps at a time, so no list of
-        every run is built, and a straight segment that crosses a window's
-        edge comes as two runs."""
-        steps = self.steps
-        for start in range(0, len(steps), _WINDOW):
-            yield from _SEGMENT.findall(steps, start, start + _WINDOW)
+        repeated.  They are found ``_record.PIECE`` steps at a time, so no
+        list of every run is built, and a straight segment that crosses a
+        piece's edge comes as two runs."""
+        steps, piece = self.steps, _record.PIECE
+        for start in range(0, len(steps), piece):
+            yield from _SEGMENT.findall(steps, start, start + piece)
 
     def is_closed(self) -> bool:
         count = self.steps.count

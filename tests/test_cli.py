@@ -1,6 +1,5 @@
 import argparse
 import io
-import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -8,10 +7,10 @@ from pathlib import Path
 import pytest
 
 from clasplink import complexes
-from clasplink._record import QUOTE_CHARS
+from clasplink._record import PIECE, QUOTE_CHARS
 from clasplink.cli import main
 from clasplink.complexes import BRN_CAP, Clasp, clasp_word, parse_complex
-from clasplink.curves import SVG_SCALE, LatticeCurve, build_curve, write_svg
+from clasplink.curves import SVG_SCALE, LatticeCurve, build_curve
 from clasplink.words import ClaspWord, parse_word
 
 DATA = Path(__file__).resolve().parents[1] / "data"
@@ -194,7 +193,7 @@ def test_curve_walks_the_segments_once_a_use(monkeypatch, tmp_path, text, line, 
     monkeypatch.setattr(LatticeCurve, "segments", counting_segments)
     svg_path = tmp_path / "curve.svg"
     assert run_cli(["curve", text, "1", "2", "--out", str(svg_path)]) == (0, line, "")
-    assert len(walked) == walks and walked[0] > 4096
+    assert len(walked) == walks and walked[0] > PIECE
     monkeypatch.undo()
     # the polyline passes through every vertex, with y flipped and one unit
     # of margin round the box
@@ -226,24 +225,9 @@ def test_mu_builds_only_the_three_words_it_reads(monkeypatch, tmp_path):
     assert built == [1, 2, 2]
 
 
-def test_validate_names_an_unknown_self_clasp_end_once(tmp_path):
-    bad = tmp_path / "bad.cc"
-    bad.write_text("components 3\nclasp x 5 5 +\norder 1\norder 2\norder 3\n")
-    lines = "clasp 'x' is a self-clasp (both ends on component 5)\nclasp 'x' references unknown component 5\n"
-    assert run_cli(["validate", str(bad)]) == (2, lines, "")
-    errors = "".join(f"error: {line}\n" for line in lines.splitlines())
-    assert run_cli(["bounds", str(bad)]) == (2, "", errors)
-
-
 def test_gen_brn_golden():
     code, out, _ = run_cli(["gen-brn", "1"])
     assert (code, out) == (0, GEN_BRN_1)
-
-
-def test_gen_brn_rejects_zero():
-    code, _, err = run_cli(["gen-brn", "0"])
-    assert code == 2
-    assert "at least 1" in err
 
 
 @pytest.mark.parametrize("n", [BRN_CAP + 1, 100_000_000])
@@ -292,14 +276,6 @@ def test_oracle_disagreement_exit_code(monkeypatch):
     assert "no" in out
 
 
-def test_oracle_cap_errors():
-    code, _, err = run_cli(["oracle", "polyomino", "--max-area", "0"])
-    assert code == 2
-    code, _, err = run_cli(["oracle", "polyomino", "--max-area", "12"])
-    assert code == 2
-    assert "cap" in err
-
-
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -311,16 +287,6 @@ def test_oracle_cap_errors():
 def test_oracle_refuses_the_other_kinds_bound(argv, message):
     code, out, err = run_cli(argv)
     assert (code, out, err) == (2, "", message)
-
-
-def test_oracle_polyomino_deeper_than_recursion_limit():
-    # The Redelmeier walk recurses once per cell; an area past the
-    # recursion limit is refused before the walk starts.
-    code, out, err = run_cli(["oracle", "polyomino", "--max-area", "2000", "--cap", "2000"])
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: max_area 2000 needs a deeper recursion")
-    assert "Traceback" not in err
 
 
 # --- error lines that quote a command-line integer -----------------------------
@@ -441,69 +407,3 @@ def test_gen_brn_past_the_cap_is_clipped():
 )
 def test_oracle_cap_messages_are_clipped(argv, message):
     assert run_cli(argv) == (2, "", f"error: {message}\n")
-
-
-def test_cli_outputs_are_deterministic(tmp_path):
-    invocations = [
-        ("mu", BORROMEAN, "1", "2", "3"),
-        ("bounds", BORROMEAN),
-        ("bounds", THREE_CLASPS),
-        ("words", BORROMEAN),
-        ("lk", BORROMEAN, "2", "3"),
-        ("validate", BORROMEAN),
-        ("gen-brn", "3"),
-        ("eij", "x1 x2 x1^-1 x2^-1", "1", "2"),
-        ("oracle", "polyomino", "--max-area", "4"),
-        ("oracle", "words", "--max-len", "6"),
-    ]
-    for argv in invocations:
-        first = run_cli(argv)
-        second = run_cli(argv)
-        assert first == second
-
-    svg_a = tmp_path / "a.svg"
-    svg_b = tmp_path / "b.svg"
-    run_cli(["curve", "x1 x2 x1 x2 x1^-2 x2^-2", "1", "2", "--out", str(svg_a), "--grid"])
-    run_cli(["curve", "x1 x2 x1 x2 x1^-2 x2^-2", "1", "2", "--out", str(svg_b), "--grid"])
-    assert svg_a.read_bytes() == svg_b.read_bytes()
-
-
-def test_write_svg_grid_lines():
-    curve = build_curve(parse_word("x1 x2 x1^-1 x2^-1"), 1, 2)
-    with_grid: list[str] = []
-    without_grid: list[str] = []
-    write_svg(curve, with_grid.append, grid=True)
-    write_svg(curve, without_grid.append, grid=False)
-    assert "".join(with_grid).count("<line") == 8  # 4 vertical + 4 horizontal for a unit square
-    assert "".join(without_grid).count("<line") == 0
-
-
-def test_pipe_gen_brn_into_mu_and_bounds():
-    gen = subprocess.run(
-        [sys.executable, "-m", "clasplink.cli", "gen-brn", "3"],
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    mu = subprocess.run(
-        [sys.executable, "-m", "clasplink.cli", "mu", "-", "1", "2", "3"],
-        input=gen.stdout,
-        capture_output=True,
-        text=True,
-    )
-    assert mu.returncode == 0
-    assert mu.stdout.splitlines()[0] == "mu = 9"
-
-    bounds = subprocess.run(
-        [sys.executable, "-m", "clasplink.cli", "bounds", "-"],
-        input=subprocess.run(
-            [sys.executable, "-m", "clasplink.cli", "gen-brn", "2"],
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout,
-        capture_output=True,
-        text=True,
-    )
-    assert bounds.returncode == 0
-    assert bounds.stdout.splitlines()[0] == "6 <= C <= 8"

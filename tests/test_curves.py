@@ -9,10 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clasplink import curves
-from clasplink._record import QUOTE_CHARS
+from clasplink._record import PIECE, QUOTE_CHARS
 from clasplink.bounds import ceil_two_sqrt
 from clasplink.curves import DOWN, LEFT, RIGHT, UP, LatticeCurve, build_curve
-from clasplink.invariants import e_ij
 from clasplink.words import ClaspWord, parse_word
 from test_memory_budgets import comb_steps, traced
 
@@ -180,13 +179,6 @@ def test_reversal_flips_integral_and_is_involutive():
 def test_reversal_of_trivial_curve():
     point = LatticeCurve(b"")
     assert point.reversed() == point
-
-
-def test_integral_matches_pair_count_exhaustively():
-    """Every word over two letter indices up to length 8: the signed
-    before-count equals the curve integral."""
-    for w in two_index_words(8):
-        assert e_ij(w, 1, 2) == build_curve(w, 1, 2).line_integral_x_dy()
 
 
 def test_simple_closed_curves_enclose_integral_many_cells():
@@ -397,7 +389,7 @@ closed_walks = st.one_of(step_codes.map(closed), step_codes.map(closed).flatmap(
 # both ways through is_simple: the sort fallback (no box is small enough)
 # and the bitmap (default)
 PATHS = [0, curves._BOX_CELLS_PER_STEP]
-SPLIT = curves._WINDOW + 10  # a straight run that segments() yields as two
+SPLIT = PIECE + 10  # a straight run that segments() yields as two
 
 
 @settings(max_examples=400)
@@ -423,7 +415,7 @@ def test_is_simple_agrees_with_the_sort_on_every_path(steps):
 def test_is_simple_bitmap_finds_a_crossing_past_the_probe():
     steps = comb_steps(387, detour=200)
     curve = LatticeCurve(steps)
-    assert curve.is_closed() and steps.index(bytes([UP, UP, LEFT])) > 4096
+    assert curve.is_closed() and steps.index(bytes([UP, UP, LEFT])) > PIECE
     simple, peak, _ = traced(curve.is_simple)
     assert not simple and not simple_by_vertex_set(steps)
     # under a mebibyte: the bitmap found it, not the sort

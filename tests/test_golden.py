@@ -3,7 +3,8 @@
 The oracle files in tests/golden/ were captured from the tree-walk word
 sweep and the cell-set polyomino enumeration that the current oracles
 replaced, so any change in a row, the table layout or the exit code shows
-here.
+here.  The oracle-words files are the one pin of the word search's rows:
+no other test compares them with the tree walk.
 
 The files in tests/golden/complex/ were captured from the complex
 subcommands before a complex was validated once and remembered: bounds,

@@ -123,16 +123,6 @@ def test_min_perimeter_matches_enumeration(shapes):
 
 
 @pytest.mark.parametrize("max_len", range(1, 13))
-def test_word_search_matches_tree_walk(max_len):
-    min_len = {0: 0}  # the least length of a closed word, by |integral|
-    for depth, x, y, integral in word_tree(max_len):
-        if x == y == 0 and depth < min_len.get(abs(integral), depth + 1):
-            min_len[abs(integral)] = depth
-    rows = [(r.parameter, r.observed) for r in verify_word_length_bound(max_len)]
-    assert rows == sorted(min_len.items())
-
-
-@pytest.mark.parametrize("max_len", range(1, 13))
 def test_word_search_visits_every_state(max_len):
     """Every state of every length, not just the minima or the closed
     integrals: a closed word keeps its integral under rotation, so a

@@ -4,7 +4,7 @@
 polyline and then the whole document before it joins them, from the
 vertices the reference walks from the curve's steps.  ``write_svg``
 passes the points to its writer a straight segment at a time, from runs
-found a window of ``_WINDOW`` steps at a time.  On every curve, with and
+found ``_record.PIECE`` steps at a time.  On every curve, with and
 without grid lines, the pieces it writes, joined here, must be the same
 text.
 """
@@ -17,7 +17,8 @@ import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clasplink.curves import _WINDOW, LatticeCurve, write_svg
+from clasplink._record import PIECE
+from clasplink.curves import LatticeCurve, write_svg
 
 
 def render(curve: LatticeCurve, grid: bool = False) -> str:
@@ -52,11 +53,11 @@ RIGHT, LEFT, UP, DOWN = reference.STEPS
 
 @pytest.mark.parametrize(
     "vertex_count",
-    [1, 2, _WINDOW - 1, _WINDOW, _WINDOW + 1, 3 * _WINDOW + 17],
+    [1, 2, PIECE - 1, PIECE, PIECE + 1, 3 * PIECE + 17],
 )
 @pytest.mark.parametrize("grid", [False, True])
 def test_render_matches_the_reference_at_chunk_edges(vertex_count, grid):
-    # the segment search's window edges: a run that crosses one is split
+    # the segment search's piece edges: a run that crosses one is split
     curve = random_walk(vertex_count, seed=vertex_count)
     assert len(curve.vertices) == vertex_count
     assert render(curve, grid=grid) == expected(curve, grid=grid)
@@ -66,10 +67,10 @@ SEGMENT_CASES = {
     "single-vertex": straight(),
     "unit-segments": straight((RIGHT, 1), (UP, 1), (LEFT, 1), (UP, 1), (RIGHT, 1), (DOWN, 1), (LEFT, 1), (DOWN, 1)),
     "zigzag": straight(*[(RIGHT, 1), (UP, 1)] * 40 + [(LEFT, 1), (DOWN, 1)] * 40),
-    "long-right": straight((RIGHT, 3 * _WINDOW + 5)),
-    "long-left": straight((LEFT, 3 * _WINDOW + 5)),
-    "long-up": straight((UP, 3 * _WINDOW + 5)),
-    "long-down": straight((DOWN, 3 * _WINDOW + 5)),
+    "long-right": straight((RIGHT, 3 * PIECE + 5)),
+    "long-left": straight((LEFT, 3 * PIECE + 5)),
+    "long-up": straight((UP, 3 * PIECE + 5)),
+    "long-down": straight((DOWN, 3 * PIECE + 5)),
     "long-square": straight((RIGHT, 700), (UP, 700), (LEFT, 700), (DOWN, 700)),
     "long-square-backwards": straight((DOWN, 700), (LEFT, 700), (UP, 700), (RIGHT, 700)),
     # every side of the box is reached away from the origin
@@ -94,7 +95,7 @@ def test_segment_cases_are_what_they_claim():
     assert curve.bounding_box() == (min(xs), max(xs), min(ys), max(ys))
     assert min(xs) < 0 < max(xs) and min(ys) < 0 < max(ys)
     assert all(len(run) == 1 for run in SEGMENT_CASES["unit-segments"].segments())
-    assert [len(run) for run in SEGMENT_CASES["long-up"].segments()] == [_WINDOW, _WINDOW, _WINDOW, 5]
+    assert [len(run) for run in SEGMENT_CASES["long-up"].segments()] == [PIECE, PIECE, PIECE, 5]
 
 
 @settings(max_examples=200)
@@ -103,9 +104,9 @@ def test_segment_cases_are_what_they_claim():
     st.booleans(),
     st.integers(1, 8),
 )
-def test_render_matches_the_reference_on_random_walks(runs, grid, window):
-    # a small window puts its edges anywhere along the walks
+def test_render_matches_the_reference_on_random_walks(runs, grid, piece):
+    # a small piece puts its edges anywhere along the walks
     curve = straight(*runs)
-    with mock.patch("clasplink.curves._WINDOW", window):
+    with mock.patch("clasplink._record.PIECE", piece):
         svg = render(curve, grid=grid)
     assert svg == expected(curve, grid=grid)
